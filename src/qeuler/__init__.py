@@ -13,9 +13,7 @@ silently repaired.
 from .characters import (
     DirichletCharacter,
     UnitGroupStructure,
-    char_eval,
     character_by_index,
-    conductor,
     enumerate_characters,
     principal_character,
     unit_group,
@@ -37,7 +35,6 @@ from .lfunction import LValue, l_eulerian, mellin_term_check, verify_interpolati
 from .padic import PadicResidue, embed_cyclotomic, padic_unit_root
 from .padic_verify import (
     IntegrandSpec,
-    TruncatedIntegral,
     chi_monomial,
     corollary4_probe,
     monomial,
@@ -62,16 +59,13 @@ __all__ = [
     "PadicResidue",
     "PolyQ",
     "TruncSeries",
-    "TruncatedIntegral",
     "UnitGroupStructure",
     "VerificationReport",
     "WeightZeroEulerValue",
-    "char_eval",
     "character_by_index",
     "chi_eulerian",
     "chi_eulerian_series_check",
     "chi_monomial",
-    "conductor",
     "corollary4_probe",
     "cyc_embed",
     "cyc_reduce",

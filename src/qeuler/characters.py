@@ -115,10 +115,6 @@ class DirichletCharacter:
     def is_principal(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
-    @property
-    def is_real(self) -> bool:
-        return self.order <= 2
-
     def values(self) -> tuple[CycElem, ...]:
         if self._values is None:
             d, m = self.modulus, self.value_order
@@ -168,11 +164,6 @@ class DirichletCharacter:
         return f"DirichletCharacter(modulus={self.modulus}, exponents={self.exponents})"
 
 
-def char_eval(chi: DirichletCharacter, a: int) -> CycElem:
-    """Exact value chi(a) as a cyclotomic element."""
-    return chi(a)
-
-
 def enumerate_characters(d: int) -> list[DirichletCharacter]:
     """All phi(d) characters mod odd d, lexicographic by exponent tuple.
 
@@ -197,6 +188,3 @@ def character_by_index(d: int, index: int) -> DirichletCharacter:
 def principal_character(d: int) -> DirichletCharacter:
     return DirichletCharacter(d, tuple(0 for _ in unit_group(d).orders))
 
-
-def conductor(chi: DirichletCharacter) -> int:
-    return chi.conductor()

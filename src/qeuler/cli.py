@@ -1,7 +1,7 @@
 """Command-line front end: computations, verification suites, table emission.
 
-Exit codes: 0 all cases pass, 1 identity failure, 2 usage error,
-3 precision/convergence failure.
+Exit codes: 0 all cases pass, 1 identity failure, 2 usage error (any flag
+value rejected while parsing arguments), 3 precision/convergence failure.
 """
 from __future__ import annotations
 
@@ -16,32 +16,47 @@ from .chi_eulerian import chi_eulerian
 from .errors import QEulerError
 from .eulerian import eulerian_poly
 from .lfunction import l_eulerian
-from .numtheory import phi
-from .padic_verify import chi_monomial, monomial, truncated_integral_full, MEASURES
-from .serialize import (
-    parse_int_list,
-    parse_q_list,
-    parse_rational,
-    render_complex,
-    render_rational,
-    render_value,
-)
+from .numtheory import is_prime, phi
+from .padic_verify import chi_monomial, monomial, truncated_integral, MEASURES
+from .serialize import parse_int_list, parse_q_list, render_complex, render_rational, render_value
 from .suites import SUITES, SuiteOptions, run_suite
 from .tables import KINDS, TableOptions, build_table, render_table
 
 from mpmath import mp
 
 
+def _checked(kind: str, parse, ok=None):
+    """argparse type: ``parse`` the text, then require ``ok``; any failure is a usage error."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if ok is None or ok(value):
+                return value
+        except (ValueError, ArithmeticError):
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {kind}")
+    return convert
+
+
+_POSITIVE_INT = _checked("a positive integer", int, lambda v: v > 0)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, default=None)
     parser.add_argument("--max-n", type=int, default=None)
-    parser.add_argument("--modulus", type=int, default=None)
+    parser.add_argument("--modulus", type=_checked("an odd positive modulus", int,
+                                                   lambda d: d > 0 and d % 2 == 1), default=None)
     parser.add_argument("--char", type=int, default=None)
-    parser.add_argument("--q", type=str, default=None, help="comma list of rationals a/b")
-    parser.add_argument("--p", type=str, default=None, help="comma list of odd primes")
-    parser.add_argument("--precision", type=int, default=None, help="p-adic precision k")
-    parser.add_argument("--bits", type=int, default=None)
-    parser.add_argument("--levels", type=str, default=None, help="comma list of levels N")
+    parser.add_argument("--q", type=_checked("a comma list of rationals", parse_q_list),
+                        default=None, help="comma list of rationals a/b")
+    parser.add_argument("--p", type=_checked("a comma list of odd primes", parse_int_list,
+                                             lambda ps: all(p > 2 and is_prime(p) for p in ps)),
+                        default=None, help="comma list of odd primes")
+    parser.add_argument("--precision", type=_POSITIVE_INT, default=None, help="p-adic precision k")
+    parser.add_argument("--bits", type=_POSITIVE_INT, default=None)
+    parser.add_argument("--levels", type=_checked("a comma list of positive integers", parse_int_list,
+                                                  lambda ns: all(n > 0 for n in ns)),
+                        default=None, help="comma list of levels N")
     parser.add_argument("--variant", choices=("printed", "corrected"), default=None)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", type=str, default=None)
@@ -74,7 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     lfun = sub.add_parser("lfunction", help="numeric L-values")
     lfun_sub = lfun.add_subparsers(dest="subcommand", required=True)
     lfun_eval = lfun_sub.add_parser("eval")
-    lfun_eval.add_argument("--s", type=str, required=True, help="rational s, or re,im")
+    lfun_eval.add_argument("--s", type=_checked("a rational s or re,im", str,
+                                                lambda text: len(parse_q_list(text)) in (1, 2)),
+                           required=True, help="rational s, or re,im")
     _add_common(lfun_eval)
 
     padic = sub.add_parser("padic", help="truncated fermionic integrals")
@@ -100,38 +117,40 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _suite_options(args) -> SuiteOptions:
-    opts = SuiteOptions()
-    if args.max_n is not None:
-        opts.max_n = args.max_n
-    elif args.n is not None:
-        opts.max_n = args.n
-    if args.modulus is not None:
-        opts.moduli = [args.modulus]
-    if args.q:
-        opts.q_list = parse_q_list(args.q)
-    if args.p:
-        opts.p_list = parse_int_list(args.p)
-    if args.precision is not None:
-        opts.precision = args.precision
-    if args.bits is not None:
-        opts.bits = args.bits
-    if args.levels:
-        opts.levels = parse_int_list(args.levels)
-    if args.variant:
-        opts.variant = args.variant
-    if args.char is not None:
-        opts.char_index = args.char
+def _n(parser, args, default: int = 0) -> int:
+    n = args.n if args.n is not None else default
+    if n < 0:
+        parser.error("--n must be >= 0")
+    return n
+
+
+def _char_index(parser, args, moduli: list[int]) -> int | None:
+    for d in moduli:
+        if args.char is not None and not 0 <= args.char < phi(d):
+            parser.error(f"char index {args.char} out of range for modulus {d}")
+    return args.char
+
+
+def _override(opts, **flags):
+    """Set each option whose flag value is not None."""
+    for name, value in flags.items():
+        if value is not None:
+            setattr(opts, name, value)
+    return opts
+
+
+def _suite_options(parser, args) -> SuiteOptions:
+    opts = _override(SuiteOptions(), q_list=args.q or None, p_list=args.p or None,
+                     levels=args.levels or None, precision=args.precision, bits=args.bits,
+                     variant=args.variant, max_n=args.n if args.max_n is None else args.max_n,
+                     moduli=None if args.modulus is None else [args.modulus])
+    opts.char_index = _char_index(parser, args, opts.moduli)
     return opts
 
 
 def _character(parser, args, default_modulus=3):
     modulus = args.modulus if args.modulus is not None else default_modulus
-    index = args.char if args.char is not None else 0
-    try:
-        return character_by_index(modulus, index)
-    except (ValueError, QEulerError) as exc:
-        parser.error(str(exc))
+    return character_by_index(modulus, _char_index(parser, args, [modulus]) or 0)
 
 
 def main(argv=None) -> int:
@@ -146,18 +165,14 @@ def main(argv=None) -> int:
 
 def _dispatch(parser, args) -> int:
     if args.command == "eulerian" and args.subcommand == "classical":
-        n = args.n if args.n is not None else (args.max_n if args.max_n is not None else 0)
-        if n < 0:
-            parser.error("--n must be >= 0")
-        coeffs = eulerian_poly(n).poly.coeffs
+        coeffs = eulerian_poly(_n(parser, args, args.max_n or 0)).poly.coeffs
         _write(",".join(str(c.numerator) for c in coeffs) + "\n", args.out)
         return rep.EXIT_OK
 
     if args.command == "eulerian" and args.subcommand == "chi":
         chi = _character(parser, args)
-        n = args.n if args.n is not None else 0
-        q = parse_q_list(args.q)[0] if args.q else Fraction(2)
-        value = chi_eulerian(n, chi, q)
+        q = args.q[0] if args.q else Fraction(2)
+        value = chi_eulerian(_n(parser, args), chi, q)
         _write(render_value(value) + "\n", args.out)
         return rep.EXIT_OK
 
@@ -179,7 +194,7 @@ def _dispatch(parser, args) -> int:
         return rep.EXIT_OK
 
     if args.command == "verify":
-        opts = _suite_options(args)
+        opts = _suite_options(parser, args)
         reports = run_suite(args.name, opts)
         if args.format == "csv":
             _write(rep.dump_csv(reports), args.out)
@@ -189,9 +204,8 @@ def _dispatch(parser, args) -> int:
 
     if args.command == "lfunction":
         chi = _character(parser, args)
-        parts = [parse_rational(p) for p in args.s.split(",")]
-        s = complex(parts[0]) if len(parts) == 1 else complex(parts[0], parts[1])
-        q = parse_q_list(args.q)[0] if args.q else Fraction(2)
+        s = complex(*parse_q_list(args.s))
+        q = args.q[0] if args.q else Fraction(2)
         bits = args.bits if args.bits is not None else 128
         lv = l_eulerian(s, chi, q, bits)
         re_s, im_s = render_complex(lv.value, bits)
@@ -204,42 +218,30 @@ def _dispatch(parser, args) -> int:
         return rep.EXIT_OK
 
     if args.command == "padic":
-        p = parse_int_list(args.p)[0] if args.p else 5
-        q = parse_q_list(args.q)[0] if args.q else Fraction(1 + p)
+        p = args.p[0] if args.p else 5
+        q = args.q[0] if args.q else Fraction(1 + p)
         k = args.precision if args.precision is not None else 3
-        n = args.n if args.n is not None else 0
-        levels = parse_int_list(args.levels) if args.levels else [k + 3]
+        n = _n(parser, args)
+        levels = args.levels or [k + 3]
         if args.modulus is not None:
             f = chi_monomial(_character(parser, args), n)
         else:
             f = monomial(n)
         lines = []
         for N in levels:
-            result = truncated_integral_full(f, p, q, args.measure, N, k)
+            value = truncated_integral(f, p, q, args.measure, N, k)
             lines.append(json.dumps({
                 "integrand": f.describe(), "measure": args.measure, "p": p,
                 "q": render_rational(q), "k": k, "N": N,
-                "residue": result.value.residue, "modulus": result.value.modulus,
+                "residue": value.residue, "modulus": value.modulus,
             }, sort_keys=True))
         _write("\n".join(lines) + "\n", args.out)
         return rep.EXIT_OK
 
     if args.command == "emit":
-        opts = TableOptions(kind=args.kind)
-        if args.max_n is not None:
-            opts.max_n = args.max_n
-        elif args.n is not None:
-            opts.max_n = args.n
-        if args.modulus is not None:
-            opts.modulus = args.modulus
-        if args.char is not None:
-            if not 0 <= args.char < phi(opts.modulus):
-                parser.error(f"char index {args.char} out of range")
-            opts.char_index = args.char
-        if args.q:
-            opts.q_list = parse_q_list(args.q)
-        if args.bits is not None:
-            opts.bits = args.bits
+        opts = _override(TableOptions(kind=args.kind), modulus=args.modulus, q_list=args.q or None,
+                         bits=args.bits, max_n=args.n if args.max_n is None else args.max_n)
+        opts.char_index = _char_index(parser, args, [opts.modulus])
         header, rows = build_table(opts)
         _write(render_table(header, rows, args.format), args.out)
         return rep.EXIT_OK

@@ -69,16 +69,6 @@ class IntegrandSpec:
         return core if self.shift == 0 else core.replace("x", f"(x+{self.shift})")
 
 
-@dataclass(frozen=True)
-class TruncatedIntegral:
-    prime: int
-    level: int
-    measure: str
-    q: Fraction
-    integrand: IntegrandSpec
-    value: PadicResidue
-
-
 def monomial(degree: int) -> IntegrandSpec:
     return IntegrandSpec("monomial", degree)
 
@@ -178,10 +168,15 @@ def truncated_integral(f: IntegrandSpec, p: int, q: Scalar, measure: str = "-q^-
     return truncated_integrals([f], p, q, measure, N, k, d)[0]
 
 
-def truncated_integral_full(f: IntegrandSpec, p: int, q: Scalar, measure: str,
-                            N: int, k: int, d: int | None = None) -> TruncatedIntegral:
-    value = truncated_integral(f, p, q, measure, N, k, d)
-    return TruncatedIntegral(p, N, measure, Fraction(q), f, value)
+def admissible_modulus(d: int, p: int) -> bool:
+    """True when d = 1 or d is a power of p.
+
+    Only then does d divide p^N, so that the sums over eta < p^N cover whole
+    periods of a character mod d.
+    """
+    while d > 1 and p > 1 and d % p == 0:
+        d //= p
+    return d == 1
 
 
 def _embed_exact(value, p: int, k: int) -> int:
@@ -310,14 +305,13 @@ def verify_witt_chi(n: int, chi: DirichletCharacter, p: int, q: Scalar, k: int, 
     printed:   (-1)^n (1+q)^{-n} A_n(chi,-q)
     corrected: the same times q^{-2}.
 
-    The character's modulus must be 1 or a multiple of p; values embed when
+    The character's modulus must be 1 or a power of p; values embed when
     their order divides p-1 (orders 1 and 2 always do).
     """
     if variant not in ("printed", "corrected"):
         raise ValueError("variant must be 'printed' or 'corrected'")
-    d = chi.modulus
-    if d != 1 and d % p != 0:
-        raise ValueError(f"modulus {d} must be 1 or a multiple of p = {p}")
+    if not admissible_modulus(chi.modulus, p):
+        raise ValueError(f"modulus {chi.modulus} must be 1 or a power of p = {p}")
     qf = Fraction(q)
     pk = p**k
     integral = truncated_integral(chi_monomial(chi, n), p, qf, "-q^-1", N, k)
@@ -377,9 +371,8 @@ def corollary4_probe(n: int, chi: DirichletCharacter, p: int, q: Scalar, k: int,
     exact.  The limit normalizer [p^N]_{-q^{-1}} -> 2q/(1+q) is computed from
     q^{-p^N} -> 1, never assumed equal to its finite-level value.
     """
-    d = chi.modulus
-    if d != 1 and d % p != 0:
-        raise ValueError(f"modulus {d} must be 1 or a multiple of p = {p}")
+    if not admissible_modulus(chi.modulus, p):
+        raise ValueError(f"modulus {chi.modulus} must be 1 or a power of p = {p}")
     qf = Fraction(q)
     _require_congruence(qf, p)
     pk = p**k

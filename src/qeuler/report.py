@@ -6,10 +6,10 @@ inputs (the elapsed_ms field is the one timing exception).
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
+
+from .tables import render_table
 
 PASS = "pass"
 FAIL = "fail"
@@ -60,22 +60,16 @@ def dump_json_lines(reports: list[VerificationReport]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+CSV_HEADER = ["identity", "params", "status", "lhs", "rhs", "metric", "variant", "elapsed_ms"]
+
+
 def dump_csv(reports: list[VerificationReport]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["identity", "params", "status", "lhs", "rhs", "metric", "variant", "elapsed_ms"])
-    for r in sort_reports(reports):
-        writer.writerow([
-            r.identity,
-            json.dumps(r.params, sort_keys=True, default=str),
-            r.status,
-            r.lhs,
-            r.rhs,
-            json.dumps(r.metric, sort_keys=True, default=str),
-            r.variant,
-            r.elapsed_ms,
-        ])
-    return buf.getvalue()
+    """One row per report, params and metric as sorted JSON; extra fields are left out."""
+    rows = [dict({name: getattr(r, name) for name in CSV_HEADER},
+                 params=json.dumps(r.params, sort_keys=True, default=str),
+                 metric=json.dumps(r.metric, sort_keys=True, default=str))
+            for r in sort_reports(reports)]
+    return render_table(CSV_HEADER, rows, "csv")
 
 
 def exit_code(reports: list[VerificationReport]) -> int:

@@ -50,11 +50,6 @@ def decimal_digits(bits: int) -> int:
     return int(bits * 0.30103) + 6
 
 
-def render_real(x, bits: int) -> str:
-    with mp.workprec(bits + 16):
-        return mp.nstr(mp.mpf(x), decimal_digits(bits), strip_zeros=False)
-
-
 def render_complex(value, bits: int) -> tuple[str, str]:
     digits = decimal_digits(bits)
     with mp.workprec(bits + 16):

@@ -3,14 +3,17 @@
 Suite names are stable CLI keys.  Unless the caller overrides them, grids
 default to n <= 4, moduli {1, 3, 5}, q in {2, 3}, p in {3, 5}, k = 3,
 bits = 128, levels 1..k+3 — sized to finish in well under a minute.
+
+Each suite is a grid of cases run by ``_case``, plus an adapter per metric kind.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import product
 
-from . import report as rep
 from .characters import enumerate_characters
 from .chi_eulerian import (
     chi_eulerian_series_check,
@@ -21,6 +24,7 @@ from .errors import QEulerError
 from .eulerian import eulerian_poly, eulerian_series_coeff
 from .lfunction import mellin_term_check, verify_interpolation
 from .padic_verify import (
+    admissible_modulus,
     corollary4_min_precision,
     corollary4_probe,
     monomial,
@@ -28,7 +32,7 @@ from .padic_verify import (
     verify_witt,
     verify_witt_chi,
 )
-from .report import FAIL, INCONCLUSIVE, PASS, VerificationReport
+from .report import FAIL, INCONCLUSIVE, PASS, VerificationReport, sort_reports
 from .serialize import render_rational, render_value
 
 from mpmath import mp
@@ -50,17 +54,58 @@ class SuiteOptions:
         return self.levels if self.levels else list(range(1, self.precision + 4))
 
 
-def _characters(opts: SuiteOptions, d: int):
-    chars = enumerate_characters(d)
-    if opts.char_index is not None:
-        chars = [chars[opts.char_index]]
-    return chars
+def _char_grid(opts: SuiteOptions, *axes):
+    """(d, chi, *rest) over the moduli, their characters and the product of ``axes``."""
+    for d in opts.moduli:
+        chars = enumerate_characters(d)
+        for chi in chars if opts.char_index is None else [chars[opts.char_index]]:
+            for rest in product(*axes):
+                yield (d, chi, *rest)
 
 
-def _timed(fn):
+def _chi_padic_grid(opts: SuiteOptions):
+    """(d, chi, p, q, n) over the admissible (modulus, p) pairs and q = 1 mod p."""
+    for d, chi, p in _char_grid(opts, opts.p_list):
+        if admissible_modulus(d, p):
+            for q in _padic_q_list(opts, p):
+                for n in range(opts.max_n + 1):
+                    yield d, chi, p, q, n
+
+
+def _padic_q_list(opts: SuiteOptions, p: int) -> list[Fraction]:
+    """q values congruent to 1 mod p: the caller's list filtered, else 1+p, 1+2p."""
+    usable = [q for q in opts.q_list
+              if (q - 1).numerator % p == 0 and (q - 1).denominator % p != 0]
+    return usable if usable else [Fraction(1 + p), Fraction(1 + 2 * p)]
+
+
+def _char_params(chi, **params) -> dict:
+    return {"modulus": chi.modulus, "char": chi.label, "char_exponents": list(chi.exponents),
+            **params}
+
+
+def _case(identity: str, params: dict, check, adapt, variant: str = "n/a",
+          catch: bool = False) -> list[VerificationReport]:
+    """Run one timed check and turn its result into reports.
+
+    ``adapt`` maps the result to one report-field dict (status, lhs, rhs,
+    metric, and optionally extra and params to add) or a list of them; the
+    check's time is split evenly among the reports.  With ``catch``, a
+    QEulerError from the check becomes one inconclusive report.
+    """
     start = time.perf_counter()
-    result = fn()
-    return result, int((time.perf_counter() - start) * 1000)
+    try:
+        result = check()
+    except QEulerError as exc:
+        if not catch:
+            raise
+        rows, ms = [_error(str(exc))], 0
+    else:
+        ms = int((time.perf_counter() - start) * 1000)
+        rows = adapt(result)
+        rows = [rows] if isinstance(rows, dict) else rows
+    return [VerificationReport(identity, {**params, **row.pop("params", {})}, variant=variant,
+                               elapsed_ms=ms // len(rows), **row) for row in rows]
 
 
 def _status(ok: bool) -> str:
@@ -70,6 +115,32 @@ def _status(ok: bool) -> str:
 def _nstr(x, bits: int) -> str:
     with mp.workprec(bits):
         return mp.nstr(mp.mpc(x), 30)
+
+
+# Report adapters, one per metric kind.
+
+def _exact_abs_error(lhs: Fraction, rhs: Fraction) -> dict:
+    err = abs(lhs - rhs)
+    return {"status": _status(err == 0), "lhs": render_rational(lhs), "rhs": render_rational(rhs),
+            "metric": {"kind": "abs_error", "error": render_rational(err), "bound": "0/1"}}
+
+
+def _numeric_abs_error(passed: bool, lhs, rhs, error, bound, bits: int, **params) -> dict:
+    return {"status": _status(passed), "lhs": _nstr(lhs, bits), "rhs": _nstr(rhs, bits),
+            "metric": {"kind": "abs_error", "error": mp.nstr(error, 12),
+                       "bound": mp.nstr(bound, 12)}, "params": params}
+
+
+def _padic_valuation(status: str, lhs, rhs, target: int, extra: dict | None = None,
+                     **valuations) -> dict:
+    return {"status": status, "lhs": str(lhs), "rhs": str(rhs),
+            "metric": {"kind": "padic_valuation", **valuations, "target": target},
+            "extra": extra or {}}
+
+
+def _error(message: str) -> dict:
+    return {"status": INCONCLUSIVE, "lhs": "", "rhs": "",
+            "metric": {"kind": "error", "error": message}}
 
 
 def _sign_sample_points(count: int) -> list[Fraction]:
@@ -83,53 +154,28 @@ def _sign_sample_points(count: int) -> list[Fraction]:
     return points[:count]
 
 
+def _sign_pair(n: int, x0: Fraction) -> tuple[Fraction, Fraction]:
+    return eulerian_series_coeff(n, x0), Fraction((-1) ** n) * eulerian_poly(n).poly.evaluate(x0)
+
+
 def suite_eq19_vs_eq20(opts: SuiteOptions) -> list[VerificationReport]:
     """Sign reconciliation between the series engine and the recurrence engine."""
-    reports = []
-    for n in range(opts.max_n + 1):
-        for x0 in _sign_sample_points(n + 1):
-            def case(n=n, x0=x0):
-                series = eulerian_series_coeff(n, x0)
-                poly = Fraction((-1) ** n) * eulerian_poly(n).poly.evaluate(x0)
-                return series, poly
-            (series, poly), ms = _timed(case)
-            err = abs(series - poly)
-            reports.append(VerificationReport(
-                identity="eq19-vs-eq20",
-                params={"n": n, "x0": render_rational(x0)},
-                status=_status(err == 0),
-                lhs=render_rational(series),
-                rhs=render_rational(poly),
-                metric={"kind": "abs_error", "error": render_rational(err), "bound": "0/1"},
-                elapsed_ms=ms,
-            ))
-    return reports
+    return [r for n in range(opts.max_n + 1) for x0 in _sign_sample_points(n + 1)
+            for r in _case("eq19-vs-eq20", {"n": n, "x0": render_rational(x0)},
+                           partial(_sign_pair, n, x0), lambda pair: _exact_abs_error(*pair))]
 
 
 def _series_suite(opts: SuiteOptions, checker, identity: str) -> list[VerificationReport]:
-    reports = []
-    for d in opts.moduli:
-        for chi in _characters(opts, d):
-            for n in range(opts.max_n + 1):
-                for q in opts.q_list:
-                    result, ms = _timed(lambda n=n, chi=chi, q=q: checker(n, chi, q, opts.bits))
-                    with mp.workprec(opts.bits):
-                        err = mp.fabs(result.lhs - result.rhs)
-                        bound = result.tail_bound + result.slack
-                    reports.append(VerificationReport(
-                        identity=identity,
-                        params={"n": n, "modulus": d, "char": chi.label,
-                                "char_exponents": list(chi.exponents),
-                                "q": render_rational(q),
-                                "bits": opts.bits, "terms": result.terms, "form": result.form},
-                        status=_status(result.passed),
-                        lhs=_nstr(result.lhs, opts.bits),
-                        rhs=_nstr(result.rhs, opts.bits),
-                        metric={"kind": "abs_error", "error": mp.nstr(err, 12),
-                                "bound": mp.nstr(bound, 12)},
-                        elapsed_ms=ms,
-                    ))
-    return reports
+    def adapt(result):
+        with mp.workprec(opts.bits):
+            err = mp.fabs(result.lhs - result.rhs)
+            bound = result.tail_bound + result.slack
+        return _numeric_abs_error(result.passed, result.lhs, result.rhs, err, bound, opts.bits,
+                                  terms=result.terms, form=result.form)
+
+    return [r for d, chi, n, q in _char_grid(opts, range(opts.max_n + 1), opts.q_list)
+            for r in _case(identity, _char_params(chi, n=n, q=render_rational(q), bits=opts.bits),
+                           partial(checker, n, chi, q, opts.bits), adapt)]
 
 
 def suite_eq12_series(opts: SuiteOptions) -> list[VerificationReport]:
@@ -143,102 +189,46 @@ def suite_eq13_series(opts: SuiteOptions) -> list[VerificationReport]:
 
 
 def suite_eq16_distribution(opts: SuiteOptions) -> list[VerificationReport]:
-    reports = []
-    for d in opts.moduli:
-        for chi in _characters(opts, d):
-            for n in range(opts.max_n + 1):
-                result, ms = _timed(
-                    lambda n=n, chi=chi: verify_distribution(n, chi, opts.q_list, opts.variant))
-                per_case = max(1, len(result.samples))
-                for sample in result.samples:
-                    lhs = sample.lhs_corrected if opts.variant == "corrected" else sample.lhs_printed
-                    ok = sample.ok and sample.genocchi_ok
-                    reports.append(VerificationReport(
-                        identity="eq16-distribution",
-                        params={"n": n, "modulus": d, "char": chi.label,
-                                "char_exponents": list(chi.exponents),
-                                "q": render_rational(sample.q)},
-                        status=_status(ok),
-                        lhs=render_value(lhs),
-                        rhs=render_value(sample.rhs_euler),
-                        metric={"kind": "exact", "equal": sample.ok,
-                                "genocchi_equal": sample.genocchi_ok},
-                        variant=opts.variant,
-                        elapsed_ms=ms // per_case,
-                        extra={"ratio": render_rational(sample.ratio) if sample.ratio is not None else None},
-                    ))
-    return reports
+    def exact(result):
+        """The exact-kind adapter: one report per q sample."""
+        return [{"status": _status(s.ok and s.genocchi_ok),
+                 "lhs": render_value(s.lhs_corrected if opts.variant == "corrected" else s.lhs_printed),
+                 "rhs": render_value(s.rhs_euler),
+                 "metric": {"kind": "exact", "equal": s.ok, "genocchi_equal": s.genocchi_ok},
+                 "params": {"q": render_rational(s.q)},
+                 "extra": {"ratio": render_rational(s.ratio) if s.ratio is not None else None}}
+                for s in result.samples]
+
+    return [r for d, chi, n in _char_grid(opts, range(opts.max_n + 1))
+            for r in _case("eq16-distribution", _char_params(chi, n=n),
+                           partial(verify_distribution, n, chi, opts.q_list, opts.variant),
+                           exact, opts.variant)]
+
+
+def _witt_fields(result, extra: dict | None = None) -> dict:
+    return _padic_valuation(_status(result.passed), result.integral.residue,
+                            result.reference.residue, result.precision, extra,
+                            valuation=(result.integral - result.reference).valuation())
 
 
 def suite_witt(opts: SuiteOptions) -> list[VerificationReport]:
-    reports = []
     level = max(opts.level_list())
-    for p in opts.p_list:
-        for q in _padic_q_list(opts, p):
-            for n in range(opts.max_n + 1):
-                result, ms = _timed(lambda n=n, p=p, q=q: verify_witt(n, p, q, opts.precision, level))
-                reports.append(VerificationReport(
-                    identity="witt",
-                    params={"n": n, "p": p, "q": render_rational(q), "k": opts.precision, "N": level},
-                    status=_status(result.passed),
-                    lhs=str(result.integral.residue),
-                    rhs=str(result.reference.residue),
-                    metric={"kind": "padic_valuation",
-                            "valuation": (result.integral - result.reference).valuation(),
-                            "target": opts.precision},
-                    elapsed_ms=ms,
-                ))
-    return reports
-
-
-def _padic_q_list(opts: SuiteOptions, p: int) -> list[Fraction]:
-    """q values congruent to 1 mod p: the caller's list filtered, else 1+p, 1+2p."""
-    usable = [q for q in opts.q_list
-              if (q - 1).numerator % p == 0 and (q - 1).denominator % p != 0]
-    return usable if usable else [Fraction(1 + p), Fraction(1 + 2 * p)]
-
-
-def _chi_padic_pairs(opts: SuiteOptions):
-    for d in opts.moduli:
-        for p in opts.p_list:
-            if d != 1 and d % p != 0:
-                continue
-            yield d, p
+    return [r for p in opts.p_list for q in _padic_q_list(opts, p) for n in range(opts.max_n + 1)
+            for r in _case("witt", {"n": n, "p": p, "q": render_rational(q),
+                                    "k": opts.precision, "N": level},
+                           partial(verify_witt, n, p, q, opts.precision, level),
+                           _witt_fields)]
 
 
 def suite_witt_chi(opts: SuiteOptions) -> list[VerificationReport]:
-    reports = []
     level = max(opts.level_list())
-    for d, p in _chi_padic_pairs(opts):
-        for chi in _characters(opts, d):
-            for q in _padic_q_list(opts, p):
-                for n in range(opts.max_n + 1):
-                    params = {"n": n, "modulus": d, "char": chi.label,
-                              "char_exponents": list(chi.exponents), "p": p,
-                              "q": render_rational(q), "k": opts.precision, "N": level}
-                    try:
-                        result, ms = _timed(lambda n=n, chi=chi, p=p, q=q: verify_witt_chi(
-                            n, chi, p, q, opts.precision, level, opts.variant))
-                    except QEulerError as exc:
-                        reports.append(VerificationReport(
-                            identity="witt-chi", params=params, status=INCONCLUSIVE,
-                            lhs="", rhs="", metric={"kind": "error", "error": str(exc)},
-                            variant=opts.variant))
-                        continue
-                    reports.append(VerificationReport(
-                        identity="witt-chi",
-                        params=params,
-                        status=_status(result.passed),
-                        lhs=str(result.integral.residue),
-                        rhs=str(result.reference.residue),
-                        metric={"kind": "padic_valuation",
-                                "valuation": (result.integral - result.reference).valuation(),
-                                "target": opts.precision},
-                        variant=opts.variant,
-                        elapsed_ms=ms,
-                        extra={"ratio_vs_printed": result.ratio},
-                    ))
-    return reports
+    return [r for d, chi, p, q, n in _chi_padic_grid(opts)
+            for r in _case("witt-chi", _char_params(chi, n=n, p=p, q=render_rational(q),
+                                                    k=opts.precision, N=level),
+                           partial(verify_witt_chi, n, chi, p, q, opts.precision, level,
+                                   opts.variant),
+                           lambda result: _witt_fields(result, {"ratio_vs_printed": result.ratio}),
+                           opts.variant, catch=True)]
 
 
 def suite_integral_eq(opts: SuiteOptions) -> list[VerificationReport]:
@@ -250,103 +240,64 @@ def suite_integral_eq(opts: SuiteOptions) -> list[VerificationReport]:
         (8, monomial(2), 1),
         (7, monomial(0), 1),  # constant integrand: exact at every level
     ]
-    reports = []
     levels = opts.level_list()
-    for p in opts.p_list:
-        for q in _padic_q_list(opts, p):
-            for eq, f, n in cases:
-                result, ms = _timed(lambda eq=eq, f=f, n=n, p=p, q=q: verify_integral_equation(
-                    eq, f, n, p, q, opts.precision, levels))
-                reports.append(VerificationReport(
-                    identity="integral-eq",
-                    params={"eq": eq, "f": f.describe(), "shift": n, "p": p,
-                            "q": render_rational(q), "k": opts.precision,
-                            "levels": list(result.levels)},
-                    status=_status(result.passed),
-                    lhs=str(result.lhs_last),
-                    rhs=str(result.rhs),
-                    metric={"kind": "padic_valuation", "valuation": list(result.valuations),
-                            "target": opts.precision},
-                    elapsed_ms=ms,
-                ))
-    return reports
+
+    def adapt(result):
+        return dict(_padic_valuation(_status(result.passed), result.lhs_last, result.rhs,
+                                     opts.precision, valuation=list(result.valuations)),
+                    params={"levels": list(result.levels)})
+
+    return [r for p in opts.p_list for q in _padic_q_list(opts, p) for eq, f, n in cases
+            for r in _case("integral-eq", {"eq": eq, "f": f.describe(), "shift": n, "p": p,
+                                           "q": render_rational(q), "k": opts.precision},
+                           partial(verify_integral_equation, eq, f, n, p, q, opts.precision,
+                                   levels), adapt)]
+
+
+def _probe(n, chi, p, q, k, levels):
+    if k is None:
+        raise QEulerError("candidate closed forms coincide mod p^k")
+    return corollary4_probe(n, chi, p, q, k, levels)
+
+
+def _probe_fields(result) -> dict:
+    status = (PASS if result.converged_to == "2*S_A"
+              else FAIL if result.converged_to == "2*q^2*S_A"
+              else INCONCLUSIVE)
+    return _padic_valuation(
+        status, result.sums[-1] if result.sums else "",
+        f"2*S_A={result.candidate_plain}; 2*q^2*S_A={result.candidate_scaled}",
+        result.precision, {"converged_to": result.converged_to},
+        valuation_plain=list(result.val_plain), valuation_scaled=list(result.val_scaled))
 
 
 def suite_corollary4(opts: SuiteOptions) -> list[VerificationReport]:
     reports = []
     levels = opts.level_list()
-    for d, p in _chi_padic_pairs(opts):
-        for chi in _characters(opts, d):
-            for q in _padic_q_list(opts, p):
-                for n in range(opts.max_n + 1):
-                    if d == 1 and n == 0:
-                        # the probed limit statement needs chi(0)*0^n = 0
-                        continue
-                    # the candidates differ by 2 S_A (q^2-1); raise k until
-                    # they separate mod p^k, else the probe is vacuous
-                    k = corollary4_min_precision(n, chi, p, q, floor=opts.precision)
-                    params = {"n": n, "modulus": d, "char": chi.label,
-                              "char_exponents": list(chi.exponents), "p": p,
-                              "q": render_rational(q), "k": k if k else opts.precision,
-                              "levels": levels}
-                    if k is None:
-                        reports.append(VerificationReport(
-                            identity="corollary4-probe", params=params, status=INCONCLUSIVE,
-                            lhs="", rhs="",
-                            metric={"kind": "error",
-                                    "error": "candidate closed forms coincide mod p^k"}))
-                        continue
-                    case_levels = levels if k <= opts.precision else list(range(1, k + 4))
-                    params["levels"] = case_levels
-                    try:
-                        result, ms = _timed(lambda n=n, chi=chi, p=p, q=q, k=k: corollary4_probe(
-                            n, chi, p, q, k, case_levels))
-                    except QEulerError as exc:
-                        reports.append(VerificationReport(
-                            identity="corollary4-probe", params=params, status=INCONCLUSIVE,
-                            lhs="", rhs="", metric={"kind": "error", "error": str(exc)}))
-                        continue
-                    status = (PASS if result.converged_to == "2*S_A"
-                              else FAIL if result.converged_to == "2*q^2*S_A"
-                              else INCONCLUSIVE)
-                    reports.append(VerificationReport(
-                        identity="corollary4-probe",
-                        params=params,
-                        status=status,
-                        lhs=str(result.sums[-1]) if result.sums else "",
-                        rhs=f"2*S_A={result.candidate_plain}; 2*q^2*S_A={result.candidate_scaled}",
-                        metric={"kind": "padic_valuation",
-                                "valuation_plain": list(result.val_plain),
-                                "valuation_scaled": list(result.val_scaled),
-                                "target": k},
-                        elapsed_ms=ms,
-                        extra={"converged_to": result.converged_to},
-                    ))
+    for d, chi, p, q, n in _chi_padic_grid(opts):
+        if d == 1 and n == 0:
+            # the probed limit statement needs chi(0)*0^n = 0
+            continue
+        # the candidates differ by 2 S_A (q^2-1); raise k until
+        # they separate mod p^k, else the probe is vacuous
+        k = corollary4_min_precision(n, chi, p, q, floor=opts.precision)
+        case_levels = levels if k is None or k <= opts.precision else list(range(1, k + 4))
+        reports += _case("corollary4-probe",
+                         _char_params(chi, n=n, p=p, q=render_rational(q),
+                                      k=k if k else opts.precision, levels=case_levels),
+                         partial(_probe, n, chi, p, q, k, case_levels),
+                         _probe_fields, catch=True)
     return reports
 
 
 def suite_interpolation(opts: SuiteOptions) -> list[VerificationReport]:
-    reports = []
-    for d in opts.moduli:
-        for chi in _characters(opts, d):
-            for n in range(opts.max_n + 1):
-                for q in opts.q_list:
-                    result, ms = _timed(lambda n=n, chi=chi, q=q: verify_interpolation(
-                        n, chi, q, opts.bits))
-                    reports.append(VerificationReport(
-                        identity="interpolation",
-                        params={"n": n, "modulus": d, "char": chi.label,
-                                "char_exponents": list(chi.exponents),
-                                "q": render_rational(q), "bits": opts.bits},
-                        status=_status(result.passed),
-                        lhs=_nstr(result.l_value, opts.bits),
-                        rhs=_nstr(result.reference, opts.bits),
-                        metric={"kind": "abs_error",
-                                "error": mp.nstr(mp.mpf(result.difference), 12),
-                                "bound": mp.nstr(mp.mpf(result.bound), 12)},
-                        elapsed_ms=ms,
-                    ))
-    return reports
+    return [r for d, chi, n, q in _char_grid(opts, range(opts.max_n + 1), opts.q_list)
+            for r in _case("interpolation", _char_params(chi, n=n, q=render_rational(q),
+                                                         bits=opts.bits),
+                           partial(verify_interpolation, n, chi, q, opts.bits),
+                           lambda result: _numeric_abs_error(
+                               result.passed, result.l_value, result.reference,
+                               mp.mpf(result.difference), mp.mpf(result.bound), opts.bits))]
 
 
 MELLIN_CASES = ((Fraction(2), 1, Fraction(2)), (Fraction(1), 2, Fraction(1)),
@@ -354,20 +305,13 @@ MELLIN_CASES = ((Fraction(2), 1, Fraction(2)), (Fraction(1), 2, Fraction(1)),
 
 
 def suite_mellin(opts: SuiteOptions) -> list[VerificationReport]:
-    reports = []
-    for s, m, q in MELLIN_CASES:
-        result, ms = _timed(lambda s=s, m=m, q=q: mellin_term_check(s, m, q, opts.bits))
-        reports.append(VerificationReport(
-            identity="mellin-term",
-            params={"s": render_rational(s), "m": m, "q": render_rational(q), "bits": opts.bits},
-            status=_status(result.passed),
-            lhs=_nstr(result.lhs, opts.bits),
-            rhs=_nstr(result.rhs, opts.bits),
-            metric={"kind": "abs_error", "error": mp.nstr(mp.mpf(result.difference), 12),
-                    "bound": mp.nstr(mp.mpf(result.tolerance), 12)},
-            elapsed_ms=ms,
-        ))
-    return reports
+    return [r for s, m, q in MELLIN_CASES
+            for r in _case("mellin-term", {"s": render_rational(s), "m": m,
+                                           "q": render_rational(q), "bits": opts.bits},
+                           partial(mellin_term_check, s, m, q, opts.bits),
+                           lambda result: _numeric_abs_error(
+                               result.passed, result.lhs, result.rhs,
+                               mp.mpf(result.difference), mp.mpf(result.tolerance), opts.bits))]
 
 
 SUITES = {
@@ -387,4 +331,4 @@ SUITES = {
 def run_suite(name: str, opts: SuiteOptions) -> list[VerificationReport]:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    return rep.sort_reports(SUITES[name](opts))
+    return sort_reports(SUITES[name](opts))

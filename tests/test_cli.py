@@ -2,10 +2,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mp
 
+import qeuler
 from qeuler.characters import character_by_index
 from qeuler.chi_eulerian import chi_eulerian, weight_zero_euler
 from qeuler.cli import main
@@ -58,7 +63,29 @@ class TestBasicCommands:
         assert json.loads(out)["residue"] == 107
 
 
+# Bad flag values: each is a usage error (exit 2) with a one-line message, never a traceback.
+USAGE_PROBES = [
+    "eulerian chi --n -1",
+    "verify suite --name eq12-series --modulus 3 --char 9",
+    "padic integral --p 4",
+    "lfunction eval --s abc",
+    "verify suite --name eq12-series --q abc",
+    "verify suite --name witt --precision 0",
+    "chars list --modulus 0",
+    "chars list --modulus 4",
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("probe", USAGE_PROBES)
+    def test_bad_flag_value_is_usage_error(self, probe):
+        env = dict(os.environ, PYTHONPATH=str(Path(qeuler.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-m", "qeuler.cli", *probe.split()],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        assert "error:" in done.stderr.strip().splitlines()[-1]
+
     def test_usage_error_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "suite", "--name", "no-such-suite"])
@@ -95,6 +122,14 @@ class TestExitCodes:
 
 
 class TestSuiteStreams:
+    @pytest.mark.parametrize("name", ["witt-chi", "corollary4-probe"])
+    def test_modulus_not_a_power_of_p_is_skipped(self, capsys, name):
+        # 15 does not divide 5^N, so the sums over eta < 5^N would miss whole periods of chi
+        code, out = run(capsys, "verify", "suite", "--name", name, "--modulus", "15", "--p", "5",
+                        "--max-n", "2", "--precision", "2", "--levels", "1,2,3,4,5")
+        assert code == 0
+        assert not [line for line in out.splitlines() if json.loads(line)["status"] == "fail"]
+
     def test_reports_sorted_and_deterministic(self, capsys):
         code1, out1 = run(capsys, "verify", "suite", "--name", "witt",
                           "--max-n", "2", "--p", "3", "--q", "4")

@@ -7,6 +7,7 @@ from qeuler.characters import enumerate_characters, principal_character
 from qeuler.errors import BadCongruence, NonUnitNormalizer, ParityMismatch
 from qeuler.padic import PadicResidue
 from qeuler.padic_verify import (
+    admissible_modulus,
     chi_monomial,
     corollary4_probe,
     monomial,
@@ -179,6 +180,14 @@ class TestWittChi:
     def test_modulus_must_match_prime(self):
         with pytest.raises(ValueError):
             verify_witt_chi(0, QUAD3, 5, 6, 2, 4, "corrected")
+
+    def test_modulus_must_be_a_power_of_p(self):
+        assert [admissible_modulus(d, 5) for d in (1, 5, 25, 15, 3)] == [True, True, True, False, False]
+        principal15 = principal_character(15)
+        with pytest.raises(ValueError):
+            verify_witt_chi(0, principal15, 5, 6, 2, 4, "corrected")
+        with pytest.raises(ValueError):
+            corollary4_probe(1, principal15, 5, 6, 2, [1, 2])
 
     def test_unembeddable_character_order_refused(self):
         # an order-3 character mod 9 cannot embed mod 3^k (3 does not divide p-1)
