@@ -19,8 +19,6 @@ from .characters import (
     unit_group,
 )
 from .chi_eulerian import (
-    ChiEulerianValue,
-    WeightZeroEulerValue,
     chi_eulerian,
     chi_eulerian_series_check,
     kernel_series_check,
@@ -29,7 +27,7 @@ from .chi_eulerian import (
     weight_zero_euler,
     weight_zero_genocchi,
 )
-from .cyclotomic import CycElem, cyc_embed, cyc_reduce, cyclotomic_polynomial
+from .cyclotomic import CycElem, cyc_embed, cyclotomic_polynomial
 from .eulerian import EulerianPoly, eulerian_poly, eulerian_series_coeff, recurrence_residual, witt_value
 from .lfunction import LValue, l_eulerian, mellin_term_check, verify_interpolation
 from .padic import PadicResidue, embed_cyclotomic, padic_unit_root
@@ -50,7 +48,6 @@ from .report import VerificationReport
 from .series import TruncSeries, series_div
 
 __all__ = [
-    "ChiEulerianValue",
     "CycElem",
     "DirichletCharacter",
     "EulerianPoly",
@@ -61,14 +58,12 @@ __all__ = [
     "TruncSeries",
     "UnitGroupStructure",
     "VerificationReport",
-    "WeightZeroEulerValue",
     "character_by_index",
     "chi_eulerian",
     "chi_eulerian_series_check",
     "chi_monomial",
     "corollary4_probe",
     "cyc_embed",
-    "cyc_reduce",
     "cyclotomic_polynomial",
     "embed_cyclotomic",
     "enumerate_characters",

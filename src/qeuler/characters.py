@@ -73,14 +73,14 @@ def unit_group(d: int) -> UnitGroupStructure:
 class DirichletCharacter:
     """Character mod odd d, identified by its exponent tuple.
 
-    Values are CycElem of order ``value_order`` (the multiplicative order of
-    the character, which is the least m with all values in Q(zeta_m)).
+    Values are CycElem of order ``order`` (the multiplicative order of the
+    character, which is the least m with all values in Q(zeta_m)).
     The modulus-1 character is identically 1, including at 0, so the d = 1
     degenerate cases of the attached polynomial identities reduce to the
     classical generating function.
     """
 
-    __slots__ = ("modulus", "exponents", "order", "value_order", "_values")
+    __slots__ = ("modulus", "exponents", "order", "_values")
 
     def __init__(self, modulus: int, exponents: tuple[int, ...]):
         group = unit_group(modulus)
@@ -92,7 +92,6 @@ class DirichletCharacter:
         self.modulus = modulus
         self.exponents = exps
         self.order = lcm(1, *(o // gcd(o, e) for e, o in zip(exps, group.orders)))
-        self.value_order = self.order
         self._values: tuple[CycElem, ...] | None = None
 
     @property
@@ -117,7 +116,7 @@ class DirichletCharacter:
 
     def values(self) -> tuple[CycElem, ...]:
         if self._values is None:
-            d, m = self.modulus, self.value_order
+            d, m = self.modulus, self.order
             group = self.group
             table = []
             for a in range(max(d, 1)):

@@ -41,26 +41,10 @@ from mpmath import mp
 from .characters import DirichletCharacter
 from .cyclotomic import CycElem, cyc_embed
 from .errors import ConvergenceDomain, DegenerateSample, PoleAtMinusOne, PoleQ
-from .numerics import choose_truncation, to_mpf
+from .numerics import alternating_character_sum, choose_truncation, to_mpf
 from .qnumbers import q_number
 
 Scalar = Union[int, Fraction]
-
-
-@dataclass(frozen=True)
-class ChiEulerianValue:
-    n: int
-    character: DirichletCharacter
-    q: Fraction
-    value: CycElem
-
-
-@dataclass(frozen=True)
-class WeightZeroEulerValue:
-    n: int
-    q: Fraction
-    x: Fraction
-    value: Fraction
 
 
 def _check_q(q: Fraction, d: int) -> None:
@@ -108,7 +92,7 @@ def chi_eulerian_values(chi: DirichletCharacter, q: Scalar, max_n: int) -> list[
     with _table_lock:
         table = _table_cache.get(key)
         if table is None or len(table) <= max_n:
-            table = kernel_recurrence(character_kernel(chi, qf), qf, max_n, chi.value_order)
+            table = kernel_recurrence(character_kernel(chi, qf), qf, max_n, chi.order)
             _table_cache[key] = table
     return table[: max_n + 1]
 
@@ -116,11 +100,6 @@ def chi_eulerian_values(chi: DirichletCharacter, q: Scalar, max_n: int) -> list[
 def chi_eulerian(n: int, chi: DirichletCharacter, q: Scalar) -> CycElem:
     """A_n(chi, -q) by the kernel recurrence."""
     return chi_eulerian_values(chi, q, n)[n]
-
-
-def chi_eulerian_value(n: int, chi: DirichletCharacter, q: Scalar) -> ChiEulerianValue:
-    qf = Fraction(q)
-    return ChiEulerianValue(n, chi, qf, chi_eulerian(n, chi, qf))
 
 
 def series_reference(n: int, chi: DirichletCharacter, q: Scalar) -> CycElem:
@@ -144,10 +123,6 @@ class SeriesCheck:
     form: str
 
 
-def _char_table_numeric(chi: DirichletCharacter, bits: int):
-    return [cyc_embed(chi(a), bits) for a in range(max(chi.modulus, 1))]
-
-
 def chi_eulerian_series_check(n: int, chi: DirichletCharacter, q: Scalar, bits: int = 128) -> SeriesCheck:
     """Compare the exact value of (-1)^n A_n / (q(1+q)^{n+1}) with the partial
     sum of sum_{m>=1} (-1)^m chi(m) m^n q^{-m}, under a certified tail bound.
@@ -161,18 +136,9 @@ def chi_eulerian_series_check(n: int, chi: DirichletCharacter, q: Scalar, bits: 
         raise ConvergenceDomain("the alternating character series needs q > 1")
     if bits < 64:
         raise ValueError("bits must be >= 64")
-    d = max(chi.modulus, 1)
     with mp.workprec(bits + 64):
         M, tail = choose_truncation(n, qf, bits - 4)
-        table = _char_table_numeric(chi, bits + 32)
-        qinv = to_mpf(1 / qf)
-        weight = mp.mpf(1)
-        acc = mp.mpc(0)
-        for m in range(1, M + 1):
-            weight *= qinv
-            cval = table[m % d]
-            if cval:
-                acc += (-1) ** m * cval * mp.mpf(m) ** n * weight
+        acc = alternating_character_sum(chi, qf, bits, M, lambda m: mp.mpf(m) ** n)
         lhs = cyc_embed(series_reference(n, chi, qf), bits + 32)
         slack = mp.mpf(2) ** (-bits + 8)
         passed = mp.fabs(lhs - acc) <= tail + slack
@@ -185,20 +151,12 @@ def kernel_series_check(n: int, chi: DirichletCharacter, q: Scalar, bits: int = 
     qf = Fraction(q)
     if qf <= 1:
         raise ConvergenceDomain("the geometric kernel expansion needs q > 1")
-    d = max(chi.modulus, 1)
     with mp.workprec(bits + 64):
         M, tail_raw = choose_truncation(n, qf, bits - 4)
         scale = to_mpf(qf * (1 + qf) ** (n + 1))
-        table = _char_table_numeric(chi, bits + 32)
-        qinv = to_mpf(1 / qf)
         one_plus_q = to_mpf(1 + qf)
-        weight = mp.mpf(1)
-        acc = mp.mpc(0)
-        for m in range(0, M + 1):
-            cval = table[m % d]
-            if cval:
-                acc += (-1) ** m * cval * (-(mp.mpf(m)) * one_plus_q) ** n * weight
-            weight *= qinv
+        acc = alternating_character_sum(chi, qf, bits, M, lambda m: (-(mp.mpf(m)) * one_plus_q) ** n,
+                                        start=0)
         acc *= to_mpf(qf * (1 + qf))
         lhs = cyc_embed(chi_eulerian(n, chi, qf), bits + 32)
         tail = mp.fabs(scale) * tail_raw
@@ -223,11 +181,6 @@ def weight_zero_euler_values(max_n: int, q: Scalar, x: Scalar) -> list[Fraction]
 
 def weight_zero_euler(n: int, q: Scalar, x: Scalar) -> Fraction:
     return weight_zero_euler_values(n, q, x)[n]
-
-
-def weight_zero_euler_value(n: int, q: Scalar, x: Scalar) -> WeightZeroEulerValue:
-    qf, xf = Fraction(q), Fraction(x)
-    return WeightZeroEulerValue(n, qf, xf, weight_zero_euler(n, qf, xf))
 
 
 def weight_zero_genocchi(n_plus_1: int, q: Scalar, x: Scalar) -> Fraction:
@@ -275,7 +228,7 @@ def verify_distribution(n: int, chi: DirichletCharacter, q_samples: Sequence[Sca
     if variant not in ("printed", "corrected"):
         raise ValueError("variant must be 'printed' or 'corrected'")
     d = chi.modulus
-    m = chi.value_order
+    m = chi.order
     samples: list[DistributionSample] = []
     all_ok = True
     ratio_ok = True

@@ -53,7 +53,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                                              lambda ps: all(p > 2 and is_prime(p) for p in ps)),
                         default=None, help="comma list of odd primes")
     parser.add_argument("--precision", type=_POSITIVE_INT, default=None, help="p-adic precision k")
-    parser.add_argument("--bits", type=_POSITIVE_INT, default=None)
+    parser.add_argument("--bits", type=_checked("an integer >= 64", int, lambda v: v >= 64),
+                        default=None)
     parser.add_argument("--levels", type=_checked("a comma list of positive integers", parse_int_list,
                                                   lambda ns: all(n > 0 for n in ns)),
                         default=None, help="comma list of levels N")
@@ -183,7 +184,7 @@ def _dispatch(parser, args) -> int:
             lines.append(json.dumps({
                 "name": chi.label, "modulus": modulus, "index": k,
                 "exponents": list(chi.exponents), "order": chi.order,
-                "value_order": chi.value_order, "conductor": chi.conductor(),
+                "value_order": chi.order, "conductor": chi.conductor(),
             }, sort_keys=True))
         _write("\n".join(lines) + "\n", args.out)
         return rep.EXIT_OK
@@ -196,6 +197,8 @@ def _dispatch(parser, args) -> int:
     if args.command == "verify":
         opts = _suite_options(parser, args)
         reports = run_suite(args.name, opts)
+        if not reports:
+            print(f"note: suite {args.name} ran no case: no case matched the flags", file=sys.stderr)
         if args.format == "csv":
             _write(rep.dump_csv(reports), args.out)
         else:

@@ -114,7 +114,7 @@ class CycElem:
 
     def to_rational(self) -> Fraction:
         if not self.is_rational:
-            raise ValueError(f"{self!r} is not rational")
+            raise ValueError(f"element of Q(zeta_{self.order}) is not rational")
         return self.coeffs[0]
 
     def raised(self, target: int) -> CycElem:
@@ -216,14 +216,6 @@ class CycElem:
             return a.coeffs == b.coeffs
         return NotImplemented
 
-    def __repr__(self) -> str:
-        body = ",".join(f"({c.numerator}/{c.denominator})" for c in self.coeffs)
-        return f"[{body}]@zeta{self.order}"
-
-
-def cyc_reduce(raw: PolyQ, m: int) -> CycElem:
-    """Reduce a raw polynomial in zeta_m modulo Phi_m."""
-    return CycElem.from_poly(raw, m)
 
 
 def cyc_embed(elem: CycElem, bits: int = 128):

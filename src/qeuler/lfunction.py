@@ -30,7 +30,7 @@ from .characters import DirichletCharacter
 from .chi_eulerian import chi_eulerian
 from .cyclotomic import cyc_embed
 from .errors import ConvergenceDomain, DomainError
-from .numerics import choose_truncation, to_mpc, to_mpf
+from .numerics import alternating_character_sum, choose_truncation, to_mpc, to_mpf
 
 Scalar = Union[int, Fraction]
 
@@ -58,20 +58,11 @@ def l_eulerian(s, chi: DirichletCharacter, q: Scalar, bits: int = 128) -> LValue
         raise ConvergenceDomain("the L-series needs q > 1")
     if bits < 64:
         raise ValueError("bits must be >= 64")
-    d = max(chi.modulus, 1)
     with mp.workprec(bits + 64):
         s_val = to_mpc(s)
         growth = max(mp.mpf(0), -s_val.real)
         M, tail = choose_truncation(growth, qf, bits - 4)
-        table = [cyc_embed(chi(a), bits + 32) for a in range(d)]
-        qinv = to_mpf(1 / qf)
-        weight = mp.mpf(1)
-        acc = mp.mpc(0)
-        for m in range(1, M + 1):
-            weight *= qinv
-            cval = table[m % d]
-            if cval:
-                acc += (-1) ** m * cval * mp.power(m, -s_val) * weight
+        acc = alternating_character_sum(chi, qf, bits, M, lambda m: mp.power(m, -s_val))
         prefactor = to_mpf(qf) * mp.power(to_mpf(1 + qf), 1 - s_val)
         value = prefactor * acc
         bound = mp.fabs(prefactor) * tail

@@ -1,9 +1,12 @@
-"""mpmath helpers shared by the numeric series checks: conversions and tail bounds."""
+"""mpmath helpers shared by the numeric series checks: conversions, tail bounds
+and the alternating character series they all sum."""
 from __future__ import annotations
 
 from fractions import Fraction
 
 from mpmath import mp
+
+from .cyclotomic import cyc_embed
 
 
 def to_mpf(x):
@@ -54,3 +57,23 @@ def choose_truncation(growth: float, q: Fraction, eps_exp: int) -> tuple[int, "m
             return M, bound
         M *= 2
     raise RuntimeError("tail bound did not converge")
+
+
+def alternating_character_sum(chi, q: Fraction, bits: int, M: int, term, start: int = 1):
+    """Partial sum sum_{m=start}^{M} (-1)^m chi(m) term(m) q^{-m} at the current precision.
+
+    chi is embedded at bits + 32 and q^{-m} is built by repeated
+    multiplication; terms with chi(m) = 0 are skipped.  The series checks and
+    the L-function differ only in ``term`` and ``start``.
+    """
+    d = max(chi.modulus, 1)
+    table = [cyc_embed(chi(a), bits + 32) for a in range(d)]
+    qinv = to_mpf(1 / Fraction(q))
+    weight = mp.mpf(1)
+    acc = mp.mpc(0)
+    for m in range(M + 1):
+        cval = table[m % d]
+        if m >= start and cval:
+            acc += (-1) ** m * cval * term(m) * weight
+        weight *= qinv
+    return acc

@@ -33,19 +33,14 @@ Scalar = Union[int, Fraction]
 
 @dataclass(frozen=True)
 class IntegrandSpec:
-    """f(x + shift) with f a (character-weighted, offset) monomial."""
+    """f(x + shift) with f(x) = chi(x) (offset + x)^degree; chi is optional."""
 
-    kind: str  # "monomial" | "chi_monomial" | "shifted_monomial"
     degree: int
     character: DirichletCharacter | None = None
     offset: Fraction = Fraction(0)
     shift: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("monomial", "chi_monomial", "shifted_monomial"):
-            raise ValueError(f"unknown integrand kind {self.kind!r}")
-        if self.kind == "chi_monomial" and self.character is None:
-            raise ValueError("chi_monomial needs a character")
         if self.degree < 0 or self.shift < 0:
             raise ValueError("degree and shift must be >= 0")
 
@@ -61,24 +56,22 @@ class IntegrandSpec:
         return Fraction(base)
 
     def describe(self) -> str:
-        core = f"x^{self.degree}"
-        if self.kind == "shifted_monomial":
-            core = f"({self.offset}+x)^{self.degree}"
+        core = f"({self.offset}+x)^{self.degree}" if self.offset else f"x^{self.degree}"
         if self.character is not None:
             core = f"chi[{self.character.label}](x)*{core}"
         return core if self.shift == 0 else core.replace("x", f"(x+{self.shift})")
 
 
 def monomial(degree: int) -> IntegrandSpec:
-    return IntegrandSpec("monomial", degree)
+    return IntegrandSpec(degree)
 
 
 def chi_monomial(chi: DirichletCharacter, degree: int) -> IntegrandSpec:
-    return IntegrandSpec("chi_monomial", degree, character=chi)
+    return IntegrandSpec(degree, character=chi)
 
 
 def shifted_monomial(offset: Scalar, degree: int) -> IntegrandSpec:
-    return IntegrandSpec("shifted_monomial", degree, offset=Fraction(offset))
+    return IntegrandSpec(degree, offset=Fraction(offset))
 
 
 MEASURES = ("q", "-q", "-q^-1", "-q^-d")
@@ -129,9 +122,21 @@ def _value_table(spec: IntegrandSpec, p: int, k: int) -> tuple[int, list[int]]:
     return period, table
 
 
+def _weighted_sum(period: int, table: list[int], w: int, count: int, pk: int) -> int:
+    """sum_{eta < count} w^eta table[eta mod period]  (mod pk)."""
+    total = 0
+    power = 1
+    for eta in range(count):
+        v = table[eta % period]
+        if v:
+            total = (total + power * v) % pk
+        power = power * w % pk
+    return total
+
+
 def truncated_integrals(specs: Sequence[IntegrandSpec], p: int, q: Scalar, measure: str,
                         N: int, k: int, d: int | None = None) -> list[PadicResidue]:
-    """Batch evaluation of several integrands under one weight loop."""
+    """T_N of each integrand under one weight and normalizer."""
     if not is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")
     if N < 1 or k < 1:
@@ -150,17 +155,9 @@ def truncated_integrals(specs: Sequence[IntegrandSpec], p: int, q: Scalar, measu
     normalizer = (1 - pow(w_res, p**N, pk)) * pow((1 - w_res) % pk, -1, pk) % pk
     if normalizer % p == 0:
         raise NonUnitNormalizer(f"[p^N]_Q is not a unit for measure {measure!r}")
-    tables = [_value_table(s, p, k) for s in specs]
-    totals = [0] * len(specs)
-    w = 1
-    for eta in range(p**N):
-        for i, (period, table) in enumerate(tables):
-            v = table[eta % period]
-            if v:
-                totals[i] = (totals[i] + w * v) % pk
-        w = w * w_res % pk
     inv_norm = pow(normalizer, -1, pk)
-    return [PadicResidue(p, k, t * inv_norm % pk) for t in totals]
+    return [PadicResidue(p, k, _weighted_sum(*_value_table(s, p, k), w_res, p**N, pk) * inv_norm)
+            for s in specs]
 
 
 def truncated_integral(f: IntegrandSpec, p: int, q: Scalar, measure: str = "-q^-1",
@@ -183,17 +180,6 @@ def _embed_exact(value, p: int, k: int) -> int:
     if isinstance(value, CycElem):
         return embed_cyclotomic(value, p, k)
     return _residue(Fraction(value), p, k)
-
-
-def _valuation(r: int, p: int, k: int) -> int:
-    r %= p**k
-    if r == 0:
-        return k
-    v = 0
-    while r % p == 0:
-        r //= p
-        v += 1
-    return v
 
 
 @dataclass(frozen=True)
@@ -220,8 +206,10 @@ def verify_integral_equation(eq: int, f: IntegrandSpec, n: int, p: int, q: Scala
     eq 7 (n = 1): q T(f_1) + T(f) = (1+q) f(0)                                  [-q]
     eq 8 (n = 1): T(f_1) + q T(f) = (1+q) f(0)                                  [-q^-1]
 
-    Passes when the residual valuation reaches k at the largest level and is
-    non-decreasing across levels.
+    Equations 5 and 7 are eq 4 at odd n and at n = 1; eq 6 is eq 4 at even n
+    with both sides negated, and its reports keep that sign.  Passes when the
+    residual valuation reaches k at the largest level and is non-decreasing
+    across levels.
     """
     if eq not in (4, 5, 6, 7, 8):
         raise ValueError("equation must be one of 4..8")
@@ -237,37 +225,22 @@ def verify_integral_equation(eq: int, f: IntegrandSpec, n: int, p: int, q: Scala
     measure = "-q^-1" if eq == 8 else "-q"
     pk = p**k
 
-    two_q = 1 + qf
-    if eq in (7, 8):
-        rhs_exact = two_q * f.exact_value(0)
-    elif eq == 4:
-        rhs_exact = sum((Fraction((-1) ** (n - 1 - l)) * qf**l * f.exact_value(l) for l in range(n)),
-                        start=Fraction(0) * f.exact_value(0))
-        rhs_exact = two_q * rhs_exact
-    else:
-        rhs_exact = sum((Fraction((-1) ** l) * qf**l * f.exact_value(l) for l in range(n)),
-                        start=Fraction(0) * f.exact_value(0))
-        rhs_exact = two_q * rhs_exact
-    rhs = _embed_exact(rhs_exact, p, k)
+    sign = -1 if eq == 6 else 1
+    rhs_exact = sum((Fraction((-1) ** (n - 1 - l)) * qf**l * f.exact_value(l) for l in range(n)),
+                    start=Fraction(0) * f.exact_value(0))
+    rhs = sign * _embed_exact((1 + qf) * rhs_exact, p, k) % pk
 
     qn = _residue(qf**n, p, k)
-    q1 = _residue(qf, p, k)
     levels = tuple(sorted(N_list))
     vals = []
     lhs_last = 0
     for N in levels:
         t_f, t_fn = truncated_integrals([f, f.shifted(n)], p, qf, measure, N, k)
-        if eq == 4:
-            lhs = (qn * t_fn.residue + (-1) ** (n - 1) * t_f.residue) % pk
-        elif eq == 5:
-            lhs = (qn * t_fn.residue + t_f.residue) % pk
-        elif eq == 6:
-            lhs = (t_f.residue - qn * t_fn.residue) % pk
-        elif eq == 7:
-            lhs = (q1 * t_fn.residue + t_f.residue) % pk
+        if eq == 8:
+            lhs = (t_fn.residue + qn * t_f.residue) % pk
         else:
-            lhs = (t_fn.residue + q1 * t_f.residue) % pk
-        vals.append(_valuation(lhs - rhs, p, k))
+            lhs = sign * (qn * t_fn.residue + (-1) ** (n - 1) * t_f.residue) % pk
+        vals.append(PadicResidue(p, k, lhs - rhs).valuation())
         lhs_last = lhs
     monotone = all(a <= b for a, b in zip(vals, vals[1:]))
     passed = bool(vals) and vals[-1] >= k and monotone
@@ -388,17 +361,11 @@ def corollary4_probe(n: int, chi: DirichletCharacter, p: int, q: Scalar, k: int,
     val_plain = []
     val_scaled = []
     for N in levels:
-        total = 0
-        w = 1
-        for x in range(p**N):
-            if x:
-                v = table[x % period]
-                if v:
-                    total = (total + w * v) % pk
-            w = w * w_res % pk
+        # the x = 0 term has weight 1 and is not part of U_N
+        total = (_weighted_sum(period, table, w_res, p**N, pk) - table[0]) % pk
         sums.append(total)
-        val_plain.append(_valuation(total - cand_plain, p, k))
-        val_scaled.append(_valuation(total - cand_scaled, p, k))
+        val_plain.append(PadicResidue(p, k, total - cand_plain).valuation())
+        val_scaled.append(PadicResidue(p, k, total - cand_scaled).valuation())
     converged: str | None = None
     distinguishable = cand_plain != cand_scaled
     if levels and distinguishable:

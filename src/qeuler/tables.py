@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .characters import enumerate_characters
-from .chi_eulerian import chi_eulerian_value, weight_zero_euler_value
+from .chi_eulerian import chi_eulerian, weight_zero_euler
 from .eulerian import eulerian_poly
 from .lfunction import l_eulerian
 from .serialize import render_complex, render_rational, render_value
@@ -53,11 +53,10 @@ def build_table(opts: TableOptions) -> tuple[list[str], list[dict]]:
         for n in n_range:
             for chi in _chars(opts):
                 for q in opts.q_list:
-                    entry = chi_eulerian_value(n, chi, q)
                     rows.append({
-                        "n": entry.n, "modulus": opts.modulus, "char": chi.index,
-                        "q": render_rational(entry.q),
-                        "value": render_value(entry.value),
+                        "n": n, "modulus": opts.modulus, "char": chi.index,
+                        "q": render_rational(q),
+                        "value": render_value(chi_eulerian(n, chi, q)),
                     })
         return header, rows
     if opts.kind == "weight-zero-euler":
@@ -65,11 +64,10 @@ def build_table(opts: TableOptions) -> tuple[list[str], list[dict]]:
         for n in n_range:
             for q in opts.q_list:
                 for x in opts.x_list:
-                    entry = weight_zero_euler_value(n, q, x)
                     rows.append({
-                        "n": entry.n, "q": render_rational(entry.q),
-                        "x": render_rational(entry.x),
-                        "value": render_rational(entry.value),
+                        "n": n, "q": render_rational(q),
+                        "x": render_rational(x),
+                        "value": render_rational(weight_zero_euler(n, q, x)),
                     })
         return header, rows
     header = ["s", "modulus", "char", "q", "bits", "value_re", "value_im", "tail_bound"]

@@ -89,7 +89,7 @@ class TestValues:
                 for a in range(d):
                     v = chi(a)
                     if not v.is_zero():
-                        assert v ** chi.value_order == 1
+                        assert v ** chi.order == 1
 
     @pytest.mark.parametrize("d", list(range(1, 46, 2)))
     def test_complete_multiplicativity_on_units(self, d):
@@ -124,7 +124,7 @@ def character_dot(chi, psi):
     """sum_a chi(a) * conj(psi)(a) over a mod d, in a common field."""
     d = chi.modulus
     conj = psi.conjugate()
-    target = lcm(chi.value_order, conj.value_order)
+    target = lcm(chi.order, conj.order)
     total = CycElem.zero(target)
     for a in range(max(d, 1)):
         total = total + chi(a) * conj(a)

@@ -58,7 +58,7 @@ class TestChiEulerian:
         # with the summed kernel, which collapses to phi(d) * [l == 1]
         d, q, max_n = 5, Fraction(2), 4
         chars = enumerate_characters(d)
-        target = lcm(*(c.value_order for c in chars))
+        target = lcm(*(c.order for c in chars))
         indicator = [
             CycElem.from_rational(4 * (-1) ** l * (1 + q) * q ** (d - l + 1)) if l == 1
             else CycElem.zero(1)

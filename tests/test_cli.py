@@ -73,6 +73,11 @@ USAGE_PROBES = [
     "verify suite --name witt --precision 0",
     "chars list --modulus 0",
     "chars list --modulus 4",
+    # below 64 bits the numeric engines refuse to run
+    "lfunction eval --s 2 --bits 8",
+    "verify suite --name interpolation --modulus 3 --max-n 1 --bits 32",
+    "verify suite --name eq13-series --modulus 3 --max-n 1 --bits 8",
+    "emit table --kind l-values --max-n 1 --bits 8",
 ]
 
 
@@ -129,6 +134,19 @@ class TestSuiteStreams:
                         "--max-n", "2", "--precision", "2", "--levels", "1,2,3,4,5")
         assert code == 0
         assert not [line for line in out.splitlines() if json.loads(line)["status"] == "fail"]
+
+    @pytest.mark.parametrize("argv", [
+        "verify suite --name eq19-vs-eq20 --max-n -1",
+        "verify suite --name witt-chi --modulus 15 --p 5 --max-n 2 --precision 2",
+    ])
+    def test_empty_grid_is_a_vacuous_pass_with_a_note(self, capsys, argv):
+        code = main(argv.split())
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert argv.split()[3] in lines[0] and "no case matched" in lines[0]
 
     def test_reports_sorted_and_deterministic(self, capsys):
         code1, out1 = run(capsys, "verify", "suite", "--name", "witt",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from qeuler.cyclotomic import CycElem, cyc_embed, cyc_reduce, cyclotomic_polynomial
+from qeuler.cyclotomic import CycElem, cyc_embed, cyclotomic_polynomial
 from qeuler.numtheory import divisors, phi
 from qeuler.polyq import PolyQ
 
@@ -47,20 +47,20 @@ class TestCyclotomicPolynomial:
 
 class TestCycReduce:
     def test_zeta_cubed(self):
-        assert cyc_reduce(PolyQ.monomial(3), 3) == 1
+        assert CycElem.from_poly(PolyQ.monomial(3), 3) == 1
 
     def test_phi_divides(self):
-        assert cyc_reduce(PolyQ((1, 1, 1)), 3) == 0
+        assert CycElem.from_poly(PolyQ((1, 1, 1)), 3) == 0
 
     def test_order_one(self):
-        assert cyc_reduce(PolyQ.monomial(1), 1) == 1
+        assert CycElem.from_poly(PolyQ.monomial(1), 1) == 1
 
-    @settings(max_examples=60)
+    @settings(max_examples=60, deadline=None)
     @given(orders, st.lists(st.integers(-9, 9), min_size=0, max_size=10),
            st.lists(st.integers(-9, 9), min_size=0, max_size=10))
     def test_reduction_is_multiplicative(self, m, a_coeffs, b_coeffs):
         a, b = PolyQ(a_coeffs), PolyQ(b_coeffs)
-        assert cyc_reduce(a * b, m) == cyc_reduce(a, m) * cyc_reduce(b, m)
+        assert CycElem.from_poly(a * b, m) == CycElem.from_poly(a, m) * CycElem.from_poly(b, m)
 
 
 class TestCycElem:
@@ -88,7 +88,7 @@ class TestCycElem:
         assert not (z + 1).is_rational
         assert (z**2).to_rational() == -1
 
-    @settings(max_examples=60)
+    @settings(max_examples=60, deadline=None)
     @given(elems, elems, elems)
     def test_field_laws(self, a, b, c):
         assert a * b == b * a
@@ -96,7 +96,7 @@ class TestCycElem:
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
 
-    @settings(max_examples=40)
+    @settings(max_examples=40, deadline=None)
     @given(elems)
     def test_inverse_roundtrip(self, a):
         if not a.is_zero():

@@ -244,3 +244,68 @@ class TestCorollary4Probe:
     def test_insufficient_levels_inconclusive(self):
         report = corollary4_probe(0, QUAD3, 3, 4, 1, [1])
         assert report.converged_to is None
+
+
+def _mod(fr: Fraction, pk: int) -> int:
+    return fr.numerator * pow(fr.denominator, -1, pk) % pk
+
+
+def _legendre(p: int):
+    """The quadratic character mod p from Euler's criterion, with its value at 0."""
+    return lambda x: 0 if x % p == 0 else (1 if pow(x, (p - 1) // 2, p) == 1 else -1)
+
+
+def _weight(measure: str, q: Fraction, d: int) -> Fraction:
+    return {"-q": -q, "-q^-1": -1 / q, "-q^-d": -(q ** -d)}[measure]
+
+
+class TestDefinitionOracle:
+    """T_N and U_N summed from their definitions in Fractions, reduced mod p^k once.
+
+    T_N(f; Q) = (1 / [p^N]_Q) sum_{eta < p^N} Q^eta f(eta) with
+    [p^N]_Q = sum_{j < p^N} Q^j; nothing here reuses the engine's period
+    tables, weight residues or normalizer formula.  Kept as the oracle for
+    any faster engine of the truncated sums.
+    """
+
+    CASES = [(3, Fraction(4), 2), (3, Fraction(7, 4), 5), (5, Fraction(6), 1), (5, Fraction(11, 6), 3)]
+
+    @staticmethod
+    def _integrands(p: int):
+        quad = next(c for c in enumerate_characters(p) if c.order == 2)
+        one = lambda x: 1
+        # (spec, chi as an integer function, offset, shift, degree)
+        return [
+            (monomial(3), None, 0, 0, 3),
+            (chi_monomial(MOD1, 2), one, 0, 0, 2),
+            (chi_monomial(quad, 2), _legendre(p), 0, 0, 2),
+            (chi_monomial(quad, 1).shifted(2), _legendre(p), 0, 2, 1),
+            (shifted_monomial(Fraction(1, 2), 2).shifted(3), None, Fraction(1, 2), 3, 2),
+        ]
+
+    @pytest.mark.parametrize("measure", ["-q", "-q^-1", "-q^-d"])
+    @pytest.mark.parametrize("p,q,N", CASES)
+    def test_truncated_integral_matches_definition(self, p, q, N, measure):
+        k = 3
+        for spec, chi, offset, shift, degree in self._integrands(p):
+            d = spec.character.modulus if spec.character is not None else 1
+            w = _weight(measure, q, d)
+            normalizer = sum(w**j for j in range(p**N))
+            total = Fraction(0)
+            for eta in range(p**N):
+                t = eta + shift
+                total += w**eta * (chi(t) if chi else 1) * (offset + t) ** degree
+            expected = _mod(total / normalizer, p**k)
+            assert truncated_integral(spec, p, q, measure, N, k).residue == expected, spec.describe()
+
+    @pytest.mark.parametrize("p,q,N", CASES)
+    @pytest.mark.parametrize("n", [0, 1, 2])  # at n = 0 the x = 0 term chi(0) 0^n is 1 for modulus 1
+    def test_corollary4_sum_matches_definition(self, p, q, N, n):
+        k = 3
+        quad = next(c for c in enumerate_characters(p) if c.order == 2)
+        for chi, chi_int in ((MOD1, lambda x: 1), (quad, _legendre(p))):
+            report = corollary4_probe(n, chi, p, q, k, range(1, N + 1))
+            expected = [_mod(sum(Fraction((-1) ** x * chi_int(x) * x**n) / q**x
+                                 for x in range(1, p**M)), p**k)
+                        for M in range(1, N + 1)]
+            assert list(report.sums) == expected, chi.label

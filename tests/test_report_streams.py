@@ -1,8 +1,11 @@
-"""Golden report streams: every suite at defaults, digested with elapsed_ms masked.
+"""Golden report streams: every suite at defaults, digested with elapsed_ms masked,
+and CLI outputs outside the suite grids, digested whole.
 
 The digests pin the exact bytes of each default `verify suite` stream apart
-from timing, so a refactor of the suites, the report writers or the CLI must
-leave them unchanged.  Regenerate a digest only for a deliberate change to a
+from timing, and of L-values at complex s, truncated integrals with a
+character or under the -q and -q^-d measures, every table kind and character
+listings, so a refactor of the engines, the suites, the report writers or the
+CLI must leave them unchanged.  Regenerate a digest only for a deliberate change to a
 report field, and say so where the change is recorded.
 """
 import hashlib
@@ -50,3 +53,38 @@ def test_default_stream_is_unchanged(capsys, args, fmt, code, digest):
     stream = capsys.readouterr().out
     assert stream
     assert hashlib.sha256(masked(stream, fmt).encode()).hexdigest() == digest
+
+
+# (argv, expected exit code, sha256 of stdout); these outputs carry no timing
+OUTPUTS = [
+    ("lfunction eval --s 1/2,14 --modulus 3 --char 1 --q 2", 0,
+     "9d0d3e285bd44edef26687f3a0079c950ace1d7f988b7f15c0cb1730dbec03cc"),
+    ("lfunction eval --s 2,-3 --modulus 5 --char 1 --q 11/10 --bits 96", 0,
+     "68fb60e15aa3b0ee4be8971c8ea666e7c06eb9737a4a9cfc063ece3235b8bc64"),
+    ("padic integral --modulus 5 --char 1 --p 5 --q 6 --n 2 --precision 3 --levels 3,4,5", 0,
+     "0980bcad00b966fb25594158b206d62324fbefe53d6e304b0660c44d748bbdc1"),
+    ("padic integral --measure=-q --p 5 --q 11 --n 3 --precision 3 --levels 4,5", 0,
+     "e5f4f6a4b7e93dd2de78d10072c0278c3324b2b167aa8dd119893bf7e5c20b27"),
+    ("padic integral --measure=-q^-d --modulus 3 --char 1 --p 3 --q 4 --n 2 --precision 4 "
+     "--levels 5,6", 0, "7ce28876796e627a010238622fd498ec2842251cb78ede07dc73d6407b768932"),
+    ("emit table --kind classical --max-n 7", 0,
+     "ec34f61da8902535566b90199bbcfdb4b0151372684f821785c56b0dd2018e5b"),
+    ("emit table --kind chi-eulerian --max-n 3 --modulus 5 --q 2,3/2", 0,
+     "875961e62e3b3f74f9878be0ab2202af4e37b693f03d29e408f71141f5bb8bc3"),
+    ("emit table --kind weight-zero-euler --max-n 4 --q 2,-1/3", 0,
+     "2d1dda06a61029f02f9500716ea11bc818b5683039c8b58dc3731479f0e45940"),
+    ("emit table --kind l-values --max-n 3 --modulus 3 --q 2 --bits 96", 0,
+     "f34427ddccfff28a9091fb80afa49f0a9200b3bcb62e29ceb9b6e5686b40cba5"),
+    ("emit table --kind chi-eulerian --max-n 2 --modulus 7 --char 2 --q 3 --format csv", 0,
+     "c8bb976cb9b2dcbb39d84ddafa126609b2a33eafc9bf43c012b709fba7183ac9"),
+    ("chars list --modulus 15", 0, "5b0c77318199206bb4daac8035d938349ded674a693cad791d8e29ae779ad225"),
+    ("chars list --modulus 9", 0, "4ed6c7472df54cceda0c269e2dc66112a3e39fd62208306f78d0710e4173093d"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", OUTPUTS, ids=[a for a, _, _ in OUTPUTS])
+def test_other_output_is_unchanged(capsys, argv, code, digest):
+    assert main(argv.split()) == code
+    out = capsys.readouterr().out
+    assert out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
