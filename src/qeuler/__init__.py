@@ -28,7 +28,7 @@ from .chi_eulerian import (
     weight_zero_genocchi,
 )
 from .cyclotomic import CycElem, cyc_embed, cyclotomic_polynomial
-from .eulerian import EulerianPoly, eulerian_poly, eulerian_series_coeff, recurrence_residual, witt_value
+from .eulerian import EulerianPoly, eulerian_poly, eulerian_series_coeff, witt_value
 from .lfunction import LValue, l_eulerian, mellin_term_check, verify_interpolation
 from .padic import PadicResidue, embed_cyclotomic, padic_unit_root
 from .padic_verify import (
@@ -77,7 +77,6 @@ __all__ = [
     "principal_character",
     "q_number",
     "q_samples",
-    "recurrence_residual",
     "series_div",
     "series_reference",
     "shifted_monomial",

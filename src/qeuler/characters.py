@@ -4,17 +4,18 @@ The unit group mod d (d odd) is the direct product of the cyclic unit groups
 of the odd prime powers dividing d, each generated by its smallest primitive
 root.  A character is an exponent tuple against those generators; values live
 in Q(zeta_m) where m is the character's order, so equality and linear algebra
-over characters are exact.
+over characters are exact.  Every character of order m reads its values from
+one shared table of the powers of zeta_m.
 """
 from __future__ import annotations
 
-import threading
+from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 
 from .cyclotomic import CycElem
 from .errors import EvenModulus
-from .numtheory import crt_pair, divisors, factorize, phi, primitive_root
+from .numtheory import crt_pair, factorize, phi, primitive_root
 
 
 class UnitGroupStructure:
@@ -30,20 +31,13 @@ class UnitGroupStructure:
         self.dlog = dlog
 
 
-_unit_group_cache: dict[int, UnitGroupStructure] = {}
-_cache_lock = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def unit_group(d: int) -> UnitGroupStructure:
-    """Unit group structure mod odd d >= 1 (memoized, write-once)."""
+    """Unit group structure mod odd d >= 1 (memoized)."""
     if d < 1:
         raise ValueError("modulus must be >= 1")
     if d % 2 == 0:
         raise EvenModulus(f"modulus {d} is even")
-    cached = _unit_group_cache.get(d)
-    if cached is not None:
-        return cached
-
     factors = sorted(factorize(d).items())
     generators: list[int] = []
     orders: list[int] = []
@@ -61,13 +55,14 @@ def unit_group(d: int) -> UnitGroupStructure:
         u = 1
         for g, a in zip(generators, exps):
             u = u * pow(g, a, d) % d
-        dlog[u % d] = exps
-    if d == 1:
-        dlog[0] = ()
+        dlog[u % d] = exps  # d = 1: the empty product maps 0 to ()
+    return UnitGroupStructure(d, tuple(generators), tuple(orders), dlog)
 
-    structure = UnitGroupStructure(d, tuple(generators), tuple(orders), dlog)
-    with _cache_lock:
-        return _unit_group_cache.setdefault(d, structure)
+
+@lru_cache(maxsize=None)
+def _zeta_powers(m: int) -> tuple[CycElem, ...]:
+    """zeta_m^j for j < m, each one reduction of x^j modulo Phi_m."""
+    return tuple(CycElem(m, (0,) * j + (1,)) for j in range(m))
 
 
 class DirichletCharacter:
@@ -116,36 +111,31 @@ class DirichletCharacter:
 
     def values(self) -> tuple[CycElem, ...]:
         if self._values is None:
-            d, m = self.modulus, self.order
-            group = self.group
-            table = []
-            for a in range(max(d, 1)):
-                exps = group.dlog.get(a % d if d > 1 else 0)
-                if d > 1 and (exps is None):
-                    table.append(CycElem.zero(m))
-                    continue
-                if d == 1:
-                    exps = ()
-                k = 0
-                for e, aa, o in zip(self.exponents, exps, group.orders):
-                    k += aa * (e * m // o)  # integral: o divides e*m by choice of m
-                table.append(CycElem.zeta(m) ** (k % m) if k % m else CycElem.one(m))
+            m, group = self.order, self.group
+            powers = _zeta_powers(m)
+            # integral steps: o divides e*m by choice of m
+            steps = [e * m // o for e, o in zip(self.exponents, group.orders)]
+            table = [CycElem.zero(m)] * self.modulus
+            for a, exps in group.dlog.items():
+                table[a] = powers[sum(x * s for x, s in zip(exps, steps)) % m]
             self._values = tuple(table)
         return self._values
 
     def __call__(self, a: int) -> CycElem:
-        d = self.modulus
-        if d == 1:
-            return CycElem.one(1)
-        return self.values()[a % d]
+        return self.values()[a % self.modulus]
 
     def conductor(self) -> int:
-        """Smallest f | d such that the character factors through the units mod f."""
-        d = self.modulus
-        for f in divisors(d):
-            if all(self(a) == 1 for a in range(1, d + 1) if gcd(a, d) == 1 and a % f == 1 % f):
-                return f
-        return d
+        """Smallest f | d such that the character factors through the units mod f.
+
+        On the component mod p^k, the exponent e != 0 makes the character
+        trivial exactly on the units = 1 mod p^j for j >= max(1, k - v_p(e)),
+        i.e. for the j >= 1 with p^(k-j) | e.
+        """
+        f = 1
+        for (p, k), e in zip(sorted(factorize(self.modulus).items()), self.exponents):
+            if e:
+                f *= p ** next(j for j in range(1, k + 1) if e % p ** (k - j) == 0)
+        return f
 
     def conjugate(self) -> DirichletCharacter:
         orders = self.group.orders

@@ -184,11 +184,25 @@ def weight_zero_euler(n: int, q: Scalar, x: Scalar) -> Fraction:
 
 
 def weight_zero_genocchi(n_plus_1: int, q: Scalar, x: Scalar) -> Fraction:
-    """G~_{n+1} = (n+1) E~_n: the two fermionic-integral families agree
-    up to that factor by definition."""
+    """G~_{n+1} at (q, x) from its own generating function (1+q) t e^{xt} / (q e^t + 1):
+
+        (1+q) G~_n = (1+q) n x^{n-1} - q sum_{k<n} C(n,k) G~_k,   G~_0 = 0.
+
+    Never computed from E~; G~_{n+1} = (n+1) E~_n is what the distribution
+    check's Genocchi route tests.
+    """
     if n_plus_1 < 1:
         raise ValueError("index must be >= 1")
-    return n_plus_1 * weight_zero_euler(n_plus_1 - 1, q, x)
+    qf, xf = Fraction(q), Fraction(x)
+    if qf == -1:
+        raise PoleAtMinusOne("weight-zero polynomials have a pole at q = -1")
+    out: list[Fraction] = [Fraction(0)]
+    for n in range(1, n_plus_1 + 1):
+        acc = (1 + qf) * n * xf ** (n - 1)
+        for k in range(1, n):
+            acc -= qf * comb(n, k) * out[k]
+        out.append(acc / (1 + qf))
+    return out[n_plus_1]
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,14 @@ def _checked(kind: str, parse, ok=None):
 _POSITIVE_INT = _checked("a positive integer", int, lambda v: v > 0)
 
 
+def _s_value(text: str) -> tuple[str, complex]:
+    """--s as its text (echoed in the output) and the complex s it names."""
+    parts = parse_q_list(text)
+    if len(parts) not in (1, 2):
+        raise ValueError(f"{text!r} has {len(parts)} parts")
+    return text, complex(*parts)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, default=None)
     parser.add_argument("--max-n", type=int, default=None)
@@ -90,8 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     lfun = sub.add_parser("lfunction", help="numeric L-values")
     lfun_sub = lfun.add_subparsers(dest="subcommand", required=True)
     lfun_eval = lfun_sub.add_parser("eval")
-    lfun_eval.add_argument("--s", type=_checked("a rational s or re,im", str,
-                                                lambda text: len(parse_q_list(text)) in (1, 2)),
+    lfun_eval.add_argument("--s", type=_checked("a rational s or re,im", _s_value),
                            required=True, help="rational s, or re,im")
     _add_common(lfun_eval)
 
@@ -207,7 +214,7 @@ def _dispatch(parser, args) -> int:
 
     if args.command == "lfunction":
         chi = _character(parser, args)
-        s = complex(*parse_q_list(args.s))
+        s_text, s = args.s
         q = args.q[0] if args.q else Fraction(2)
         bits = args.bits if args.bits is not None else 128
         lv = l_eulerian(s, chi, q, bits)
@@ -215,7 +222,7 @@ def _dispatch(parser, args) -> int:
         with mp.workprec(64):
             tail = mp.nstr(mp.mpf(lv.tail_bound), 10)
         _write(json.dumps({
-            "s": args.s, "char": chi.label, "q": render_rational(q), "bits": bits,
+            "s": s_text, "char": chi.label, "q": render_rational(q), "bits": bits,
             "value_re": re_s, "value_im": im_s, "tail_bound": tail, "terms": lv.terms,
         }, sort_keys=True) + "\n", args.out)
         return rep.EXIT_OK

@@ -1,11 +1,13 @@
-"""Classical Eulerian polynomials: recurrence engine and generating-function oracle.
+"""Classical Eulerian polynomials: integer triangle engine and generating-function oracle.
 
-Two independent engines are kept deliberately.  The canonical convention is
-the binomial recurrence
+Two independent engines are kept deliberately.  The engine builds the
+coefficients <n,k> of A_n(t) = sum_k <n,k> t^k row by row from the integer
+triangle
 
-    A_0 = 1,   A_n(t) = sum_{k<n} C(n,k) A_k(t) (t-1)^{n-1-k}   (n >= 1),
+    <0,0> = 1,   <n,k> = (k+1) <n-1,k> + (n-k) <n-1,k-1>   (n >= 1),
 
-whose values satisfy A_n(1) = n! with positive palindromic coefficients.
+(Graham-Knuth-Patashnik, Concrete Mathematics 6.2; DLMF 26.14), whose values
+satisfy A_n(1) = n! with positive palindromic coefficients.
 The exponential generating function (1-x)/(e^{t(1-x)} - x) expands to
 (-1)^n A_n(x), i.e. the two printed conventions differ by the substitution
 t -> -t; ``eulerian_series_coeff`` exposes the series side as an oracle so the
@@ -16,7 +18,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Union
 
 from .errors import PoleAtMinusOne, PoleAtOne
@@ -37,37 +38,24 @@ _polys_lock = threading.Lock()
 
 
 def eulerian_poly(n: int) -> EulerianPoly:
-    """A_n(t) from the recurrence engine."""
+    """A_n(t) from the integer triangle engine."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n >= len(_polys):
         with _polys_lock:
-            t_minus_1 = PolyQ((-1, 1))
+            row = [int(c) for c in _polys[-1].coeffs]
             while len(_polys) <= n:
                 m = len(_polys)
-                acc = PolyQ.zero()
-                for k in range(m):
-                    acc = acc + comb(m, k) * _polys[k] * t_minus_1 ** (m - 1 - k)
-                _polys.append(acc)
+                ext = row + [0]  # ext[-1] = 0 stands for <m-1,-1> and <m-1,m-1>
+                row = [(k + 1) * ext[k] + (m - k) * ext[k - 1] for k in range(m)]
+                _polys.append(PolyQ(row))
     return EulerianPoly(n, _polys[n])
-
-
-def recurrence_residual(n: int) -> PolyQ:
-    """sum_{k<=n} C(n,k) A_k(t) (t-1)^{n-k} - t A_n(t).
-
-    Zero for n >= 1; equals 1 - t for n = 0.
-    """
-    t_minus_1 = PolyQ((-1, 1))
-    acc = PolyQ.zero()
-    for k in range(n + 1):
-        acc = acc + comb(n, k) * eulerian_poly(k).poly * t_minus_1 ** (n - k)
-    return acc - PolyQ((0, 1)) * eulerian_poly(n).poly
 
 
 def eulerian_series_coeff(n: int, x0: Scalar) -> Fraction:
     """Coefficient of t^n/n! in (1-x0)/(e^{t(1-x0)} - x0), via series division.
 
-    Equals (-1)^n A_n(x0); kept independent of the recurrence engine.
+    Equals (-1)^n A_n(x0); kept independent of the triangle engine.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -82,7 +70,7 @@ def eulerian_series_coeff(n: int, x0: Scalar) -> Fraction:
 
 
 def witt_value(n: int, q: Scalar) -> Fraction:
-    """A_n(-q) from the recurrence engine.
+    """A_n(-q) from the triangle engine.
 
     This is the polynomial value for which the fermionic integral of x^n
     under the -q^{-1} measure equals (-1)^n (1+q)^{-n} A_n(-q).

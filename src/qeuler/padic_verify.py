@@ -4,10 +4,10 @@ A truncated integral is the finite Riemann sum
 
     T_N(f; Q) = (1 / [p^N]_Q) sum_{eta < p^N} Q^eta f(eta)   (mod p^k),
 
-for a weight Q in {q, -q, -q^{-1}, -q^{-d}} with q = 1 (mod p), so every
-kernel power is a p-adic unit and the normalizer is invertible for the
-fermionic weights.  All checks report per-level residual valuations so the
-empirical convergence (valuation growing with N) is auditable, never assumed.
+for a fermionic weight Q in {-q, -q^{-1}, -q^{-d}} with q = 1 (mod p), so
+every kernel power is a p-adic unit and the normalizer is invertible.  All
+checks report per-level residual valuations so the empirical convergence
+(valuation growing with N) is auditable, never assumed.
 """
 from __future__ import annotations
 
@@ -74,12 +74,10 @@ def shifted_monomial(offset: Scalar, degree: int) -> IntegrandSpec:
     return IntegrandSpec(degree, offset=Fraction(offset))
 
 
-MEASURES = ("q", "-q", "-q^-1", "-q^-d")
+MEASURES = ("-q", "-q^-1", "-q^-d")
 
 
 def measure_weight(measure: str, q: Fraction, d: int = 1) -> Fraction:
-    if measure == "q":
-        return q
     if measure == "-q":
         return -q
     if measure == "-q^-1":
@@ -99,31 +97,32 @@ def _residue(fr: Fraction, p: int, k: int) -> int:
     return PadicResidue.from_rational(fr, p, k).residue
 
 
-def _value_table(spec: IntegrandSpec, p: int, k: int) -> tuple[int, list[int]]:
-    """Period and residue table of eta -> f(eta) mod p^k.
+def _value_table(spec: IntegrandSpec, p: int, k: int, count: int) -> list[int]:
+    """Residues of f(eta) mod p^k for eta < min(period, count).
 
     (x+shift+offset)^degree mod p^k has period p^k in eta, character factors
-    have period d, so the product is periodic with period lcm(p^k, d).
+    have period d, so the product is periodic with period lcm(p^k, d); a sum
+    over eta < count reads no more than its first count entries.
     """
     pk = p**k
-    d = spec.character.modulus if spec.character is not None else 1
-    period = lcm(pk, max(d, 1))
+    chi = spec.character
+    d = chi.modulus if chi is not None else 1
+    size = min(lcm(pk, d), count)
     offset_res = _residue(spec.offset, p, k) if spec.offset else 0
-    chi_res: list[int] | None = None
-    if spec.character is not None:
-        chi_res = [embed_cyclotomic(spec.character(a), p, k) for a in range(max(d, 1))]
+    chi_res = [embed_cyclotomic(chi(a), p, k) for a in range(d)] if chi is not None else None
     table = []
-    for x in range(period):
+    for x in range(size):
         t = x + spec.shift
         v = pow((offset_res + t) % pk, spec.degree, pk)
         if chi_res is not None:
             v = v * chi_res[t % d] % pk
         table.append(v)
-    return period, table
+    return table
 
 
-def _weighted_sum(period: int, table: list[int], w: int, count: int, pk: int) -> int:
-    """sum_{eta < count} w^eta table[eta mod period]  (mod pk)."""
+def _weighted_sum(table: list[int], w: int, count: int, pk: int) -> int:
+    """sum_{eta < count} w^eta table[eta mod len(table)]  (mod pk)."""
+    period = len(table)
     total = 0
     power = 1
     for eta in range(count):
@@ -149,14 +148,12 @@ def truncated_integrals(specs: Sequence[IntegrandSpec], p: int, q: Scalar, measu
     weight = measure_weight(measure, qf, d)
     pk = p**k
     w_res = _residue(weight, p, k)
-    if (w_res - 1) % p == 0:
-        # geometric normalizer sum_{j<p^N} Q^j = 0 mod p when Q = 1 mod p
-        raise NonUnitNormalizer(f"[p^N]_Q is not a unit for measure {measure!r}")
     normalizer = (1 - pow(w_res, p**N, pk)) * pow((1 - w_res) % pk, -1, pk) % pk
     if normalizer % p == 0:
         raise NonUnitNormalizer(f"[p^N]_Q is not a unit for measure {measure!r}")
     inv_norm = pow(normalizer, -1, pk)
-    return [PadicResidue(p, k, _weighted_sum(*_value_table(s, p, k), w_res, p**N, pk) * inv_norm)
+    count = p**N
+    return [PadicResidue(p, k, _weighted_sum(_value_table(s, p, k, count), w_res, count, pk) * inv_norm)
             for s in specs]
 
 
@@ -350,19 +347,19 @@ def corollary4_probe(n: int, chi: DirichletCharacter, p: int, q: Scalar, k: int,
     _require_congruence(qf, p)
     pk = p**k
     spec = chi_monomial(chi, n)
-    period, table = _value_table(spec, p, k)
+    levels = tuple(sorted(N_list))
+    table = _value_table(spec, p, k, p ** max(levels, default=0))
     w_res = _residue(-1 / qf, p, k)
     s_a = series_reference(n, chi, qf)
     cand_plain = 2 * _embed_exact(s_a, p, k) % pk
     cand_scaled = cand_plain * _residue(qf**2, p, k) % pk
 
-    levels = tuple(sorted(N_list))
     sums = []
     val_plain = []
     val_scaled = []
     for N in levels:
         # the x = 0 term has weight 1 and is not part of U_N
-        total = (_weighted_sum(period, table, w_res, p**N, pk) - table[0]) % pk
+        total = (_weighted_sum(table, w_res, p**N, pk) - table[0]) % pk
         sums.append(total)
         val_plain.append(PadicResidue(p, k, total - cand_plain).valuation())
         val_scaled.append(PadicResidue(p, k, total - cand_scaled).valuation())

@@ -12,7 +12,7 @@ from qeuler.characters import (
 )
 from qeuler.cyclotomic import CycElem
 from qeuler.errors import EvenModulus
-from qeuler.numtheory import multiplicative_order, phi
+from qeuler.numtheory import divisors, multiplicative_order, phi
 
 
 class TestUnitGroup:
@@ -118,6 +118,23 @@ class TestConductor:
     def test_primitive_mod_five(self):
         for chi in enumerate_characters(5):
             assert chi.conductor() == (1 if chi.is_principal else 5)
+
+    def test_matches_divisor_scan(self):
+        checked = 0
+        for d in range(1, 64, 2):
+            for chi in enumerate_characters(d):
+                assert chi.conductor() == scanned_conductor(chi), chi
+                checked += 1
+        assert checked == 825
+
+
+def scanned_conductor(chi):
+    """Smallest f | d with chi(a) = 1 on every unit a = 1 mod f, by scanning the units."""
+    d = chi.modulus
+    for f in divisors(d):
+        if all(chi(a) == 1 for a in range(1, d + 1) if gcd(a, d) == 1 and a % f == 1 % f):
+            return f
+    return d
 
 
 def character_dot(chi, psi):

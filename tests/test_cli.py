@@ -78,6 +78,10 @@ USAGE_PROBES = [
     "verify suite --name interpolation --modulus 3 --max-n 1 --bits 32",
     "verify suite --name eq13-series --modulus 3 --max-n 1 --bits 8",
     "emit table --kind l-values --max-n 1 --bits 8",
+    # "q" is not a fermionic measure: its normalizer is never a p-adic unit
+    "padic integral --measure q --p 5 --q 6 --n 1",
+    # s too large for a float
+    "lfunction eval --s 1e400",
 ]
 
 

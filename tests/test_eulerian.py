@@ -1,6 +1,7 @@
-"""Classical Eulerian polynomials: recurrence engine vs generating-function oracle."""
+"""Classical Eulerian polynomials: triangle engine vs recurrence, explicit-sum and
+generating-function oracles."""
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -8,12 +9,28 @@ from qeuler.errors import PoleAtMinusOne, PoleAtOne
 from qeuler.eulerian import (
     eulerian_poly,
     eulerian_series_coeff,
-    recurrence_residual,
     witt_value,
 )
 from qeuler.polyq import PolyQ
 
 SIGN_POINTS = [Fraction(0), Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(5, 3)]
+
+
+def recurrence_residual(n: int) -> PolyQ:
+    """sum_{k<=n} C(n,k) A_k(t) (t-1)^{n-k} - t A_n(t), from the binomial recurrence.
+
+    Zero for n >= 1; equals 1 - t for n = 0.
+    """
+    t_minus_1 = PolyQ((-1, 1))
+    acc = PolyQ.zero()
+    for k in range(n + 1):
+        acc = acc + comb(n, k) * eulerian_poly(k).poly * t_minus_1 ** (n - k)
+    return acc - PolyQ((0, 1)) * eulerian_poly(n).poly
+
+
+def explicit_eulerian_number(n: int, k: int) -> int:
+    """<n,k> = sum_{j<=k} (-1)^j C(n+1,j) (k+1-j)^n."""
+    return sum((-1) ** j * comb(n + 1, j) * (k + 1 - j) ** n for j in range(k + 1))
 
 
 class TestRecurrenceEngine:
@@ -40,6 +57,11 @@ class TestRecurrenceEngine:
             assert residual == PolyQ((1, -1))
         else:
             assert residual.is_zero()
+
+    def test_explicit_sum_oracle(self):
+        for n in range(121):
+            coeffs = eulerian_poly(n).poly.coeffs
+            assert list(coeffs) == [explicit_eulerian_number(n, k) for k in range(max(n, 1))]
 
 
 class TestSeriesOracle:

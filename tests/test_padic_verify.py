@@ -1,10 +1,11 @@
 """Truncated fermionic integrals: spot values, integral equations, Witt checks."""
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from qeuler.characters import enumerate_characters, principal_character
-from qeuler.errors import BadCongruence, NonUnitNormalizer, ParityMismatch
+from qeuler.errors import BadCongruence, ParityMismatch
 from qeuler.padic import PadicResidue
 from qeuler.padic_verify import (
     admissible_modulus,
@@ -51,8 +52,22 @@ class TestTruncatedIntegral:
             truncated_integral(monomial(1), 5, 3, "-q^-1", 2, 2)
 
     def test_bosonic_normalizer_rejected(self):
-        with pytest.raises(NonUnitNormalizer):
+        # Q = q = 1 mod p never has a unit normalizer, so "q" is not a measure
+        with pytest.raises(ValueError, match="unknown measure"):
             truncated_integral(monomial(1), 5, 6, "q", 2, 2)
+
+    def test_short_sum_reads_only_its_terms(self):
+        # the period of x^2 mod 5^9 is 1,953,125 but the sum at N = 2 has 25 terms
+        tracemalloc.start()
+        try:
+            value = truncated_integral(monomial(2), 5, 6, "-q^-1", N=2, k=9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        w = Fraction(-1, 6)
+        total = sum(w**eta * eta**2 for eta in range(25))
+        assert value.residue == _mod(total / sum(w**j for j in range(25)), 5**9)
 
     def test_shifted_monomial(self):
         x0 = Fraction(2, 3)
