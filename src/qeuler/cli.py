@@ -132,6 +132,14 @@ def _n(parser, args, default: int = 0) -> int:
     return n
 
 
+def _single(parser, args, flag: str, default):
+    """The one value of a comma-list flag on a command that takes a single value."""
+    values = getattr(args, flag)
+    if values and len(values) > 1:
+        parser.error(f"--{flag} takes one value here, got {len(values)}")
+    return values[0] if values else default
+
+
 def _char_index(parser, args, moduli: list[int]) -> int | None:
     for d in moduli:
         if args.char is not None and not 0 <= args.char < phi(d):
@@ -179,7 +187,7 @@ def _dispatch(parser, args) -> int:
 
     if args.command == "eulerian" and args.subcommand == "chi":
         chi = _character(parser, args)
-        q = args.q[0] if args.q else Fraction(2)
+        q = _single(parser, args, "q", Fraction(2))
         value = chi_eulerian(_n(parser, args), chi, q)
         _write(render_value(value) + "\n", args.out)
         return rep.EXIT_OK
@@ -215,7 +223,7 @@ def _dispatch(parser, args) -> int:
     if args.command == "lfunction":
         chi = _character(parser, args)
         s_text, s = args.s
-        q = args.q[0] if args.q else Fraction(2)
+        q = _single(parser, args, "q", Fraction(2))
         bits = args.bits if args.bits is not None else 128
         lv = l_eulerian(s, chi, q, bits)
         re_s, im_s = render_complex(lv.value, bits)
@@ -228,8 +236,8 @@ def _dispatch(parser, args) -> int:
         return rep.EXIT_OK
 
     if args.command == "padic":
-        p = args.p[0] if args.p else 5
-        q = args.q[0] if args.q else Fraction(1 + p)
+        p = _single(parser, args, "p", 5)
+        q = _single(parser, args, "q", Fraction(1 + p))
         k = args.precision if args.precision is not None else 3
         n = _n(parser, args)
         levels = args.levels or [k + 3]

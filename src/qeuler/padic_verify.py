@@ -8,6 +8,11 @@ for a fermionic weight Q in {-q, -q^{-1}, -q^{-d}} with q = 1 (mod p), so
 every kernel power is a p-adic unit and the normalizer is invertible.  All
 checks report per-level residual valuations so the empirical convergence
 (valuation growing with N) is auditable, never assumed.
+
+The residues of f(eta) have period P = lcm(p^k, d), so each sum is taken in
+closed form over one period, in O(P + N log p) operations.  Once P divides
+p^N, T_N no longer depends on N, so valuations that do not decrease across
+levels above that one are no extra evidence.
 """
 from __future__ import annotations
 
@@ -121,16 +126,27 @@ def _value_table(spec: IntegrandSpec, p: int, k: int, count: int) -> list[int]:
 
 
 def _weighted_sum(table: list[int], w: int, count: int, pk: int) -> int:
-    """sum_{eta < count} w^eta table[eta mod len(table)]  (mod pk)."""
-    period = len(table)
-    total = 0
-    power = 1
-    for eta in range(count):
-        v = table[eta % period]
-        if v:
-            total = (total + power * v) % pk
-        power = power * w % pk
-    return total
+    """sum_{eta < count} w^eta table[eta mod len(table)]  (mod pk).
+
+    With P = len(table) and count = a P + r the sum is
+    S_P (1 + x + ... + x^(a-1)) + x^a S_r, x = w^P, where S_P and S_r sum the
+    whole table and its first r entries.  The geometric factor is built by
+    doubling on the bits of a, so 1 - x need not be a unit mod pk.
+    """
+    a, r = divmod(count, len(table))
+    full = partial = 0
+    x = 1  # w^eta in the loop, w^P after it
+    for eta, v in enumerate(table):
+        if eta == r:
+            partial = full
+        full = (full + x * v) % pk
+        x = x * w % pk
+    geometric, xa = 0, 1  # sum_{j < m} x^j and x^m for m = the leading bits of a
+    for bit in bin(a)[2:]:
+        geometric, xa = geometric * (1 + xa) % pk, xa * xa % pk
+        if bit == "1":
+            geometric, xa = (geometric + xa) % pk, xa * x % pk
+    return (full * geometric + xa * partial) % pk
 
 
 def truncated_integrals(specs: Sequence[IntegrandSpec], p: int, q: Scalar, measure: str,

@@ -62,6 +62,13 @@ class TestBasicCommands:
         assert code == 0
         assert json.loads(out)["residue"] == 107
 
+    def test_padic_integral_deep_levels(self, capsys):
+        # the period of x mod 5^3 divides 5^3, so every level from 3 on gives the same residue
+        code, out = run(capsys, "padic", "integral", "--p", "5", "--q", "6", "--n", "1",
+                        "--levels", "3,6,20")
+        assert code == 0
+        assert [json.loads(line)["residue"] for line in out.splitlines()] == [107, 107, 107]
+
 
 # Bad flag values: each is a usage error (exit 2) with a one-line message, never a traceback.
 USAGE_PROBES = [
@@ -82,6 +89,11 @@ USAGE_PROBES = [
     "padic integral --measure q --p 5 --q 6 --n 1",
     # s too large for a float
     "lfunction eval --s 1e400",
+    # commands that compute one value take one p and one q
+    "padic integral --p 5,7 --q 11,16 --n 1",
+    "padic integral --p 5 --q 6,11 --n 1",
+    "lfunction eval --s 2 --q 2,3",
+    "eulerian chi --n 1 --q 2,3",
 ]
 
 

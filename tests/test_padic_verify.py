@@ -3,11 +3,13 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qeuler.characters import enumerate_characters, principal_character
 from qeuler.errors import BadCongruence, ParityMismatch
 from qeuler.padic import PadicResidue
 from qeuler.padic_verify import (
+    _weighted_sum,
     admissible_modulus,
     chi_monomial,
     corollary4_probe,
@@ -68,6 +70,15 @@ class TestTruncatedIntegral:
         w = Fraction(-1, 6)
         total = sum(w**eta * eta**2 for eta in range(25))
         assert value.residue == _mod(total / sum(w**j for j in range(25)), 5**9)
+
+    @pytest.mark.parametrize("spec,p,q,levels,residue", [
+        (monomial(1), 5, 6, (3, 6, 20), 107),
+        (monomial(2), 3, 4, (3, 12, 20, 40), 15),
+    ])
+    def test_residue_is_constant_once_the_period_divides_p_to_the_N(self, spec, p, q, levels, residue):
+        # the period is 5^3 (resp. 3^3), which p^N first divides at N = 3
+        assert [truncated_integral(spec, p, q, "-q^-1", N, 3).residue for N in levels] == \
+            [residue] * len(levels)
 
     def test_shifted_monomial(self):
         x0 = Fraction(2, 3)
@@ -324,3 +335,33 @@ class TestDefinitionOracle:
                                  for x in range(1, p**M)), p**k)
                         for M in range(1, N + 1)]
             assert list(report.sums) == expected, chi.label
+
+
+def _loop_weighted_sum(table: list[int], w: int, count: int, pk: int) -> int:
+    """sum_{eta < count} w^eta table[eta mod len(table)] (mod pk), one term at a time."""
+    total = 0
+    power = 1
+    for eta in range(count):
+        total = (total + power * table[eta % len(table)]) % pk
+        power = power * w % pk
+    return total
+
+
+@st.composite
+def _weighted_sum_cases(draw):
+    p, k = draw(st.sampled_from([(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3), (7, 2)]))
+    pk = p**k
+    table = draw(st.lists(st.one_of(st.just(0), st.integers(0, pk - 1)), min_size=1, max_size=40))
+    # w = 0 and w = 1 (mod p) make 1 - w^P a non-unit
+    w = draw(st.one_of(st.integers(0, pk - 1), st.builds(lambda j: p * j % pk, st.integers(0, pk)),
+                       st.builds(lambda j: (1 + p * j) % pk, st.integers(0, pk))))
+    period = len(table)
+    count = draw(st.one_of(st.just(0), st.integers(0, period - 1), st.integers(0, 9 * period + 7)))
+    return table, w, count, pk
+
+
+class TestClosedFormSum:
+    @settings(max_examples=400, deadline=None)
+    @given(_weighted_sum_cases())
+    def test_matches_term_by_term_loop(self, case):
+        assert _weighted_sum(*case) == _loop_weighted_sum(*case)
