@@ -75,7 +75,7 @@ class DirichletCharacter:
     classical generating function.
     """
 
-    __slots__ = ("modulus", "exponents", "order", "_values")
+    __slots__ = ("modulus", "exponents", "order", "_zeta_exponents", "_values")
 
     def __init__(self, modulus: int, exponents: tuple[int, ...]):
         group = unit_group(modulus)
@@ -87,6 +87,7 @@ class DirichletCharacter:
         self.modulus = modulus
         self.exponents = exps
         self.order = lcm(1, *(o // gcd(o, e) for e, o in zip(exps, group.orders)))
+        self._zeta_exponents: tuple[int | None, ...] | None = None
         self._values: tuple[CycElem, ...] | None = None
 
     @property
@@ -109,16 +110,22 @@ class DirichletCharacter:
     def is_principal(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
-    def values(self) -> tuple[CycElem, ...]:
-        if self._values is None:
+    def zeta_exponents(self) -> tuple[int | None, ...]:
+        """For each a < d, the j < m with chi(a) = zeta_m^j, or None where chi(a) = 0."""
+        if self._zeta_exponents is None:
             m, group = self.order, self.group
-            powers = _zeta_powers(m)
             # integral steps: o divides e*m by choice of m
             steps = [e * m // o for e, o in zip(self.exponents, group.orders)]
-            table = [CycElem.zero(m)] * self.modulus
+            table: list[int | None] = [None] * self.modulus
             for a, exps in group.dlog.items():
-                table[a] = powers[sum(x * s for x, s in zip(exps, steps)) % m]
-            self._values = tuple(table)
+                table[a] = sum(x * s for x, s in zip(exps, steps)) % m
+            self._zeta_exponents = tuple(table)
+        return self._zeta_exponents
+
+    def values(self) -> tuple[CycElem, ...]:
+        if self._values is None:
+            powers, zero = _zeta_powers(self.order), CycElem.zero(self.order)
+            self._values = tuple(zero if j is None else powers[j] for j in self.zeta_exponents())
         return self._values
 
     def __call__(self, a: int) -> CycElem:

@@ -6,19 +6,27 @@ d - l + 1 kept exactly as in the classical display) is
     sum_n A_n(chi, -q) t^n/n!
         = (1+q) sum_{l<d} (-1)^l q^{d-l+1} chi(l) e^{-l(1+q)t} / (e^{-d(1+q)t} + q^d).
 
-Clearing the denominator and matching t^n/n! coefficients gives the linear
-recurrence used here:
+Under T = -d(1+q)t each term is a Frobenius-Euler function
+(1-u) e^{xT}/(e^T - u) at x = l/d, u = -q^d, whose coefficients are
+H_n(x; u) = sum_k C(n,k) H_k(u) x^{n-k} with H_k(u) = A_k(u)/(u-1)^k
+(Carlitz, "Eulerian numbers and polynomials", Math. Mag. 32, 1959).  With
+q = a/b and D = a^d + b^d the engine works in integers from the Eulerian
+triangle:
 
-    (1 + q^d) A_n = R_n - sum_{k<n} C(n,k) A_k (-d(1+q))^{n-k},
-    R_n = (1+q) sum_{l<d} (-1)^l q^{d-l+1} chi(l) (-l(1+q))^n.
+    h_0 = 1,  h_k = (-1)^k b^d sum_i <k,i> (-a^d)^i (b^d)^{k-1-i},
+    I_l = sum_k C(n,k) h_k d^k (D l)^{n-k},
+    A_n(chi, -q) = (-1)^n (a+b)^{n+1} / (b^{n+2} D^{n+1}) sum_l (-1)^l a^{d-l+1} b^l chi(l) I_l,
 
-Expanding the same function geometrically yields the equivalent series form
+summing by the zeta_m exponent of chi(l), with one reduction modulo Phi_m and
+no memo.  The linear recurrence from clearing the denominator is the exact
+test oracle (tests/test_chi_eulerian.py).  Since E~_{n,q}(x) = H_n(x; -1/q),
+the weight-zero families keep their own recurrences: the distribution check
+would otherwise compare one sum with itself.
 
-    q (1+q) sum_{m>=0} (-1)^m chi(m) q^{-m} e^{-m(1+q)t},
-
-which is the oracle ``kernel_series_check`` verifies numerically.  Dropping
-the m = 0 term (it vanishes unless n = 0 and chi has modulus 1) and scaling
-gives the interpolation-ready form checked by ``chi_eulerian_series_check``:
+Expanding geometrically yields q (1+q) sum_{m>=0} (-1)^m chi(m) q^{-m} e^{-m(1+q)t},
+the oracle ``kernel_series_check`` verifies numerically.  Dropping the m = 0
+term (it vanishes unless n = 0 and chi has modulus 1) and scaling gives the
+form checked by ``chi_eulerian_series_check``:
 
     (-1)^n A_n(chi, -q) / (q (1+q)^{n+1}) = sum_{m>=1} (-1)^m chi(m) m^n q^{-m}.
 
@@ -30,7 +38,6 @@ trusting either form.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -41,65 +48,40 @@ from mpmath import mp
 from .characters import DirichletCharacter
 from .cyclotomic import CycElem, cyc_embed
 from .errors import ConvergenceDomain, DegenerateSample, PoleAtMinusOne, PoleQ
+from .eulerian import eulerian_poly
 from .numerics import alternating_character_sum, choose_truncation, to_mpf
 from .qnumbers import q_number
 
 Scalar = Union[int, Fraction]
 
 
-def _check_q(q: Fraction, d: int) -> None:
-    if q == 0 or q == -1 or q**d == -1:
-        raise PoleQ(f"q = {q} is an excluded value for modulus {d}")
-
-
-def kernel_recurrence(kernel: Sequence[CycElem], q: Fraction, max_n: int, order: int) -> list[CycElem]:
-    """Solve (1 + q^d) A_n = R_n - sum_{k<n} C(n,k) A_k (-d(1+q))^{n-k}.
-
-    ``kernel`` holds the l-th numerator coefficient (any character-like
-    weights); linearity of the recurrence in the kernel is exposed for the
-    character-linearity checks.
-    """
-    d = len(kernel)
-    lead = 1 + q**d
-    step = -d * (1 + q)
-    values: list[CycElem] = []
-    for n in range(max_n + 1):
-        acc = CycElem.zero(order)
-        for l in range(d):
-            if kernel[l]:
-                acc = acc + kernel[l] * (Fraction(-l) * (1 + q)) ** n
-        for k in range(n):
-            acc = acc - (comb(n, k) * step ** (n - k)) * values[k]
-        values.append(acc / lead)
-    return values
-
-
-def character_kernel(chi: DirichletCharacter, q: Fraction) -> list[CycElem]:
-    """Kernel coefficients (1+q) (-1)^l q^{d-l+1} chi(l) for l < d."""
-    d = chi.modulus
-    return [((-1) ** l * (1 + q) * q ** (d - l + 1)) * chi(l) for l in range(d)]
-
-
-_table_cache: dict[tuple, list[CycElem]] = {}
-_table_lock = threading.Lock()
-
-
-def chi_eulerian_values(chi: DirichletCharacter, q: Scalar, max_n: int) -> list[CycElem]:
-    """A_0..A_max_n attached to chi at -q, memoized per (character, q)."""
-    qf = Fraction(q)
-    _check_q(qf, chi.modulus)
-    key = (chi.modulus, chi.exponents, qf)
-    with _table_lock:
-        table = _table_cache.get(key)
-        if table is None or len(table) <= max_n:
-            table = kernel_recurrence(character_kernel(chi, qf), qf, max_n, chi.order)
-            _table_cache[key] = table
-    return table[: max_n + 1]
-
-
 def chi_eulerian(n: int, chi: DirichletCharacter, q: Scalar) -> CycElem:
-    """A_n(chi, -q) by the kernel recurrence."""
-    return chi_eulerian_values(chi, q, n)[n]
+    """A_n(chi, -q) in closed form from the Eulerian triangle (see the module docstring)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    qf = Fraction(q)
+    d, m = chi.modulus, chi.order
+    if qf == 0 or qf == -1 or qf**d == -1:
+        raise PoleQ(f"q = {qf} is an excluded value for modulus {d}")
+    a, b = qf.numerator, qf.denominator
+    ad, bd = a**d, b**d
+    D = ad + bd
+    ad_pow, bd_pow = [(-ad) ** i for i in range(n + 1)], [bd**i for i in range(n + 1)]
+    # g_k = C(n,k) h_k d^k, so that I_l is the polynomial sum_k g_k x^{n-k} at x = D l
+    g = [1]
+    for k in range(1, n + 1):
+        row = eulerian_poly(k).poly.coeffs
+        h = sum(c.numerator * ad_pow[i] * bd_pow[k - 1 - i] for i, c in enumerate(row))
+        g.append(comb(n, k) * (-1) ** k * bd * h * d**k)
+    buckets = [0] * m
+    for l, j in enumerate(chi.zeta_exponents()):
+        if j is None:
+            continue
+        x, acc = D * l, 0
+        for gk in g:
+            acc = acc * x + gk
+        buckets[j] += (-1) ** l * a ** (d - l + 1) * b**l * acc
+    return CycElem(m, buckets) * Fraction((-1) ** n * (a + b) ** (n + 1), b ** (n + 2) * D ** (n + 1))
 
 
 def series_reference(n: int, chi: DirichletCharacter, q: Scalar) -> CycElem:
@@ -146,7 +128,7 @@ def chi_eulerian_series_check(n: int, chi: DirichletCharacter, q: Scalar, bits: 
 
 
 def kernel_series_check(n: int, chi: DirichletCharacter, q: Scalar, bits: int = 128) -> SeriesCheck:
-    """Compare A_n (recurrence) with the partial sum of the full geometric
+    """Compare A_n (closed form) with the partial sum of the full geometric
     expansion q(1+q) sum_{m>=0} (-1)^m chi(m) q^{-m} (-m(1+q))^n."""
     qf = Fraction(q)
     if qf <= 1:
@@ -180,6 +162,8 @@ def weight_zero_euler_values(max_n: int, q: Scalar, x: Scalar) -> list[Fraction]
 
 
 def weight_zero_euler(n: int, q: Scalar, x: Scalar) -> Fraction:
+    if n < 0:
+        raise ValueError("n must be >= 0")
     return weight_zero_euler_values(n, q, x)[n]
 
 
@@ -241,17 +225,14 @@ def verify_distribution(n: int, chi: DirichletCharacter, q_samples: Sequence[Sca
     """
     if variant not in ("printed", "corrected"):
         raise ValueError("variant must be 'printed' or 'corrected'")
-    d = chi.modulus
-    m = chi.order
+    d, m = chi.modulus, chi.order
     samples: list[DistributionSample] = []
-    all_ok = True
-    ratio_ok = True
+    all_ok = ratio_ok = True
     for q in q_samples:
         qf = Fraction(q)
         if qf == 0 or qf == -1 or qf**d == -1:
             raise DegenerateSample(f"q = {qf} is excluded for modulus {d}")
-        value = chi_eulerian(n, chi, qf)
-        lhs_printed = (Fraction((-1) ** n) / (1 + qf) ** n) * value
+        lhs_printed = (Fraction((-1) ** n) / (1 + qf) ** n) * chi_eulerian(n, chi, qf)
         lhs_corrected = lhs_printed / qf**2
         qd = qf ** (-d)
         coeff = Fraction(d) ** n / q_number(d, -1 / qf)

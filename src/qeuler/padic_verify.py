@@ -125,52 +125,65 @@ def _value_table(spec: IntegrandSpec, p: int, k: int, count: int) -> list[int]:
     return table
 
 
-def _weighted_sum(table: list[int], w: int, count: int, pk: int) -> int:
-    """sum_{eta < count} w^eta table[eta mod len(table)]  (mod pk).
+def _weighted_sums(table: list[int], w: int, counts: Sequence[int], pk: int) -> list[int]:
+    """sum_{eta < count} w^eta table[eta mod len(table)]  (mod pk), for each count.
 
     With P = len(table) and count = a P + r the sum is
-    S_P (1 + x + ... + x^(a-1)) + x^a S_r, x = w^P, where S_P and S_r sum the
-    whole table and its first r entries.  The geometric factor is built by
-    doubling on the bits of a, so 1 - x need not be a unit mod pk.
+    S_P (1 + x + ... + x^(a-1)) + x^a S_r, x = w^P, where S_r sums the first
+    r entries.  One pass, stopping at the largest count, gives every S_r.  The
+    geometric factor is built by doubling on the bits of a, so 1 - x need not
+    be a unit mod pk.
     """
-    a, r = divmod(count, len(table))
-    full = partial = 0
-    x = 1  # w^eta in the loop, w^P after it
-    for eta, v in enumerate(table):
-        if eta == r:
-            partial = full
-        full = (full + x * v) % pk
+    partial = [0]  # partial[r] = S_r
+    x = 1  # w^eta in the loop, w^P after a whole pass
+    for v in table[:max(counts, default=0)]:
+        partial.append((partial[-1] + x * v) % pk)
         x = x * w % pk
-    geometric, xa = 0, 1  # sum_{j < m} x^j and x^m for m = the leading bits of a
-    for bit in bin(a)[2:]:
-        geometric, xa = geometric * (1 + xa) % pk, xa * xa % pk
-        if bit == "1":
-            geometric, xa = (geometric + xa) % pk, xa * x % pk
-    return (full * geometric + xa * partial) % pk
+    sums = []
+    for count in counts:
+        a, r = divmod(count, len(table))
+        geometric, xa = 0, 1  # sum_{j < m} x^j and x^m for m = the leading bits of a
+        for bit in bin(a)[2:]:
+            geometric, xa = geometric * (1 + xa) % pk, xa * xa % pk
+            if bit == "1":
+                geometric, xa = (geometric + xa) % pk, xa * x % pk
+        sums.append((partial[-1] * geometric + xa * partial[r]) % pk)
+    return sums
+
+
+def _integrals(specs: Sequence[IntegrandSpec], p: int, q: Scalar, measure: str,
+               levels: Sequence[int], k: int, d: int | None = None) -> list[list[int]]:
+    """T_N mod p^k of each integrand at each level N.
+
+    Each integrand's value table is built once, for the deepest level, and
+    one pass over it serves every level.
+    """
+    if not is_prime(p) or p == 2:
+        raise ValueError("p must be an odd prime")
+    if min(levels) < 1 or k < 1:
+        raise ValueError("N and k must be >= 1")
+    qf = Fraction(q)
+    _require_congruence(qf, p)
+    if d is None:
+        d = next((s.character.modulus for s in specs if s.character is not None), 1)
+    pk = p**k
+    w_res = _residue(measure_weight(measure, qf, d), p, k)
+    counts = [p**N for N in levels]
+    inv_norms = []
+    for count in counts:
+        normalizer = (1 - pow(w_res, count, pk)) * pow((1 - w_res) % pk, -1, pk) % pk
+        if normalizer % p == 0:
+            raise NonUnitNormalizer(f"[p^N]_Q is not a unit for measure {measure!r}")
+        inv_norms.append(pow(normalizer, -1, pk))
+    return [[total * inv % pk for total, inv in
+             zip(_weighted_sums(_value_table(s, p, k, max(counts)), w_res, counts, pk), inv_norms)]
+            for s in specs]
 
 
 def truncated_integrals(specs: Sequence[IntegrandSpec], p: int, q: Scalar, measure: str,
                         N: int, k: int, d: int | None = None) -> list[PadicResidue]:
     """T_N of each integrand under one weight and normalizer."""
-    if not is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
-    if N < 1 or k < 1:
-        raise ValueError("N and k must be >= 1")
-    qf = Fraction(q)
-    _require_congruence(qf, p)
-    if d is None:
-        mods = [s.character.modulus for s in specs if s.character is not None]
-        d = mods[0] if mods else 1
-    weight = measure_weight(measure, qf, d)
-    pk = p**k
-    w_res = _residue(weight, p, k)
-    normalizer = (1 - pow(w_res, p**N, pk)) * pow((1 - w_res) % pk, -1, pk) % pk
-    if normalizer % p == 0:
-        raise NonUnitNormalizer(f"[p^N]_Q is not a unit for measure {measure!r}")
-    inv_norm = pow(normalizer, -1, pk)
-    count = p**N
-    return [PadicResidue(p, k, _weighted_sum(_value_table(s, p, k, count), w_res, count, pk) * inv_norm)
-            for s in specs]
+    return [PadicResidue(p, k, level[0]) for level in _integrals(specs, p, q, measure, [N], k, d)]
 
 
 def truncated_integral(f: IntegrandSpec, p: int, q: Scalar, measure: str = "-q^-1",
@@ -247,14 +260,14 @@ def verify_integral_equation(eq: int, f: IntegrandSpec, n: int, p: int, q: Scala
     levels = tuple(sorted(N_list))
     vals = []
     lhs_last = 0
-    for N in levels:
-        t_f, t_fn = truncated_integrals([f, f.shifted(n)], p, qf, measure, N, k)
-        if eq == 8:
-            lhs = (t_fn.residue + qn * t_f.residue) % pk
-        else:
-            lhs = sign * (qn * t_fn.residue + (-1) ** (n - 1) * t_f.residue) % pk
-        vals.append(PadicResidue(p, k, lhs - rhs).valuation())
-        lhs_last = lhs
+    if levels:
+        for t_f, t_fn in zip(*_integrals([f, f.shifted(n)], p, qf, measure, levels, k)):
+            if eq == 8:
+                lhs = (t_fn + qn * t_f) % pk
+            else:
+                lhs = sign * (qn * t_fn + (-1) ** (n - 1) * t_f) % pk
+            vals.append(PadicResidue(p, k, lhs - rhs).valuation())
+            lhs_last = lhs
     monotone = all(a <= b for a, b in zip(vals, vals[1:]))
     passed = bool(vals) and vals[-1] >= k and monotone
     return IntegralEquationReport(eq, f, n, p, qf, k, levels, tuple(vals), lhs_last, rhs, passed)
@@ -301,14 +314,11 @@ def verify_witt_chi(n: int, chi: DirichletCharacter, p: int, q: Scalar, k: int, 
     qf = Fraction(q)
     pk = p**k
     integral = truncated_integral(chi_monomial(chi, n), p, qf, "-q^-1", N, k)
-    ref_elem = (Fraction((-1) ** n) / (1 + qf) ** n) * chi_eulerian(n, chi, qf)
-    if variant == "corrected":
-        ref_elem = ref_elem / qf**2
-    reference = PadicResidue(p, k, _embed_exact(ref_elem, p, k))
+    printed = (Fraction((-1) ** n) / (1 + qf) ** n) * chi_eulerian(n, chi, qf)
+    reference = PadicResidue(p, k, _embed_exact(printed / qf**2 if variant == "corrected" else printed, p, k))
     ratio = None
     if integral.is_unit():
-        printed_ref = _embed_exact((Fraction((-1) ** n) / (1 + qf) ** n) * chi_eulerian(n, chi, qf), p, k)
-        ratio = printed_ref * pow(integral.residue, -1, pk) % pk
+        ratio = _embed_exact(printed, p, k) * pow(integral.residue, -1, pk) % pk
     return WittReport(n, p, qf, k, N, integral, reference, variant, ratio,
                       integral.residue == reference.residue)
 
@@ -373,9 +383,9 @@ def corollary4_probe(n: int, chi: DirichletCharacter, p: int, q: Scalar, k: int,
     sums = []
     val_plain = []
     val_scaled = []
-    for N in levels:
+    for total in _weighted_sums(table, w_res, [p**N for N in levels], pk):
         # the x = 0 term has weight 1 and is not part of U_N
-        total = (_weighted_sum(table, w_res, p**N, pk) - table[0]) % pk
+        total = (total - table[0]) % pk
         sums.append(total)
         val_plain.append(PadicResidue(p, k, total - cand_plain).valuation())
         val_scaled.append(PadicResidue(p, k, total - cand_scaled).valuation())

@@ -1,16 +1,15 @@
 """Character-attached Eulerian values, weight-zero families, distribution identity."""
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
+from typing import Sequence
 
 import pytest
 from mpmath import mp
 
 from qeuler.characters import enumerate_characters, principal_character
 from qeuler.chi_eulerian import (
-    character_kernel,
     chi_eulerian,
     chi_eulerian_series_check,
-    kernel_recurrence,
     kernel_series_check,
     series_reference,
     verify_distribution,
@@ -24,6 +23,37 @@ from qeuler.qnumbers import q_samples
 
 QUAD3 = enumerate_characters(3)[1]
 MOD1 = principal_character(1)
+ORACLE_Q = (Fraction(2), Fraction(11, 10), Fraction(9, 4), Fraction(7, 3), Fraction(-3))
+
+
+def kernel_recurrence(kernel: Sequence[CycElem], q: Fraction, max_n: int, order: int) -> list[CycElem]:
+    """Solve (1 + q^d) A_n = R_n - sum_{k<n} C(n,k) A_k (-d(1+q))^{n-k}.
+
+    The exact oracle for the closed form: clearing the denominator of the
+    generating function and matching t^n/n! coefficients gives this linear
+    recurrence, R_n = sum_{l<d} kernel[l] (-l(1+q))^n.  ``kernel`` holds the
+    l-th numerator coefficient (any character-like weights), so linearity in
+    the kernel can be checked too.
+    """
+    d = len(kernel)
+    lead = 1 + q**d
+    step = -d * (1 + q)
+    values: list[CycElem] = []
+    for n in range(max_n + 1):
+        acc = CycElem.zero(order)
+        for l in range(d):
+            if kernel[l]:
+                acc = acc + kernel[l] * (Fraction(-l) * (1 + q)) ** n
+        for k in range(n):
+            acc = acc - (comb(n, k) * step ** (n - k)) * values[k]
+        values.append(acc / lead)
+    return values
+
+
+def character_kernel(chi, q: Fraction) -> list[CycElem]:
+    """Kernel coefficients (1+q) (-1)^l q^{d-l+1} chi(l) for l < d."""
+    d = chi.modulus
+    return [((-1) ** l * (1 + q) * q ** (d - l + 1)) * chi(l) for l in range(d)]
 
 
 class TestChiEulerian:
@@ -53,6 +83,10 @@ class TestChiEulerian:
         with pytest.raises(PoleQ):
             chi_eulerian(1, QUAD3, -1)
 
+    def test_negative_index(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            chi_eulerian(-1, QUAD3, 2)
+
     def test_character_linearity(self):
         # summing the recurrence over all chi mod 5 equals running it once
         # with the summed kernel, which collapses to phi(d) * [l == 1]
@@ -73,6 +107,28 @@ class TestChiEulerian:
                 summed_kernel = [a + b for a, b in zip(summed_kernel, character_kernel(chi, q))]
             assert total == kernel_recurrence(summed_kernel, q, n, target)[n]
             assert total == kernel_recurrence(indicator, q, n, 1)[n]
+
+
+class TestClosedFormAgainstRecurrence:
+    """The closed form equals the kernel recurrence, coefficient for coefficient."""
+
+    @staticmethod
+    def assert_matches_recurrence(chi, q, max_n):
+        table = kernel_recurrence(character_kernel(chi, q), q, max_n, chi.order)
+        for n, expected in enumerate(table):
+            value = chi_eulerian(n, chi, q)
+            assert (value.order, value.coeffs) == (expected.order, expected.coeffs), (chi.label, n)
+
+    @pytest.mark.parametrize("q", ORACLE_Q, ids=str)
+    @pytest.mark.parametrize("d", [1, 7, 9, 13, 15, 21])
+    def test_every_character_small_n(self, d, q):
+        for chi in enumerate_characters(d):
+            self.assert_matches_recurrence(chi, q, 12)
+
+    @pytest.mark.parametrize("q", ORACLE_Q, ids=str)
+    @pytest.mark.parametrize("d", [1, 7, 9, 13, 15, 21, 43])
+    def test_largest_order_character_to_n_80(self, d, q):
+        self.assert_matches_recurrence(max(enumerate_characters(d), key=lambda c: c.order), q, 80)
 
 
 class TestSeriesChecks:
@@ -147,6 +203,10 @@ class TestWeightZeroFamilies:
     def test_pole(self):
         with pytest.raises(PoleAtMinusOne):
             weight_zero_euler(2, -1, 0)
+
+    def test_negative_index(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            weight_zero_euler(-1, 2, 0)
 
 
 class TestDistribution:

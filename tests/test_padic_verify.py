@@ -9,7 +9,7 @@ from qeuler.characters import enumerate_characters, principal_character
 from qeuler.errors import BadCongruence, ParityMismatch
 from qeuler.padic import PadicResidue
 from qeuler.padic_verify import (
-    _weighted_sum,
+    _weighted_sums,
     admissible_modulus,
     chi_monomial,
     corollary4_probe,
@@ -114,6 +114,20 @@ class TestIntegralEquations:
     def test_chi_integrand(self):
         report = verify_integral_equation(5, chi_monomial(QUAD3, 1), 3, 3, 4, 2, [1, 2, 3, 4, 5])
         assert report.passed
+
+    @pytest.mark.parametrize("eq,f,n,p,q,k", [
+        (4, monomial(2), 2, 5, 6, 4),
+        (8, monomial(3), 1, 3, 4, 3),
+        (5, chi_monomial(QUAD3, 1), 3, 3, 4, 2),
+    ])
+    def test_levels_in_one_call_match_levels_one_at_a_time(self, eq, f, n, p, q, k):
+        # one table at the deepest level serves every level, below and above
+        # the period lcm(p^k, d); a single-level call builds its own table
+        levels = range(1, k + 4)
+        report = verify_integral_equation(eq, f, n, p, q, k, levels)
+        singles = [verify_integral_equation(eq, f, n, p, q, k, [N]) for N in levels]
+        assert report.valuations == tuple(s.valuations[0] for s in singles)
+        assert report.lhs_last == singles[-1].lhs_last
 
     def test_parity_mismatch(self):
         with pytest.raises(ParityMismatch):
@@ -356,12 +370,14 @@ def _weighted_sum_cases(draw):
     w = draw(st.one_of(st.integers(0, pk - 1), st.builds(lambda j: p * j % pk, st.integers(0, pk)),
                        st.builds(lambda j: (1 + p * j) % pk, st.integers(0, pk))))
     period = len(table)
-    count = draw(st.one_of(st.just(0), st.integers(0, period - 1), st.integers(0, 9 * period + 7)))
-    return table, w, count, pk
+    count = st.one_of(st.just(0), st.integers(0, period - 1), st.integers(0, 9 * period + 7))
+    counts = draw(st.lists(count, min_size=1, max_size=4))
+    return table, w, counts, pk
 
 
 class TestClosedFormSum:
     @settings(max_examples=400, deadline=None)
     @given(_weighted_sum_cases())
     def test_matches_term_by_term_loop(self, case):
-        assert _weighted_sum(*case) == _loop_weighted_sum(*case)
+        table, w, counts, pk = case
+        assert _weighted_sums(*case) == [_loop_weighted_sum(table, w, count, pk) for count in counts]
