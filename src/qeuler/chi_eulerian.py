@@ -44,6 +44,7 @@ from math import comb
 from typing import Sequence, Union
 
 from mpmath import mp
+from mpmath.libmp import from_int, mpf_mul, mpf_pow_int, round_nearest
 
 from .characters import DirichletCharacter
 from .cyclotomic import CycElem, cyc_embed
@@ -116,11 +117,11 @@ def chi_eulerian_series_check(n: int, chi: DirichletCharacter, q: Scalar, bits: 
     qf = Fraction(q)
     if qf <= 1:
         raise ConvergenceDomain("the alternating character series needs q > 1")
-    if bits < 64:
-        raise ValueError("bits must be >= 64")
     with mp.workprec(bits + 64):
         M, tail = choose_truncation(n, qf, bits - 4)
-        acc = alternating_character_sum(chi, qf, bits, M, lambda m: mp.mpf(m) ** n)
+        prec = mp.prec
+        acc = alternating_character_sum(chi, qf, bits, M,
+                                        lambda m: mpf_pow_int(from_int(m), n, prec, round_nearest))
         lhs = cyc_embed(series_reference(n, chi, qf), bits + 32)
         slack = mp.mpf(2) ** (-bits + 8)
         passed = mp.fabs(lhs - acc) <= tail + slack
@@ -136,9 +137,12 @@ def kernel_series_check(n: int, chi: DirichletCharacter, q: Scalar, bits: int = 
     with mp.workprec(bits + 64):
         M, tail_raw = choose_truncation(n, qf, bits - 4)
         scale = to_mpf(qf * (1 + qf) ** (n + 1))
-        one_plus_q = to_mpf(1 + qf)
-        acc = alternating_character_sum(chi, qf, bits, M, lambda m: (-(mp.mpf(m)) * one_plus_q) ** n,
-                                        start=0)
+        one_plus_q, prec, rnd = to_mpf(1 + qf)._mpf_, mp.prec, round_nearest
+
+        def term(m):  # (-m (1+q))^n
+            return mpf_pow_int(mpf_mul(from_int(-m), one_plus_q, prec, rnd), n, prec, rnd)
+
+        acc = alternating_character_sum(chi, qf, bits, M, term, start=0)
         acc *= to_mpf(qf * (1 + qf))
         lhs = cyc_embed(chi_eulerian(n, chi, qf), bits + 32)
         tail = mp.fabs(scale) * tail_raw

@@ -5,6 +5,7 @@ below 10^6), so plain trial division and brute-force order searches suffice.
 """
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -27,6 +28,17 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def smallest_prime_factors(n: int) -> array:
+    """spf[m] = the smallest prime factor of m for 2 <= m <= n (spf[0] = 0, spf[1] = 1)."""
+    spf = array("I", range(n + 1))
+    for p in range(2, isqrt(n) + 1):
+        if spf[p] == p:
+            for k in range(p * p, n + 1, p):
+                if spf[k] == k:
+                    spf[k] = p
+    return spf
 
 
 def is_prime(n: int) -> bool:

@@ -1,4 +1,5 @@
 """CLI surface: subcommands, exit codes, report streams, table round-trips."""
+import contextlib
 import csv
 import io
 import json
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 import qeuler
@@ -15,7 +17,10 @@ from qeuler.characters import character_by_index
 from qeuler.chi_eulerian import chi_eulerian, weight_zero_euler
 from qeuler.cli import main
 from qeuler.eulerian import eulerian_poly
+from qeuler.suites import SUITES
+from qeuler.tables import KINDS
 from qeuler.lfunction import l_eulerian
+from qeuler.padic_verify import MEASURES
 from qeuler.serialize import parse_rational, parse_value, render_value
 
 
@@ -273,3 +278,48 @@ class TestTables:
             main(["emit", "table", "--kind", "chi-eulerian", "--modulus", "3", "--char", "7"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+# Generated command lines for the exit-code contract.  Each flag draws from
+# small valid values, values the parser must refuse and digit-free junk, so no
+# draw asks for a large computation (say --precision 99).
+_JUNK = st.sampled_from(["", "0", "-1", "1/0", "2,", ",", "1e400", "nan", "inf", "1/3/4", "0x10",
+                         "3.5", " 3", "1,2,3,4"]) | st.text(alphabet="abe/,.-+ ", max_size=5)
+_FLAGS = {
+    "--n": ["-1", "0", "1", "2", "3"],
+    "--max-n": ["-1", "0", "1", "2"],
+    "--modulus": ["1", "3", "5", "7", "9", "15", "4", "0"],
+    "--char": ["0", "1", "2", "3", "-1", "9"],
+    "--q": ["2", "7/2", "11/10", "1", "0", "-1", "-3", "6", "2,3", "1/2"],
+    "--p": ["3", "5", "7", "2", "4", "3,5"],
+    "--precision": ["1", "2", "3", "0"],
+    "--bits": ["64", "96", "8"],
+    "--levels": ["1", "3,4", "6", "0"],
+    "--variant": ["printed", "corrected", "other"],
+    "--format": ["json", "csv", "xml"],
+    "--measure": list(MEASURES) + ["q"],
+    "--s": ["0", "2", "-1", "1/2,14", "2,-3", "abc", "1e400", "1,2,3"],
+}
+_COMMANDS = st.one_of(
+    st.sampled_from([["eulerian", "classical"], ["eulerian", "chi"], ["chars", "list"],
+                     ["chars", "conductor"], ["padic", "integral"], ["lfunction", "eval"]]),
+    st.sampled_from(sorted(SUITES)).map(lambda name: ["verify", "suite", "--name", name]),
+    st.sampled_from(KINDS).map(lambda kind: ["emit", "table", "--kind", kind]),
+)
+_ARGV = st.tuples(_COMMANDS, st.lists(st.sampled_from(sorted(_FLAGS)).flatmap(
+    lambda flag: st.tuples(st.just(flag), st.sampled_from(_FLAGS[flag]) | _JUNK)), max_size=4))
+
+
+class TestExitCodeFuzz:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_ARGV)
+    def test_generated_argv_exits_with_a_contract_code(self, drawn):
+        command, flags = drawn
+        argv = command + [token for pair in flags for token in pair]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2, 3), (argv, code, err.getvalue())

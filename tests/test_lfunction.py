@@ -5,9 +5,11 @@ import pytest
 from mpmath import mp
 
 from qeuler.characters import enumerate_characters, principal_character
-from qeuler.chi_eulerian import chi_eulerian
+from qeuler.chi_eulerian import chi_eulerian, chi_eulerian_series_check, kernel_series_check
+from qeuler.cyclotomic import cyc_embed
 from qeuler.errors import ConvergenceDomain, DomainError
 from qeuler.lfunction import l_eulerian, mellin_term_check, verify_interpolation
+from qeuler.numerics import choose_truncation, to_mpc, to_mpf
 
 QUAD3 = enumerate_characters(3)[1]
 MOD1 = principal_character(1)
@@ -118,3 +120,95 @@ class TestMellinTerm:
             mellin_term_check(0, 1, 2, 64)
         with pytest.raises(DomainError):
             mellin_term_check(Fraction(-1), 1, 2, 64)
+
+
+def term_by_term(chi, q, bits, M, term, start=1):
+    """The alternating character series as a plain mpc loop: chi embedded at
+    bits + 32 and every term (-1)^m * chi(m) * term(m) * q^{-m} evaluated with
+    mpmath's number types.  ``alternating_character_sum`` must agree with it
+    bit for bit."""
+    d = max(chi.modulus, 1)
+    table = [cyc_embed(chi(a), bits + 32) for a in range(d)]
+    qinv = to_mpf(1 / Fraction(q))
+    weight = mp.mpf(1)
+    acc = mp.mpc(0)
+    for m in range(M + 1):
+        cval = table[m % d]
+        if m >= start and cval:
+            acc += (-1) ** m * cval * term(m) * weight
+        weight *= qinv
+    return acc
+
+
+def oracle_l_value(s, chi, q, bits):
+    """L_E(s | chi) from ``term_by_term`` with one ``mp.power(m, -s)`` per term."""
+    with mp.workprec(bits + 64):
+        s_val = to_mpc(s)
+        M, _ = choose_truncation(max(mp.mpf(0), -s_val.real), q, bits - 4)
+        acc = term_by_term(chi, q, bits, M, lambda m: mp.power(m, -s_val))
+        return +(to_mpf(q) * mp.power(to_mpf(1 + q), 1 - s_val) * acc)
+
+
+def largest_order_character(d):
+    return max(enumerate_characters(d), key=lambda c: c.order)
+
+
+ORACLE_GRID = [pytest.param(d, q, bits, id=f"mod{d}-q{q.numerator}_{q.denominator}-{bits}bits")
+               for d in (1, 3, 5, 7, 9, 15)
+               for q in (Fraction(2), Fraction(7, 2), Fraction(11, 10), Fraction(21, 20))
+               for bits in (64, 128, 256)]
+
+
+class TestTermByTermOracle:
+    """The raw-libmp loop and the multiplicative m^{-s} against the mpc loop."""
+
+    @pytest.mark.parametrize("d,q,bits", ORACLE_GRID)
+    def test_series_forms_and_negative_integers_are_bit_identical(self, d, q, bits):
+        chi = largest_order_character(d)
+        for n in (0, 3):
+            with mp.workprec(bits + 64):
+                M, _ = choose_truncation(n, q, bits - 4)
+                series = term_by_term(chi, q, bits, M, lambda m: mp.mpf(m) ** n)
+                opq = to_mpf(1 + q)
+                kernel = term_by_term(chi, q, bits, M, lambda m: (-(mp.mpf(m)) * opq) ** n, start=0)
+                kernel *= to_mpf(q * (1 + q))
+            assert chi_eulerian_series_check(n, chi, q, bits).rhs._mpc_ == series._mpc_
+            assert kernel_series_check(n, chi, q, bits).rhs._mpc_ == kernel._mpc_
+            assert l_eulerian(-n, chi, q, bits).value._mpc_ == oracle_l_value(-n, chi, q, bits)._mpc_
+
+    @pytest.mark.parametrize("d,q,bits", ORACLE_GRID)
+    def test_complex_s_within_relative_rounding(self, d, q, bits):
+        chi = largest_order_character(d)
+        s = complex(0.5, 14) if (d + bits) % 2 else complex(2, -3)
+        value = l_eulerian(s, chi, q, bits).value
+        reference = oracle_l_value(s, chi, q, bits)
+        with mp.workprec(bits + 96):
+            assert mp.fabs(value - reference) <= mp.mpf(2) ** -(bits + 32) * mp.fabs(reference)
+
+
+class TestLerchRoute:
+    @pytest.mark.parametrize("s", [complex(0.5, 14), complex(2, -3)])
+    def test_matches_lerch_transcendent(self, s):
+        # m = a + d k splits the series into d Lerch transcendents:
+        # L_E(s | chi) = q (1+q)^{1-s} sum_{a=1..d} chi(a) (-1/q)^a d^{-s} Phi((-1/q)^d, s, a/d)
+        chi, q, bits = largest_order_character(7), Fraction(11, 10), 128
+        lv = l_eulerian(s, chi, q, bits)
+        d = chi.modulus
+        with mp.workprec(bits + 32):
+            s_val, z = mp.mpc(s), -1 / to_mpf(q)
+            acc = mp.mpc(0)
+            for a in range(1, d + 1):
+                if chi(a % d):
+                    acc += (cyc_embed(chi(a % d), bits + 32) * z**a * mp.power(d, -s_val)
+                            * mp.lerchphi(z**d, s_val, mp.mpf(a) / d))
+            reference = to_mpf(q) * mp.power(to_mpf(1 + q), 1 - s_val) * acc
+            slack = mp.mpf(2) ** (8 - bits) * max(1, mp.fabs(reference))
+            assert mp.fabs(lv.value - reference) <= lv.tail_bound + slack
+
+
+class TestPrecisionGuard:
+    @pytest.mark.parametrize("check", [chi_eulerian_series_check, kernel_series_check,
+                                       lambda n, chi, q, bits: l_eulerian(-n, chi, q, bits)])
+    def test_below_64_bits_is_refused(self, check):
+        with pytest.raises(ValueError, match="bits must be >= 64"):
+            check(3, QUAD3, 2, 8)
