@@ -257,9 +257,7 @@ def verify_distribution(n: int, chi: DirichletCharacter, q_samples: Sequence[Sca
         genocchi_ok = rhs_euler == rhs_genocchi
         ratio: Fraction | None = None
         if rhs_euler:
-            r = lhs_printed / rhs_euler
-            if r.is_rational:
-                ratio = r.to_rational()
+            ratio = lhs_printed.rational_ratio(rhs_euler)
             if ratio != qf**2:
                 ratio_ok = False
         samples.append(DistributionSample(qf, lhs_printed, lhs_corrected, rhs_euler,

@@ -150,12 +150,6 @@ class CycElem:
         a, b = self._pair(other)
         return CycElem._raw(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
 
-    def __rsub__(self, other: Scalar) -> CycElem:
-        return (-self) + other
-
-    def __neg__(self) -> CycElem:
-        return CycElem._raw(self.order, tuple(-c for c in self.coeffs))
-
     def __mul__(self, other: Union[CycElem, Scalar]) -> CycElem:
         if isinstance(other, (int, Fraction)):
             return CycElem._raw(self.order, tuple(c * other for c in self.coeffs))
@@ -171,34 +165,25 @@ class CycElem:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> CycElem:
-        """Multiplicative inverse via the extended Euclidean algorithm.
+    def rational_ratio(self, other: CycElem) -> Fraction | None:
+        """The rational r with self == r * other, or None when there is none.
 
-        Phi_m is irreducible over Q, so every nonzero residue is a unit.
+        Coordinates modulo Phi_m are unique, so r can only be the ratio at the
+        first nonzero coordinate of other; it is kept if every coordinate agrees.
         """
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in Q(zeta_m)")
-        r0, r1 = PolyQ(self.coeffs), cyclotomic_polynomial(self.order)
-        s0, s1 = PolyQ.one(), PolyQ.zero()
-        while not r1.is_zero():
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        assert r0.degree == 0
-        return CycElem.from_poly(s0 * (1 / r0.coeffs[0]), self.order)
-
-    def __truediv__(self, other: Union[CycElem, Scalar]) -> CycElem:
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
         a, b = self._pair(other)
-        return a * b.inverse()
+        i = next((i for i, c in enumerate(b.coeffs) if c), None)
+        if i is None:
+            raise ZeroDivisionError("ratio to zero in Q(zeta_m)")
+        r = a.coeffs[i] / b.coeffs[i]
+        return r if all(x == r * y for x, y in zip(a.coeffs, b.coeffs)) else None
 
-    def __rtruediv__(self, other: Scalar) -> CycElem:
-        return self.inverse() * other
+    def __truediv__(self, other: Scalar) -> CycElem:
+        return self * (1 / Fraction(other))
 
     def __pow__(self, e: int) -> CycElem:
         if e < 0:
-            return self.inverse() ** (-e)
+            raise ValueError("negative power of a cyclotomic element")
         out = CycElem.one(self.order)
         base = self
         while e:

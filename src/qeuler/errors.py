@@ -54,7 +54,7 @@ class NonCoprimeDenominator(QEulerError):
 
 
 class CharacterOrderUnsupported(QEulerError):
-    """Character values cannot be embedded mod p^k (order > 2 and not dividing p-1)."""
+    """Character values cannot be embedded mod p^k (order not dividing p-1)."""
 
 
 class DomainError(QEulerError):

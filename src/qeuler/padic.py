@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import CharacterOrderUnsupported, NonCoprimeDenominator
-from .numtheory import is_prime
+from .numtheory import is_prime, primitive_root
 
 Scalar = Union[int, Fraction]
 
@@ -62,12 +62,6 @@ class PadicResidue:
         o = self._coerce(other)
         return PadicResidue(self.prime, self.precision, self.residue - o.residue)
 
-    def __rsub__(self, other: Scalar) -> PadicResidue:
-        return (-self) + other
-
-    def __neg__(self) -> PadicResidue:
-        return PadicResidue(self.prime, self.precision, -self.residue)
-
     def __mul__(self, other: Union[PadicResidue, Scalar]) -> PadicResidue:
         o = self._coerce(other)
         return PadicResidue(self.prime, self.precision, self.residue * o.residue)
@@ -81,14 +75,6 @@ class PadicResidue:
         if not self.is_unit():
             raise ZeroDivisionError(f"{self.residue} is not a unit mod {self.prime}")
         return PadicResidue(self.prime, self.precision, pow(self.residue, -1, self.modulus))
-
-    def __truediv__(self, other: Union[PadicResidue, Scalar]) -> PadicResidue:
-        return self * self._coerce(other).inverse()
-
-    def __pow__(self, e: int) -> PadicResidue:
-        if e < 0:
-            return self.inverse() ** (-e)
-        return PadicResidue(self.prime, self.precision, pow(self.residue, e, self.modulus))
 
     def valuation(self) -> int:
         """p-adic valuation of the residue, capped at the precision."""
@@ -107,25 +93,15 @@ class PadicResidue:
 def padic_unit_root(prime: int, precision: int, order: int) -> int:
     """Canonical residue of multiplicative order ``order`` mod p^precision.
 
-    Requires order | p-1.  Starts from the smallest primitive root mod p and
-    lifts the root of x^order - 1 by Newton iteration, so the choice is
-    deterministic across runs.
+    Requires order | p-1.  With g the smallest primitive root mod p and
+    r = g^((p-1)/order), the Teichmueller lift r^(p^(precision-1)) is the unique
+    root of x^order - 1 congruent to r (Washington, Cyclotomic Fields, ch. 5).
     """
-    if order == 1:
-        return 1
     if (prime - 1) % order:
-        raise CharacterOrderUnsupported(f"order {order} does not divide {prime}-1")
-    from .numtheory import primitive_root
-
-    root = pow(primitive_root(prime), (prime - 1) // order, prime)
-    modulus = prime
-    pk = prime**precision
-    while modulus < pk:
-        modulus = min(modulus * modulus, pk)
-        # Newton step for x^order - 1 = 0
-        deriv_inv = pow(order * pow(root, order - 1, modulus) % modulus, -1, modulus)
-        root = (root - (pow(root, order, modulus) - 1) * deriv_inv) % modulus
-    return root
+        raise CharacterOrderUnsupported(
+            f"cannot embed Q(zeta_{order}) into residues mod {prime}^{precision}")
+    r = pow(primitive_root(prime), (prime - 1) // order, prime)
+    return pow(r, prime ** (precision - 1), prime**precision)
 
 
 def embed_cyclotomic(elem, prime: int, precision: int) -> int:
@@ -133,15 +109,10 @@ def embed_cyclotomic(elem, prime: int, precision: int) -> int:
 
     Evaluates the coefficient vector at the canonical unit root of matching
     order.  Supported exactly when the order divides p-1 (orders 1 and 2
-    always work); anything else is refused rather than approximated.
+    always do); anything else is refused rather than approximated.
     """
-    m = elem.order
-    if m > 2 and (prime - 1) % m:
-        raise CharacterOrderUnsupported(
-            f"cannot embed Q(zeta_{m}) into residues mod {prime}^{precision}"
-        )
     pk = prime**precision
-    root = (pk - 1) if m == 2 else padic_unit_root(prime, precision, m) if m > 2 else 1
+    root = padic_unit_root(prime, precision, elem.order)
     acc = 0
     for c in reversed(elem.coeffs):
         if c.denominator % prime == 0:

@@ -152,7 +152,7 @@ def _weighted_sums(table: list[int], w: int, counts: Sequence[int], pk: int) -> 
 
 
 def _integrals(specs: Sequence[IntegrandSpec], p: int, q: Scalar, measure: str,
-               levels: Sequence[int], k: int, d: int | None = None) -> list[list[int]]:
+               levels: Sequence[int], k: int) -> list[list[int]]:
     """T_N mod p^k of each integrand at each level N.
 
     Each integrand's value table is built once, for the deepest level, and
@@ -164,8 +164,7 @@ def _integrals(specs: Sequence[IntegrandSpec], p: int, q: Scalar, measure: str,
         raise ValueError("N and k must be >= 1")
     qf = Fraction(q)
     _require_congruence(qf, p)
-    if d is None:
-        d = next((s.character.modulus for s in specs if s.character is not None), 1)
+    d = next((s.character.modulus for s in specs if s.character is not None), 1)
     pk = p**k
     w_res = _residue(measure_weight(measure, qf, d), p, k)
     counts = [p**N for N in levels]
@@ -181,14 +180,14 @@ def _integrals(specs: Sequence[IntegrandSpec], p: int, q: Scalar, measure: str,
 
 
 def truncated_integrals(specs: Sequence[IntegrandSpec], p: int, q: Scalar, measure: str,
-                        N: int, k: int, d: int | None = None) -> list[PadicResidue]:
+                        N: int, k: int) -> list[PadicResidue]:
     """T_N of each integrand under one weight and normalizer."""
-    return [PadicResidue(p, k, level[0]) for level in _integrals(specs, p, q, measure, [N], k, d)]
+    return [PadicResidue(p, k, level[0]) for level in _integrals(specs, p, q, measure, [N], k)]
 
 
 def truncated_integral(f: IntegrandSpec, p: int, q: Scalar, measure: str = "-q^-1",
-                       N: int = 4, k: int = 1, d: int | None = None) -> PadicResidue:
-    return truncated_integrals([f], p, q, measure, N, k, d)[0]
+                       N: int = 4, k: int = 1) -> PadicResidue:
+    return truncated_integrals([f], p, q, measure, N, k)[0]
 
 
 def admissible_modulus(d: int, p: int) -> bool:
@@ -341,21 +340,23 @@ class Corollary4Report:
 
 
 def corollary4_min_precision(n: int, chi: DirichletCharacter, p: int, q: Scalar,
-                             floor: int = 2, cap: int = 9) -> int | None:
+                             floor: int = 2) -> int | None:
     """Smallest k >= floor at which the two candidate closed forms differ mod p^k.
 
     The candidates differ by 2 S_A (q^2 - 1); since q = 1 (mod p) that gap
     carries at least one extra power of p, so a fixed k cannot distinguish
-    every case.  Returns None when the gap vanishes to the cap (vacuous probe).
+    every case.  Returns None when the gap is zero (vacuous probe).  Otherwise
+    the search ends: zeta_m -> its Teichmueller root embeds Q(zeta_m) in Q_p,
+    so the gap's image is a nonzero p-adic integer of finite valuation.
     """
     qf = Fraction(q)
     gap = (2 * (qf**2 - 1)) * series_reference(n, chi, qf)
     if gap.is_zero():
         return None
-    for k in range(floor, cap + 1):
-        if _embed_exact(gap, p, k) % p**k != 0:
-            return k
-    return None
+    k = floor
+    while _embed_exact(gap, p, k) == 0:
+        k += 1
+    return k
 
 
 def corollary4_probe(n: int, chi: DirichletCharacter, p: int, q: Scalar, k: int,

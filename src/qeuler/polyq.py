@@ -112,9 +112,6 @@ class PolyQ:
                     rem[i + j] -= factor * c
         return PolyQ(quot), PolyQ(rem[:dd])
 
-    def __mod__(self, other: PolyQ) -> PolyQ:
-        return divmod(self, other)[1]
-
     def exact_div(self, other: PolyQ) -> PolyQ:
         q, r = divmod(self, other)
         if not r.is_zero():

@@ -49,14 +49,6 @@ class TruncSeries:
     def __hash__(self) -> int:
         return hash((self.order, self.coeffs))
 
-    def __add__(self, other: TruncSeries) -> TruncSeries:
-        self._check(other)
-        return TruncSeries(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: TruncSeries) -> TruncSeries:
-        self._check(other)
-        return TruncSeries(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __mul__(self, other: Union[TruncSeries, Scalar]) -> TruncSeries:
         if isinstance(other, (int, Fraction)):
             return TruncSeries(self.order, tuple(c * other for c in self.coeffs))
@@ -65,9 +57,6 @@ class TruncSeries:
         for n in range(self.order + 1):
             out.append(sum(comb(n, k) * self.coeffs[k] * other.coeffs[n - k] for k in range(n + 1)))
         return TruncSeries(self.order, out)
-
-    def __rmul__(self, other: Scalar) -> TruncSeries:
-        return self * other
 
     def __repr__(self) -> str:
         return f"TruncSeries(order={self.order}, coeffs={self.coeffs})"

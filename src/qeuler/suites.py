@@ -254,21 +254,27 @@ def suite_integral_eq(opts: SuiteOptions) -> list[VerificationReport]:
                                    levels), adapt)]
 
 
-def _probe(n, chi, p, q, k, levels):
+def _probe(n, chi, p, q, floor, levels):
+    # the candidates differ by 2 S_A (q^2-1); raise k until
+    # they separate mod p^k, else the probe is vacuous
+    k = corollary4_min_precision(n, chi, p, q, floor)
     if k is None:
         raise QEulerError("candidate closed forms coincide mod p^k")
-    return corollary4_probe(n, chi, p, q, k, levels)
+    if k > floor:
+        levels = list(range(1, k + 4))
+    return corollary4_probe(n, chi, p, q, k, levels), {"k": k, "levels": levels}
 
 
-def _probe_fields(result) -> dict:
+def _probe_fields(result, params: dict) -> dict:
     status = (PASS if result.converged_to == "2*S_A"
               else FAIL if result.converged_to == "2*q^2*S_A"
               else INCONCLUSIVE)
-    return _padic_valuation(
+    return dict(_padic_valuation(
         status, result.sums[-1] if result.sums else "",
         f"2*S_A={result.candidate_plain}; 2*q^2*S_A={result.candidate_scaled}",
         result.precision, {"converged_to": result.converged_to},
-        valuation_plain=list(result.val_plain), valuation_scaled=list(result.val_scaled))
+        valuation_plain=list(result.val_plain), valuation_scaled=list(result.val_scaled)),
+        params=params)
 
 
 def suite_corollary4(opts: SuiteOptions) -> list[VerificationReport]:
@@ -278,15 +284,11 @@ def suite_corollary4(opts: SuiteOptions) -> list[VerificationReport]:
         if d == 1 and n == 0:
             # the probed limit statement needs chi(0)*0^n = 0
             continue
-        # the candidates differ by 2 S_A (q^2-1); raise k until
-        # they separate mod p^k, else the probe is vacuous
-        k = corollary4_min_precision(n, chi, p, q, floor=opts.precision)
-        case_levels = levels if k is None or k <= opts.precision else list(range(1, k + 4))
         reports += _case("corollary4-probe",
                          _char_params(chi, n=n, p=p, q=render_rational(q),
-                                      k=k if k else opts.precision, levels=case_levels),
-                         partial(_probe, n, chi, p, q, k, case_levels),
-                         _probe_fields, catch=True)
+                                      k=opts.precision, levels=levels),
+                         partial(_probe, n, chi, p, q, opts.precision, levels),
+                         lambda out: _probe_fields(*out), catch=True)
     return reports
 
 

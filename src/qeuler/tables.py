@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .characters import enumerate_characters
-from .chi_eulerian import chi_eulerian, weight_zero_euler
+from .chi_eulerian import chi_eulerian, weight_zero_euler_values
 from .eulerian import eulerian_poly
 from .lfunction import l_eulerian
 from .serialize import render_complex, render_rational, render_value
@@ -61,14 +61,13 @@ def build_table(opts: TableOptions) -> tuple[list[str], list[dict]]:
         return header, rows
     if opts.kind == "weight-zero-euler":
         header = ["n", "q", "x", "value"]
+        # one E~ row per (q, x), built only for a non-empty n range, so q = -1 there stays no error
+        columns = [(q, x, weight_zero_euler_values(opts.max_n, q, x))
+                   for q in opts.q_list for x in opts.x_list] if n_range else []
         for n in n_range:
-            for q in opts.q_list:
-                for x in opts.x_list:
-                    rows.append({
-                        "n": n, "q": render_rational(q),
-                        "x": render_rational(x),
-                        "value": render_rational(weight_zero_euler(n, q, x)),
-                    })
+            for q, x, values in columns:
+                rows.append({"n": n, "q": render_rational(q), "x": render_rational(x),
+                             "value": render_rational(values[n])})
         return header, rows
     header = ["s", "modulus", "char", "q", "bits", "value_re", "value_im", "tail_bound"]
     for n in n_range:

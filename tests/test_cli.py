@@ -200,6 +200,27 @@ class TestSuiteStreams:
         assert rows and all("2*S_A=" in r["rhs"] and "2*q^2*S_A=" in r["rhs"] for r in rows)
         assert all(r["converged_to"] == "2*S_A" for r in rows)
 
+    def test_corollary4_unembeddable_orders_are_inconclusive(self, capsys):
+        # orders 3 and 6 mod 9 do not divide p - 1 = 2: reported per case, as witt-chi does
+        code, out = run(capsys, "verify", "suite", "--name", "corollary4-probe",
+                        "--modulus", "9", "--p", "3")
+        assert code == 3
+        rows = [json.loads(line) for line in out.splitlines()]
+        errors = [r for r in rows if r["status"] == "inconclusive"]
+        assert len(rows) == 60 and len(errors) == 40
+        assert all(r["status"] == "pass" for r in rows if r not in errors)
+        assert all(r["metric"]["kind"] == "error"
+                   and r["metric"]["error"].startswith("cannot embed Q(zeta_")
+                   and r["metric"]["error"].endswith(") into residues mod 3^3") for r in errors)
+
+    def test_corollary4_precision_above_nine(self, capsys):
+        code, out = run(capsys, "verify", "suite", "--name", "corollary4-probe",
+                        "--modulus", "3", "--p", "3", "--max-n", "2", "--precision", "10")
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert len(rows) == 12
+        assert all(r["status"] == "pass" and r["params"]["k"] >= 10 for r in rows)
+
     def test_csv_format(self, capsys):
         code, out = run(capsys, "verify", "suite", "--name", "mellin-term", "--format", "csv")
         assert code == 0
@@ -265,6 +286,12 @@ class TestTables:
         lines = out.strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("s,")
+
+    def test_empty_weight_zero_range_ignores_the_pole(self, capsys):
+        code, out = run(capsys, "emit", "table", "--kind", "weight-zero-euler", "--max-n", "-1",
+                        "--q", "-1")
+        assert code == 0
+        assert json.loads(out) == []
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "table.json"

@@ -78,10 +78,9 @@ class TestCycElem:
         z3 = CycElem.zeta(3)
         assert z6**2 == z3
 
-    def test_inverse(self):
-        z = CycElem.zeta(12)
-        e = 3 * z**2 + Fraction(1, 2)
-        assert e * e.inverse() == 1
+    def test_negative_power_raises(self):
+        with pytest.raises(ValueError):
+            CycElem.zeta(5) ** -1
 
     def test_rational_detection(self):
         z = CycElem.zeta(4)
@@ -96,11 +95,62 @@ class TestCycElem:
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
 
-    @settings(max_examples=40, deadline=None)
-    @given(elems)
-    def test_inverse_roundtrip(self, a):
-        if not a.is_zero():
-            assert a * a.inverse() == 1
+
+def euclid_inverse(a: CycElem) -> CycElem:
+    """Inverse in Q(zeta_m) by the extended Euclidean algorithm over Q[x].
+
+    Phi_m is irreducible over Q, so every nonzero residue is a unit.
+    """
+    r0, r1 = PolyQ(a.coeffs), cyclotomic_polynomial(a.order)
+    s0, s1 = PolyQ.one(), PolyQ.zero()
+    while not r1.is_zero():
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+    assert r0.degree == 0
+    return CycElem.from_poly(s0 * (1 / r0.coeffs[0]), a.order)
+
+
+sparse = st.one_of(st.just(Fraction(0)),
+                   st.fractions(min_value=-5, max_value=5, max_denominator=10))
+
+
+@st.composite
+def ratio_pairs(draw):
+    """(lhs, rhs): lhs a rational multiple of rhs, an unrelated element, or a
+    rational multiple with one coordinate nudged."""
+    m = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 9, 12, 15, 21, 42]))
+    rhs = CycElem(m, draw(st.lists(sparse, min_size=phi(m), max_size=phi(m))))
+    kind = draw(st.sampled_from(["rational", "irrational", "near-miss"]))
+    if kind == "irrational":
+        return CycElem(m, draw(st.lists(sparse, min_size=phi(m), max_size=phi(m)))), rhs
+    coeffs = list((rhs * draw(sparse)).coeffs)
+    if kind == "near-miss":
+        i = draw(st.integers(0, phi(m) - 1))
+        coeffs[i] += draw(st.fractions(min_value=-1, max_value=1, max_denominator=7).filter(bool))
+    return CycElem(m, coeffs), rhs
+
+
+class TestRationalRatio:
+    @settings(max_examples=300, deadline=None)
+    @given(ratio_pairs())
+    def test_matches_euclid_quotient(self, pair):
+        lhs, rhs = pair
+        if rhs.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                lhs.rational_ratio(rhs)
+            return
+        inverse = euclid_inverse(rhs)
+        assert rhs * inverse == 1
+        quotient = lhs * inverse
+        expected = quotient.to_rational() if quotient.is_rational else None
+        assert lhs.rational_ratio(rhs) == expected
+
+    def test_spot_values(self):
+        z = CycElem.zeta(12)
+        e = 3 * z**2 + Fraction(1, 2)
+        assert (e * Fraction(-7, 3)).rational_ratio(e) == Fraction(-7, 3)
+        assert (e * z).rational_ratio(e) is None
 
 
 class TestCycEmbed:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qeuler.cyclotomic import CycElem
 from qeuler.errors import CharacterOrderUnsupported, NonCoprimeDenominator
+from qeuler.numtheory import divisors, is_prime, primitive_root
 from qeuler.padic import PadicResidue, embed_cyclotomic, padic_unit_root
 
 primes = st.sampled_from([3, 5, 7])
@@ -59,7 +60,26 @@ class TestPadicResidue:
         assert emb(a - b).residue == (emb(a) - emb(b)).residue
 
 
+def newton_unit_root(prime: int, precision: int, order: int) -> int:
+    """The root of x^order - 1 mod p^precision congruent to g^((p-1)/order),
+    lifted from mod p by Newton iteration."""
+    root = pow(primitive_root(prime), (prime - 1) // order, prime)
+    modulus, pk = prime, prime**precision
+    while modulus < pk:
+        modulus = min(modulus * modulus, pk)
+        deriv_inv = pow(order * pow(root, order - 1, modulus) % modulus, -1, modulus)
+        root = (root - (pow(root, order, modulus) - 1) * deriv_inv) % modulus
+    return root
+
+
 class TestUnitRoots:
+    def test_teichmueller_lift_is_the_newton_lift(self):
+        cases = [(p, k, m) for p in range(3, 100) if is_prime(p)
+                 for m in divisors(p - 1) for k in range(1, 11)]
+        assert len(cases) == 1590
+        for p, k, m in cases:
+            assert padic_unit_root(p, k, m) == newton_unit_root(p, k, m), (p, k, m)
+
     @pytest.mark.parametrize("p,k,m", [(5, 3, 4), (7, 2, 6), (7, 4, 3), (13, 3, 4)])
     def test_exact_order(self, p, k, m):
         root = padic_unit_root(p, k, m)
@@ -86,5 +106,6 @@ class TestUnitRoots:
         assert embed_cyclotomic(z, 7, 2) == 48
 
     def test_embed_refuses_bad_order(self):
-        with pytest.raises(CharacterOrderUnsupported):
+        with pytest.raises(CharacterOrderUnsupported,
+                           match=r"cannot embed Q\(zeta_5\) into residues mod 7\^2"):
             embed_cyclotomic(CycElem.zeta(5), 7, 2)
