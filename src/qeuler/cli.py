@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import report as rep
 from .characters import character_by_index, enumerate_characters
@@ -117,6 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(build_parser)
+
+
 def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
@@ -170,7 +174,7 @@ def _character(parser, args, default_modulus=3):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()  # built on the first call; parsing leaves it unchanged
     args = parser.parse_args(argv)
     try:
         return _dispatch(parser, args)
@@ -231,7 +235,7 @@ def _dispatch(parser, args) -> int:
             tail = mp.nstr(mp.mpf(lv.tail_bound), 10)
         _write(json.dumps({
             "s": s_text, "char": chi.label, "q": render_rational(q), "bits": bits,
-            "value_re": re_s, "value_im": im_s, "tail_bound": tail, "terms": lv.terms,
+            "value_re": re_s, "value_im": im_s, "tail_bound": tail, "terms": lv.terms, "method": lv.method,
         }, sort_keys=True) + "\n", args.out)
         return rep.EXIT_OK
 

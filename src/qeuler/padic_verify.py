@@ -16,6 +16,7 @@ levels above that one are no extra evidence.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
@@ -102,52 +103,51 @@ def _residue(fr: Fraction, p: int, k: int) -> int:
     return PadicResidue.from_rational(fr, p, k).residue
 
 
-def _value_table(spec: IntegrandSpec, p: int, k: int, count: int) -> list[int]:
-    """Residues of f(eta) mod p^k for eta < min(period, count).
+def _values(spec: IntegrandSpec, p: int, k: int):
+    """(the residues of f(eta) mod p^k for eta = 0, 1, ..., one at a time; their period).
 
-    (x+shift+offset)^degree mod p^k has period p^k in eta, character factors
-    have period d, so the product is periodic with period lcm(p^k, d); a sum
-    over eta < count reads no more than its first count entries.
+    (x+shift+offset)^degree mod p^k has period p^k in eta and a character
+    factor period d, so the product has period lcm(p^k, d).
     """
     pk = p**k
-    chi = spec.character
-    d = chi.modulus if chi is not None else 1
-    size = min(lcm(pk, d), count)
     offset_res = _residue(spec.offset, p, k) if spec.offset else 0
-    chi_res = [embed_cyclotomic(chi(a), p, k) for a in range(d)] if chi is not None else None
-    table = []
-    for x in range(size):
-        t = x + spec.shift
-        v = pow((offset_res + t) % pk, spec.degree, pk)
-        if chi_res is not None:
-            v = v * chi_res[t % d] % pk
-        table.append(v)
-    return table
+    powers = (pow((offset_res + t) % pk, spec.degree, pk) for t in itertools.count(spec.shift))
+    chi = spec.character
+    if chi is None:
+        return powers, pk
+    d = chi.modulus
+    chi_res = [embed_cyclotomic(chi(a), p, k) for a in range(d)]
+    return (v * chi_res[t % d] % pk for t, v in enumerate(powers, spec.shift)), lcm(pk, d)
 
 
-def _weighted_sums(table: list[int], w: int, counts: Sequence[int], pk: int) -> list[int]:
-    """sum_{eta < count} w^eta table[eta mod len(table)]  (mod pk), for each count.
+def _weighted_sums(values, period: int, w: int, counts: Sequence[int], pk: int) -> list[int]:
+    """sum_{eta < count} w^eta v(eta mod period)  (mod pk), for each count.
 
-    With P = len(table) and count = a P + r the sum is
-    S_P (1 + x + ... + x^(a-1)) + x^a S_r, x = w^P, where S_r sums the first
-    r entries.  One pass, stopping at the largest count, gives every S_r.  The
-    geometric factor is built by doubling on the bits of a, so 1 - x need not
-    be a unit mod pk.
+    ``values`` yields v(0), v(1), ...  With count = a P + r, P = period, the sum
+    is S_P (1 + x + ... + x^(a-1)) + x^a S_r, x = w^P, S_r the sum of the first
+    r terms.  One pass over at most P values keeps only S_P and the S_r some
+    count needs.  The geometric factor is built by doubling on the bits of a,
+    so 1 - x need not be a unit mod pk.
     """
-    partial = [0]  # partial[r] = S_r
-    x = 1  # w^eta in the loop, w^P after a whole pass
-    for v in table[:max(counts, default=0)]:
-        partial.append((partial[-1] + x * v) % pk)
+    stop = min(period, max(counts, default=0))
+    wanted = {count % period for count in counts}
+    partial = {}  # S_r for r in wanted, and S_stop
+    total, x = 0, 1  # S_eta and w^eta in the loop; S_stop and w^stop after it
+    for eta, v in zip(range(stop), values):
+        if eta in wanted:
+            partial[eta] = total
+        total = (total + x * v) % pk
         x = x * w % pk
+    partial[stop] = total
     sums = []
     for count in counts:
-        a, r = divmod(count, len(table))
+        a, r = divmod(count, period)
         geometric, xa = 0, 1  # sum_{j < m} x^j and x^m for m = the leading bits of a
         for bit in bin(a)[2:]:
             geometric, xa = geometric * (1 + xa) % pk, xa * xa % pk
             if bit == "1":
                 geometric, xa = (geometric + xa) % pk, xa * x % pk
-        sums.append((partial[-1] * geometric + xa * partial[r]) % pk)
+        sums.append((total * geometric + xa * partial[r]) % pk)
     return sums
 
 
@@ -155,8 +155,8 @@ def _integrals(specs: Sequence[IntegrandSpec], p: int, q: Scalar, measure: str,
                levels: Sequence[int], k: int) -> list[list[int]]:
     """T_N mod p^k of each integrand at each level N.
 
-    Each integrand's value table is built once, for the deepest level, and
-    one pass over it serves every level.
+    One pass over each integrand's values, up to the deepest level, serves
+    every level.
     """
     if not is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")
@@ -175,7 +175,7 @@ def _integrals(specs: Sequence[IntegrandSpec], p: int, q: Scalar, measure: str,
             raise NonUnitNormalizer(f"[p^N]_Q is not a unit for measure {measure!r}")
         inv_norms.append(pow(normalizer, -1, pk))
     return [[total * inv % pk for total, inv in
-             zip(_weighted_sums(_value_table(s, p, k, max(counts)), w_res, counts, pk), inv_norms)]
+             zip(_weighted_sums(*_values(s, p, k), w_res, counts, pk), inv_norms)]
             for s in specs]
 
 
@@ -375,7 +375,6 @@ def corollary4_probe(n: int, chi: DirichletCharacter, p: int, q: Scalar, k: int,
     pk = p**k
     spec = chi_monomial(chi, n)
     levels = tuple(sorted(N_list))
-    table = _value_table(spec, p, k, p ** max(levels, default=0))
     w_res = _residue(-1 / qf, p, k)
     s_a = series_reference(n, chi, qf)
     cand_plain = 2 * _embed_exact(s_a, p, k) % pk
@@ -384,9 +383,10 @@ def corollary4_probe(n: int, chi: DirichletCharacter, p: int, q: Scalar, k: int,
     sums = []
     val_plain = []
     val_scaled = []
-    for total in _weighted_sums(table, w_res, [p**N for N in levels], pk):
-        # the x = 0 term has weight 1 and is not part of U_N
-        total = (total - table[0]) % pk
+    values, period = _values(spec, p, k)
+    first = next(values)  # the x = 0 term has weight 1 and is not part of U_N
+    for total in _weighted_sums(itertools.chain([first], values), period, w_res, [p**N for N in levels], pk):
+        total = (total - first) % pk
         sums.append(total)
         val_plain.append(PadicResidue(p, k, total - cand_plain).valuation())
         val_scaled.append(PadicResidue(p, k, total - cand_scaled).valuation())

@@ -60,6 +60,15 @@ class TestBasicCommands:
         assert code == 0
         row = json.loads(out)
         assert row["value_re"].startswith("-4.0")
+        assert row["method"] == "partial-sum"
+
+    def test_lfunction_eval_at_q_one(self, capsys):
+        # q = 1 converges only for Re s > 0, where the accelerated route sums it
+        assert main(["lfunction", "eval", "--s", "0", "--q", "1"]) == 3
+        assert "Re s > 0" in capsys.readouterr().err
+        code, out = run(capsys, "lfunction", "eval", "--s", "1/2,14", "--q", "1")
+        assert code == 0
+        assert json.loads(out)["method"] == "accelerated"
 
     def test_padic_integral(self, capsys):
         code, out = run(capsys, "padic", "integral", "--p", "5", "--q", "6", "--n", "1",

@@ -1,5 +1,6 @@
 """Numeric Eulerian L-values, interpolation at negative integers, Mellin terms."""
 from fractions import Fraction
+from math import comb
 
 import pytest
 from mpmath import mp
@@ -8,8 +9,10 @@ from qeuler.characters import enumerate_characters, principal_character
 from qeuler.chi_eulerian import chi_eulerian, chi_eulerian_series_check, kernel_series_check
 from qeuler.cyclotomic import cyc_embed
 from qeuler.errors import ConvergenceDomain, DomainError
-from qeuler.lfunction import l_eulerian, mellin_term_check, verify_interpolation
+from qeuler.lfunction import (_chebyshev_weights, _partial_sum, l_eulerian, mellin_term_check,
+                              verify_interpolation)
 from qeuler.numerics import choose_truncation, to_mpc, to_mpf
+from qeuler.numtheory import phi
 
 QUAD3 = enumerate_characters(3)[1]
 MOD1 = principal_character(1)
@@ -57,8 +60,15 @@ class TestLEulerian:
         assert lv.terms >= 16
 
     def test_convergence_domain(self):
-        with pytest.raises(ConvergenceDomain):
+        with pytest.raises(ConvergenceDomain, match="Re s > 0"):
             l_eulerian(0, QUAD3, 1, 128)
+        with pytest.raises(ConvergenceDomain, match="Re s > 0"):
+            l_eulerian(complex(-0.5, 2), QUAD3, 1, 128)
+        with pytest.raises(ConvergenceDomain, match="q > 1"):
+            l_eulerian(Fraction(1, 2), QUAD3, Fraction(9, 10), 128)
+        # 1/|Gamma(1/2 + 10^4 i)| ~ e^{5000 pi} would need more than 4096 terms per class
+        with pytest.raises(ConvergenceDomain, match="4096 terms"):
+            l_eulerian(complex(0.5, 1e4), QUAD3, 1, 128)
 
 
 class TestInterpolation:
@@ -178,12 +188,134 @@ class TestTermByTermOracle:
 
     @pytest.mark.parametrize("d,q,bits", ORACLE_GRID)
     def test_complex_s_within_relative_rounding(self, d, q, bits):
+        # Re s <= 0, where the partial sum is the engine
         chi = largest_order_character(d)
-        s = complex(0.5, 14) if (d + bits) % 2 else complex(2, -3)
-        value = l_eulerian(s, chi, q, bits).value
+        s = complex(-0.5, 3) if (d + bits) % 2 else complex(-2, 5)
+        lv = l_eulerian(s, chi, q, bits)
+        assert lv.method == "partial-sum"
+        value = lv.value
         reference = oracle_l_value(s, chi, q, bits)
         with mp.workprec(bits + 96):
             assert mp.fabs(value - reference) <= mp.mpf(2) ** -(bits + 32) * mp.fabs(reference)
+
+
+def chebyshev_route(s, chi, q, bits):
+    """(method, terms) that the documented rule picks, with T_n(z) = cosh(n arccosh z)."""
+    d = max(chi.modulus, 1)
+    classes = [a for a in range(1, d + 1) if chi(a % d)]
+    with mp.workprec(bits + 64):
+        s_val = to_mpc(s)
+        scale = mp.fabs(to_mpf(q) * mp.power(to_mpf(1 + q), 1 - s_val))
+    with mp.workprec(128):
+        sigma = s_val.real
+        mass = 2 * scale * sum(to_mpf(q) ** -a * mp.mpf(a) ** -sigma for a in classes)
+        ratio = mp.gamma(sigma) / mp.fabs(mp.gamma(s_val))
+        growth = mp.acosh(1 + 2 * to_mpf(q) ** d)
+        n = 1
+        while mass * (ratio / mp.cosh(n * growth) + n * mp.mpf(2) ** -(bits + 30)) >= mp.mpf(2) ** (4 - bits):
+            n += 1
+    M = choose_truncation(0, q, bits - 4)[0] if q > 1 else None
+    if M is None or len(classes) * n < M:
+        return "accelerated", len(classes) * n
+    return "partial-sum", M
+
+
+class TestAcceleratedRoute:
+    """Re s > 0: the Chebyshev-weighted class sums against the partial sum 64 bits finer."""
+
+    @pytest.mark.parametrize("s", [complex(0.5, 14), complex(2, -3)], ids=["s=1/2+14i", "s=2-3i"])
+    @pytest.mark.parametrize("d,q,bits", ORACLE_GRID)
+    def test_bound_covers_the_error(self, d, q, bits, s):
+        chi = largest_order_character(d)
+        lv = l_eulerian(s, chi, q, bits)
+        assert (lv.method, lv.terms) == chebyshev_route(s, chi, q, bits)
+        reference = _partial_sum(s, chi, q, bits + 64).value
+        with mp.workprec(bits + 128):
+            assert lv.tail_bound < mp.mpf(2) ** (4 - bits)
+            rounding = mp.mpf(2) ** -(bits + 32) * mp.fabs(reference)
+            assert mp.fabs(lv.value - reference) <= lv.tail_bound + rounding
+
+    def test_the_accelerated_route_is_the_one_taken_on_the_grid(self):
+        # one corner, mod 7 at q = 2 and 64 bits, needs 6 * 11 Chebyshev terms
+        # at s = 1/2+14i against the partial sum's 64
+        routes = [chebyshev_route(s, largest_order_character(d), q, bits)[0]
+                  for d, q, bits in (p.values for p in ORACLE_GRID)
+                  for s in (complex(0.5, 14), complex(2, -3))]
+        assert routes.count("partial-sum") == 1
+
+    @pytest.mark.parametrize("s", [Fraction(1, 2), complex(0.5, 14), complex(2, 3), complex(1.5, -5),
+                                   complex(0.25, 1)])
+    @pytest.mark.parametrize("d", [1, 3, 7])
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_q_one_is_a_dirichlet_l_value(self, d, s, bits):
+        # sum (-1)^m chi(m) m^-s = (2^{1-s} chi(2) - 1) L(s, chi), and the prefactor is 2^{1-s}
+        chi = largest_order_character(d)
+        lv = l_eulerian(s, chi, 1, bits)
+        assert lv.method == "accelerated"
+        with mp.workprec(bits + 64):
+            s_val = to_mpc(s)
+            values = [cyc_embed(chi(a), bits + 64) for a in range(d)]
+            two = mp.power(2, 1 - s_val)
+            reference = two * (two * cyc_embed(chi(2 % d), bits + 64) - 1) * mp.dirichlet(s_val, values)
+            rounding = mp.mpf(2) ** -(bits + 32) * mp.fabs(reference)
+            assert mp.fabs(lv.value - reference) <= lv.tail_bound + rounding
+
+    def test_weights_come_from_the_chebyshev_recurrence(self):
+        # T_{k+1}(1 - 2y) = 2 (1 - 2y) T_k(1 - 2y) - T_{k-1}(1 - 2y), integer coefficients in y;
+        # lambda_k is the share of sum_i |C_i| with i > k, C_i the coefficients in x = y q^-d
+        for n, q, d in ((1, Fraction(1), 1), (7, Fraction(1), 3), (12, Fraction(11, 10), 5),
+                        (20, Fraction(7, 2), 7)):
+            prev, cur = [1], [1, -2]
+            for _ in range(n - 1):
+                nxt = [2 * c for c in cur] + [0]
+                for i, c in enumerate(cur):
+                    nxt[i + 1] -= 4 * c
+                for i, c in enumerate(prev):
+                    nxt[i] -= c
+                prev, cur = cur, nxt
+            assert all((-1) ** i * c > 0 for i, c in enumerate(cur))
+            magnitudes = [abs(c) * q ** (d * i) for i, c in enumerate(cur)]
+            with mp.workprec(200):
+                got = [mp.make_mpf(w) for w in _chebyshev_weights(n, q, d)]
+            with mp.workprec(400):
+                for k, w in enumerate(got):
+                    exact = to_mpf(sum(magnitudes[k + 1:]) / sum(magnitudes))
+                    assert mp.fabs(w - exact) <= mp.mpf(2) ** -200 * exact  # rounded once
+
+
+def bernoulli_numbers(n):
+    """B_0..B_n with B_1 = -1/2."""
+    b = []
+    for m in range(n + 1):
+        b.append(Fraction(1) if m == 0 else -sum(comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return b
+
+
+def generalized_bernoulli(n, chi):
+    """B_{n,chi} = d^{n-1} sum_{a=1..d} chi(a) B_n(a/d), with B_{1,chi_1} = +1/2."""
+    d = max(chi.modulus, 1)
+    b = bernoulli_numbers(n)
+    total = 0
+    for a in range(1, d + 1):
+        value = sum(comb(n, k) * b[k] * Fraction(a, d) ** (n - k) for k in range(n + 1))
+        total = chi(a % d) * value + total
+    return total * Fraction(d) ** (n - 1)
+
+
+class TestExactQOne:
+    @pytest.mark.parametrize("d", [1, 3, 5, 7, 9, 15])
+    def test_eulerian_values_at_q_one_are_generalized_bernoulli_numbers(self, d):
+        # (-1)^n A_n(chi, -1) - 2^{n+1} chi(0) 0^n = -2^{n+1} (2^{n+1} chi(2) - 1) B_{n+1,chi} / (n+1)
+        cases = 0
+        for chi in enumerate_characters(d):
+            for n in range(12):
+                boundary = chi(0) * 2 ** (n + 1) if n == 0 else 0
+                lhs = chi_eulerian(n, chi, 1) * (-1) ** n - boundary
+                rhs = ((chi(2 % d) * 2 ** (n + 1) - 1) * generalized_bernoulli(n + 1, chi)
+                       * Fraction(-(2 ** (n + 1)), n + 1))
+                assert lhs == rhs, (chi.label, n)
+                cases += 1
+        assert cases == 12 * phi(d)
 
 
 class TestLerchRoute:

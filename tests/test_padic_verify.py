@@ -380,4 +380,5 @@ class TestClosedFormSum:
     @given(_weighted_sum_cases())
     def test_matches_term_by_term_loop(self, case):
         table, w, counts, pk = case
-        assert _weighted_sums(*case) == [_loop_weighted_sum(table, w, count, pk) for count in counts]
+        assert (_weighted_sums(iter(table), len(table), w, counts, pk)
+                == [_loop_weighted_sum(table, w, count, pk) for count in counts])

@@ -9,9 +9,11 @@ CLI must leave them unchanged.  Regenerate a digest only for a deliberate change
 report field, and say so where the change is recorded.
 """
 import hashlib
+import json
 import re
 
 import pytest
+from mpmath import mp
 
 from qeuler.cli import main
 
@@ -58,9 +60,9 @@ def test_default_stream_is_unchanged(capsys, args, fmt, code, digest):
 # (argv, expected exit code, sha256 of stdout); these outputs carry no timing
 OUTPUTS = [
     ("lfunction eval --s 1/2,14 --modulus 3 --char 1 --q 2", 0,
-     "9d0d3e285bd44edef26687f3a0079c950ace1d7f988b7f15c0cb1730dbec03cc"),
+     "2fd890d93e835333c2bc617edc9a63519d47895ec3a7dcc9afe3d591e6b96543"),
     ("lfunction eval --s 2,-3 --modulus 5 --char 1 --q 11/10 --bits 96", 0,
-     "68fb60e15aa3b0ee4be8971c8ea666e7c06eb9737a4a9cfc063ece3235b8bc64"),
+     "0a7b6f13297d547cebd52c4f72fce267df335c6f06d3b9dc886375ec84af9f4f"),
     ("padic integral --modulus 5 --char 1 --p 5 --q 6 --n 2 --precision 3 --levels 3,4,5", 0,
      "0980bcad00b966fb25594158b206d62324fbefe53d6e304b0660c44d748bbdc1"),
     ("padic integral --measure=-q --p 5 --q 11 --n 3 --precision 3 --levels 4,5", 0,
@@ -88,3 +90,27 @@ def test_other_output_is_unchanged(capsys, argv, code, digest):
     out = capsys.readouterr().out
     assert out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# The two L-values above as the partial sum printed them, before the accelerated
+# route: (argv, value_re, value_im, tail_bound).
+PARTIAL_SUM_OUTPUTS = [
+    ("lfunction eval --s 1/2,14 --modulus 3 --char 1 --q 2",
+     "0.96314363764847122518001671872610037352290023", "0.53557709110412067722397348878409999207222275",
+     "1.01800797e-38"),
+    ("lfunction eval --s 2,-3 --modulus 5 --char 1 --q 11/10 --bits 96",
+     "0.4077462022175958328425474107004727", "-0.3799892064997325639196954695024265", "2.153097955e-42"),
+]
+
+
+@pytest.mark.parametrize("argv,old_re,old_im,old_bound", PARTIAL_SUM_OUTPUTS,
+                         ids=[a for a, *_ in PARTIAL_SUM_OUTPUTS])
+def test_accelerated_value_agrees_with_the_partial_sum_output(capsys, argv, old_re, old_im, old_bound):
+    assert main(argv.split()) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert row["method"] == "accelerated"
+    with mp.workprec(256):
+        # both bounds, plus one unit in the last printed digit of each string
+        slack = mp.mpf(row["tail_bound"]) + mp.mpf(old_bound) + 2 * mp.mpf(10) ** -(len(old_re) - 2)
+        assert mp.fabs(mp.mpf(row["value_re"]) - mp.mpf(old_re)) <= slack
+        assert mp.fabs(mp.mpf(row["value_im"]) - mp.mpf(old_im)) <= slack
