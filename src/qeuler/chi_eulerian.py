@@ -44,13 +44,12 @@ from math import comb
 from typing import Sequence, Union
 
 from mpmath import mp
-from mpmath.libmp import from_int, mpf_mul, mpf_pow_int, round_nearest
 
 from .characters import DirichletCharacter
 from .cyclotomic import CycElem, cyc_embed
 from .errors import ConvergenceDomain, DegenerateSample, PoleAtMinusOne, PoleQ
 from .eulerian import eulerian_poly
-from .numerics import alternating_character_sum, choose_truncation, to_mpf
+from .numerics import _pair, _power, _round, alternating_character_sum, choose_truncation, to_mpf
 from .qnumbers import q_number
 
 Scalar = Union[int, Fraction]
@@ -120,8 +119,7 @@ def chi_eulerian_series_check(n: int, chi: DirichletCharacter, q: Scalar, bits: 
     with mp.workprec(bits + 64):
         M, tail = choose_truncation(n, qf, bits - 4)
         prec = mp.prec
-        acc = alternating_character_sum(chi, qf, bits, M,
-                                        lambda m: mpf_pow_int(from_int(m), n, prec, round_nearest))
+        acc = alternating_character_sum(chi, qf, bits, M, lambda m: _power(m, 0, n, prec))
         lhs = cyc_embed(series_reference(n, chi, qf), bits + 32)
         slack = mp.mpf(2) ** (-bits + 8)
         passed = mp.fabs(lhs - acc) <= tail + slack
@@ -137,10 +135,11 @@ def kernel_series_check(n: int, chi: DirichletCharacter, q: Scalar, bits: int = 
     with mp.workprec(bits + 64):
         M, tail_raw = choose_truncation(n, qf, bits - 4)
         scale = to_mpf(qf * (1 + qf) ** (n + 1))
-        one_plus_q, prec, rnd = to_mpf(1 + qf)._mpf_, mp.prec, round_nearest
+        prec = mp.prec
+        om, oe = _pair(to_mpf(1 + qf)._mpf_, prec)
 
         def term(m):  # (-m (1+q))^n
-            return mpf_pow_int(mpf_mul(from_int(-m), one_plus_q, prec, rnd), n, prec, rnd)
+            return _power(*_round(-m * om, oe, prec), n, prec)
 
         acc = alternating_character_sum(chi, qf, bits, M, term, start=0)
         acc *= to_mpf(qf * (1 + qf))

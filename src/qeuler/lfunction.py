@@ -27,13 +27,13 @@ from itertools import accumulate
 from typing import Union
 
 from mpmath import mp
-from mpmath.libmp import from_int, fzero, mpc_mul, mpc_neg, mpc_pow, mpf_div, mpf_mul, round_nearest
+from mpmath.libmp import from_int, fzero, mpc_neg, mpc_pow, mpf_div, round_nearest
 
 from .characters import DirichletCharacter
 from .chi_eulerian import chi_eulerian
 from .cyclotomic import cyc_embed
 from .errors import ConvergenceDomain, DomainError
-from .numerics import alternating_character_sum, choose_truncation, to_mpc, to_mpf
+from .numerics import _cmul, _pair, _round, alternating_character_sum, choose_truncation, to_mpc, to_mpf
 from .numtheory import smallest_prime_factors
 
 Scalar = Union[int, Fraction]
@@ -92,11 +92,17 @@ def _accelerated(s, chi: DirichletCharacter, q: Fraction, bits: int) -> LValue |
     chi(a) != 0, evaluated at 64 bits and doubled.  Its last term covers
     rounding: chi is rounded at bits + 32, and a class adds n terms of modulus
     <= q^{-a} a^{-sigma} with under d n + 64 roundings at bits + 64.  The limit
-    is phi(d) n < M, the partial sum's count, and MAX_CLASS_TERMS at q = 1.
+    is phi(d) n < M, the partial sum's count, and MAX_CLASS_TERMS at q = 1 or
+    where no M certifies the partial sum's tail.
     """
     d = max(chi.modulus, 1)
     classes = [a for a in range(1, d + 1) if chi(a % d)]
-    limit = MAX_CLASS_TERMS if q == 1 else (choose_truncation(0, q, bits - 4)[0] - 1) // len(classes)
+    limit = MAX_CLASS_TERMS
+    if q > 1:
+        try:
+            limit = (choose_truncation(0, q, bits - 4)[0] - 1) // len(classes)
+        except ConvergenceDomain:  # no partial sum certifies its tail this close to q = 1
+            pass
     prefactor = to_mpf(q) * mp.power(to_mpf(1 + q), 1 - s)
     with mp.workprec(64):
         mass = 2 * mp.fabs(prefactor) * mp.fsum(to_mpf(q) ** -a * mp.mpf(a) ** -s.real for a in classes)
@@ -111,22 +117,23 @@ def _accelerated(s, chi: DirichletCharacter, q: Fraction, bits: int) -> LValue |
             t_prev, t = t, 2 * z * t - t_prev
         else:
             return None
-    prec, rnd = mp.prec, round_nearest
+    prec = mp.prec
     weights = _chebyshev_weights(n, q, d)
     power = _inverse_powers(s, d * n)
 
     def damped(m):
-        w, t = weights[(m - 1) // d], power(m)
+        wm, we = weights[(m - 1) // d]
+        t = power(m)
         if len(t) == 2:
-            return mpf_mul(t[0], w, prec, rnd), mpf_mul(t[1], w, prec, rnd)
-        return mpf_mul(t, w, prec, rnd)
+            return _round(t[0] * wm, t[1] + we, prec)
+        return (*_round(t[0] * wm, t[1] + we, prec), *_round(t[2] * wm, t[3] + we, prec))
 
     acc = alternating_character_sum(chi, q, bits, d * n, damped)
     return LValue(+s, chi, q, bits, +(prefactor * acc), +bound, len(classes) * n, "accelerated")
 
 
 def _chebyshev_weights(n: int, q: Fraction, d: int) -> list:
-    """lambda_k = sum_{i>k} |C_i| / sum_i |C_i| (k < n) as raw mpf, T_n(1 - 2 q^d x) = sum C_i x^i.
+    """lambda_k = sum_{i>k} |C_i| / sum_i |C_i| (k < n) as (man, exp) pairs, T_n(1 - 2 q^d x) = sum C_i x^i.
 
     sum_j (-1)^j b_j = sum_{k<n} (-1)^k lambda_k b_k + remainder for moments on [0, q^{-d}].
     The c_i of T_n(1 - 2y) alternate in sign, with c_0 = 1 and |c_{i+1}/c_i| =
@@ -140,31 +147,32 @@ def _chebyshev_weights(n: int, q: Fraction, d: int) -> list:
         c = c * 2 * (n + i) * (n - i) // ((2 * i + 1) * (i + 1))
         g = g * ud // vd
     total, tails = from_int(sum(scaled)), reversed(list(accumulate(reversed(scaled[1:]))))
-    return [mpf_div(from_int(tail), total, mp.prec, round_nearest) for tail in tails]
+    return [_pair(mpf_div(from_int(tail), total, mp.prec, round_nearest), mp.prec) for tail in tails]
 
 
 def _inverse_powers(s, M: int):
-    """m -> m^{-s} as a raw libmp value at the current precision, for 1 <= m <= M.
+    """m -> m^{-s} at the current precision for 1 <= m <= M, as the pairs of
+    ``alternating_character_sum``: (man, exp) at real s, (re_man, re_exp,
+    im_man, im_exp) otherwise.
 
     One ``mpc_pow`` per prime p <= M, kept for p <= M/2; a composite is the
-    product of its prime factors' powers, at most log2(M) more roundings than
+    product of its prime factors' powers, each product exact and rounded once
+    as ``mpc_mul`` rounds it, at most log2(M) more roundings than
     ``mp.power``, and exact at s = -n while m^n fits.  At real s every power
-    is real (imaginary part fzero), so the values are mpf and ``mpf_mul``
-    multiplies them: the same roundings in half the calls.
+    is real (imaginary part fzero), so only the real parts are multiplied:
+    the same roundings in fewer operations.
     """
-    prec, rnd = mp.prec, round_nearest
+    prec = mp.prec
     w = mpc_neg(s._mpc_)
     real = w[1] == fzero
-    mul = mpf_mul if real else mpc_mul
     spf = smallest_prime_factors(M)
     powers = {}
 
     def power(p):
         v = powers.get(p)
         if v is None:
-            v = mpc_pow((from_int(p), fzero), w, prec, rnd)
-            if real:
-                v = v[0]
+            re, im = mpc_pow((from_int(p), fzero), w, prec, round_nearest)
+            v = _pair(re, prec) if real else (*_pair(re, prec), *_pair(im, prec))
             if 2 * p <= M:  # a larger prime divides no other m <= M
                 powers[p] = v
         return v
@@ -175,7 +183,8 @@ def _inverse_powers(s, M: int):
         m //= p
         while m > 1:
             p = spf[m]
-            v = mul(v, power(p), prec, rnd)
+            u = power(p)
+            v = _round(v[0] * u[0], v[1] + u[1], prec) if real else _cmul(v, u, prec)
             m //= p
         return v
 

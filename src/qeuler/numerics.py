@@ -1,13 +1,21 @@
 """mpmath helpers shared by the numeric series checks: conversions, tail bounds
-and the alternating character series they all sum."""
+and the alternating character series they all sum.
+
+The series runs on signed integer (mantissa, exponent) pairs, value
+man * 2^exp.  Each product or sum is formed exactly in Python integers and
+rounded once by ``_round``, to nearest with ties to even, which is how
+mpmath's libmp rounds the same operation; the one exception, mpf_add's
+sticky rule for operands wider than the precision, is copied in ``_add_wide``.
+"""
 from __future__ import annotations
 
 from fractions import Fraction
 
 from mpmath import mp
-from mpmath.libmp import fone, fzero, mpc_mul, mpc_neg, mpc_pos, mpf_add, mpf_mul, round_nearest
+from mpmath.libmp import from_man_exp, mpf_pow_int, round_nearest
 
 from .cyclotomic import cyc_embed
+from .errors import ConvergenceDomain
 
 
 def to_mpf(x):
@@ -45,8 +53,9 @@ def choose_truncation(growth: float, q: Fraction, eps_exp: int) -> tuple[int, "m
     """Smallest power-of-two-ish M with a certified tail below 2^-eps_exp.
 
     Doubles M until the ratio test certifies monotone decay and the bound
-    drops under the target.  Terminates because the ratio tends to 1/q < 1
-    and the leading term decays geometrically.
+    drops under the target, which happens since the ratio tends to 1/q < 1
+    and the leading term decays geometrically.  Raises ConvergenceDomain when
+    64 doublings do not reach it: q is then too close to 1.
     """
     if Fraction(q) <= 1:
         raise ValueError("tail bounds need q > 1")
@@ -57,53 +66,138 @@ def choose_truncation(growth: float, q: Fraction, eps_exp: int) -> tuple[int, "m
         if bound is not None and bound < eps:
             return M, bound
         M *= 2
-    raise RuntimeError("tail bound did not converge")
+    raise ConvergenceDomain(f"q = {Fraction(q)} is too close to 1: {M // 2} terms do not certify "
+                            f"the tail below 2^-{eps_exp}")
+
+
+def _round(man: int, exp: int, prec: int) -> tuple[int, int]:
+    """man * 2^exp rounded to prec bits, to nearest with ties to even, as (man, exp).
+
+    ``>>`` floors for either sign, so with t = man >> (n - 1) the floor of
+    man / 2^n is t >> 1 and t & 1 is the half bit.  The floor goes up by one
+    when that bit is set and the bits below it are not all zero or the floor
+    is odd (t & 2).  A carry can leave man = +-2^prec, which is still exact
+    at prec bits.
+    """
+    n = man.bit_length() - prec
+    if n <= 0:
+        return man, exp
+    t = man >> (n - 1)
+    if t & 1 and (t & 2 or man != t << (n - 1)):
+        return (t >> 1) + 1, exp + n
+    return t >> 1, exp + n
+
+
+def _add(am: int, ae: int, bm: int, be: int, prec: int) -> tuple[int, int]:
+    """am * 2^ae + bm * 2^be, aligned exactly and rounded once.
+
+    That is how ``mpf_add`` rounds operands of at most prec bits, such as the
+    accumulator and a rounded term; ``_add_wide`` takes wider ones.
+    """
+    if ae > be:
+        return _round((am << (ae - be)) + bm, be, prec)
+    return _round(am + (bm << (be - ae)), ae, prec)
+
+
+def _add_wide(am: int, ae: int, bm: int, be: int, prec: int) -> tuple[int, int]:
+    """``_add`` for operands wider than prec bits, such as exact products,
+    rounded as ``mpf_add`` rounds them.
+
+    mpf_add lets an operand whose top bit is more than prec + 4 bits below the
+    other's, and whose lowest set bit is more than 100 bits below the other's,
+    count only as a sticky bit.  When the larger operand has more than prec
+    bits, that can round differently from the exact sum.
+    """
+    if am and bm:
+        gap = am.bit_length() + ae - bm.bit_length() - be
+        if gap < 0:
+            am, ae, bm, be, gap = bm, be, am, ae, -gap
+        if gap > prec + 4 and (ae + (am & -am).bit_length()) - (be + (bm & -bm).bit_length()) > 100:
+            return _round((am << (prec + 4)) + (1 if bm > 0 else -1), ae - prec - 4, prec)
+    return _add(am, ae, bm, be, prec)
+
+
+def _cmul(a: tuple, b: tuple, prec: int) -> tuple:
+    """The product of two complex (re_man, re_exp, im_man, im_exp) values as
+    ``mpc_mul`` rounds it: each part from exact products, added by ``_add_wide``."""
+    am, ae, bm, be = a
+    cm, ce, dm, de = b
+    return (*_add_wide(am * cm, ae + ce, -bm * dm, be + de, prec),
+            *_add_wide(am * dm, ae + de, bm * cm, be + ce, prec))
+
+
+def _power(man: int, exp: int, n: int, prec: int) -> tuple[int, int]:
+    """(man * 2^exp)^n for n >= 0, rounded as ``mpf_pow_int`` rounds it.
+
+    That is the exact power rounded once when n <= 2, the odd part of man is
+    +-1 or it has fewer than 1000 / n bits.  Beyond that mpf_pow_int rounds
+    on the way, so it computes the value itself.
+    """
+    if n > 2 and man.bit_length() * n >= 1000:
+        odd = man >> ((man & -man).bit_length() - 1)
+        if abs(odd) > 1 and odd.bit_length() * n >= 1000:
+            return _pair(mpf_pow_int(from_man_exp(man, exp), n, prec, round_nearest), prec)
+    return _round(man**n, exp * n, prec)
+
+
+def _pair(x: tuple, prec: int) -> tuple[int, int]:
+    """A raw mpf value as a (man, exp) pair rounded at prec."""
+    sign, man, exp, _ = x
+    return _round(-man if sign else man, exp, prec)
 
 
 def alternating_character_sum(chi, q: Fraction, bits: int, M: int, term, start: int = 1):
     """Partial sum sum_{m=start}^{M} (-1)^m chi(m) term(m) q^{-m} at the current precision.
 
-    ``term(m)`` returns a raw libmp value: an mpf tuple for a real term, an
-    (re, im) pair of them for a complex one; ``start`` is 0 or 1.  The series
-    checks and the L-function differ only in ``term`` and ``start``.
+    ``term(m)`` returns its value as signed integer (mantissa, exponent)
+    pairs, value = man * 2^exp: a pair (man, exp) for a real term, or
+    (re_man, re_exp, im_man, im_exp) for a complex one; ``start`` is 0 or 1.
+    The series checks and the L-function differ only in ``term`` and ``start``.
 
     Rounding contract.  chi is embedded at bits + 32, and (-1)^m chi(m) is
     rounded to nearest at mp.prec once per class of m mod 2d.  Each term is
     then ((-1)^m chi(m) * term(m)) * q^{-m} and is added to the accumulator,
-    every product and sum rounded to nearest at mp.prec, with q^{-m} built by
-    repeated multiplication.  These are the operations, in the same order,
-    that the mpc expression (-1)**m * chi(m) * term(m) * q**-m would round,
-    so the sum is bit for bit the one mpmath's number types give (the
-    term-by-term oracle in tests/test_lfunction.py).  Terms with chi(m) = 0
-    are skipped, and so are the zero parts of a real term's chi(m), which
-    would only add exact zeros.
+    with q^{-m} built by repeated multiplication.  Every product and sum is
+    computed exactly in integers and rounded once at mp.prec, as mpmath's
+    number types round the same operations in the same order (a complex
+    product through ``_cmul``), so the sum is bit for bit that of the mpc
+    expression (-1)**m * chi(m) * term(m) * q**-m (the term-by-term oracle
+    in tests/test_lfunction.py).  Terms with chi(m) = 0 are skipped, and so are
+    the zero parts of a real term's chi(m), which would only add exact zeros.
     """
     if bits < 64:
         raise ValueError("bits must be >= 64")
-    prec, rnd = mp.prec, round_nearest
+    prec = mp.prec
     d = max(chi.modulus, 1)
-    embedded = [mpc_pos(cyc_embed(chi(a), bits + 32)._mpc_, prec, rnd) if chi(a) else None
-                for a in range(d)]
-    signed = [mpc_neg(c) if r % 2 and c else c for r, c in enumerate(embedded * 2)]  # by m mod 2d
+    embedded = [None] * d
+    for a in range(d):
+        if chi(a):
+            z = cyc_embed(chi(a), bits + 32)
+            embedded[a] = (*_pair(z.real._mpf_, prec), *_pair(z.imag._mpf_, prec))
+    signed = [(-c[0], c[1], -c[2], c[3]) if r % 2 and c else c
+              for r, c in enumerate(embedded * 2)]  # by m mod 2d
     period = len(signed)
-    qinv = to_mpf(1 / Fraction(q))._mpf_
-    weight = fone
+    qm, qe = _pair(to_mpf(1 / Fraction(q))._mpf_, prec)
+    wm, we = 1, 0  # q^-m
     for _ in range(start):
-        weight = mpf_mul(weight, qinv, prec, rnd)
-    re = im = fzero
+        wm, we = _round(wm * qm, we + qe, prec)
+    rm = re = im = ie = 0
     for m in range(start, M + 1):
         c = signed[m % period]
         if c is not None:
             t = term(m)
             if len(t) == 2:
-                x, y = mpc_mul(c, t, prec, rnd)
-                re = mpf_add(re, mpf_mul(x, weight, prec, rnd), prec, rnd)
-                im = mpf_add(im, mpf_mul(y, weight, prec, rnd), prec, rnd)
+                xm, xe, ym, ye = c
+                tm, te = t
+                if xm:
+                    pm, pe = _round(xm * tm, xe + te, prec)
+                    rm, re = _add(rm, re, *_round(pm * wm, pe + we, prec), prec)
+                if ym:
+                    pm, pe = _round(ym * tm, ye + te, prec)
+                    im, ie = _add(im, ie, *_round(pm * wm, pe + we, prec), prec)
             else:
-                x, y = c
-                if x[1]:
-                    re = mpf_add(re, mpf_mul(mpf_mul(x, t, prec, rnd), weight, prec, rnd), prec, rnd)
-                if y[1]:
-                    im = mpf_add(im, mpf_mul(mpf_mul(y, t, prec, rnd), weight, prec, rnd), prec, rnd)
-        weight = mpf_mul(weight, qinv, prec, rnd)
-    return mp.make_mpc((re, im))
+                pm, pe, um, ue = _cmul(c, t, prec)
+                rm, re = _add(rm, re, *_round(pm * wm, pe + we, prec), prec)
+                im, ie = _add(im, ie, *_round(um * wm, ue + we, prec), prec)
+        wm, we = _round(wm * qm, we + qe, prec)
+    return mp.make_mpc((from_man_exp(rm, re), from_man_exp(im, ie)))

@@ -70,6 +70,16 @@ class TestBasicCommands:
         assert code == 0
         assert json.loads(out)["method"] == "accelerated"
 
+    def test_lfunction_eval_too_close_to_q_one(self, capsys):
+        # no partial sum certifies its tail at q - 1 = 10^-21: a message and exit 3 at Re s <= 0,
+        # the accelerated route at Re s > 0
+        q = "1000000000000000000001/1000000000000000000000"
+        assert main(["lfunction", "eval", "--s=-1/2,1", "--q", q]) == 3
+        assert "too close to 1" in capsys.readouterr().err
+        code, out = run(capsys, "lfunction", "eval", "--s", "1/2,1", "--q", q)
+        assert code == 0
+        assert json.loads(out)["method"] == "accelerated"
+
     def test_padic_integral(self, capsys):
         code, out = run(capsys, "padic", "integral", "--p", "5", "--q", "6", "--n", "1",
                         "--precision", "3", "--levels", "6")

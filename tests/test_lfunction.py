@@ -1,15 +1,18 @@
 """Numeric Eulerian L-values, interpolation at negative integers, Mellin terms."""
+import operator
 from fractions import Fraction
+from functools import reduce
 from math import comb
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from qeuler.characters import enumerate_characters, principal_character
 from qeuler.chi_eulerian import chi_eulerian, chi_eulerian_series_check, kernel_series_check
 from qeuler.cyclotomic import cyc_embed
 from qeuler.errors import ConvergenceDomain, DomainError
-from qeuler.lfunction import (_chebyshev_weights, _partial_sum, l_eulerian, mellin_term_check,
+from qeuler.lfunction import (_accelerated, _chebyshev_weights, _partial_sum, l_eulerian, mellin_term_check,
                               verify_interpolation)
 from qeuler.numerics import choose_truncation, to_mpc, to_mpf
 from qeuler.numtheory import phi
@@ -69,6 +72,19 @@ class TestLEulerian:
         # 1/|Gamma(1/2 + 10^4 i)| ~ e^{5000 pi} would need more than 4096 terms per class
         with pytest.raises(ConvergenceDomain, match="4096 terms"):
             l_eulerian(complex(0.5, 1e4), QUAD3, 1, 128)
+
+    def test_q_too_close_to_one_for_a_partial_sum(self):
+        # 64 doublings of M cannot certify the partial sum's tail at q - 1 = 10^-21; Re s > 0
+        # takes the q = 1 term limit instead, and Re s <= 0 is refused with a domain error
+        q = Fraction(10**21 + 1, 10**21)
+        lv = l_eulerian(complex(0.5, 1), QUAD3, q, 128)
+        assert lv.method == "accelerated"
+        at_one = l_eulerian(complex(0.5, 1), QUAD3, 1, 128)
+        with mp.workprec(192):
+            assert lv.tail_bound < mp.mpf(2) ** -124
+            assert 0 < mp.fabs(lv.value - at_one.value) < mp.mpf(10) ** -19
+        with pytest.raises(ConvergenceDomain, match="too close to 1"):
+            l_eulerian(complex(-0.5, 1), QUAD3, q, 128)
 
 
 class TestInterpolation:
@@ -150,13 +166,40 @@ def term_by_term(chi, q, bits, M, term, start=1):
     return acc
 
 
-def oracle_l_value(s, chi, q, bits):
-    """L_E(s | chi) from ``term_by_term`` with one ``mp.power(m, -s)`` per term."""
+def oracle_l_value(s, chi, q, bits, powers=None):
+    """L_E(s | chi) from ``term_by_term``, with m^-s from ``powers(s)`` or else one
+    ``mp.power(m, -s)`` per term."""
     with mp.workprec(bits + 64):
         s_val = to_mpc(s)
         M, _ = choose_truncation(max(mp.mpf(0), -s_val.real), q, bits - 4)
-        acc = term_by_term(chi, q, bits, M, lambda m: mp.power(m, -s_val))
+        power = powers(s_val) if powers else lambda m: mp.power(m, -s_val)
+        acc = term_by_term(chi, q, bits, M, power)
         return +(to_mpf(q) * mp.power(to_mpf(1 + q), 1 - s_val) * acc)
+
+
+def prime_factors(m):
+    """The prime factors of m, with multiplicity, in increasing order."""
+    factors, p = [], 2
+    while p * p <= m:
+        while m % p == 0:
+            factors.append(p)
+            m //= p
+        p += 1
+    return factors + [m] if m > 1 else factors
+
+
+def multiplicative_powers(s_val):
+    """m -> m^{-s} as mpc: ``mp.mpc(p) ** -s`` once per prime, a composite the
+    product of its prime factors' powers from the smallest up, each product
+    one mpc multiplication."""
+    cache = {}
+
+    def prime_power(p):
+        if p not in cache:
+            cache[p] = mp.mpc(p) ** -s_val
+        return cache[p]
+
+    return lambda m: reduce(operator.mul, map(prime_power, prime_factors(m)), mp.mpc(1))
 
 
 def largest_order_character(d):
@@ -170,12 +213,11 @@ ORACLE_GRID = [pytest.param(d, q, bits, id=f"mod{d}-q{q.numerator}_{q.denominato
 
 
 class TestTermByTermOracle:
-    """The raw-libmp loop and the multiplicative m^{-s} against the mpc loop."""
+    """The integer-pair loop and the multiplicative m^{-s} against the mpc loop."""
 
-    @pytest.mark.parametrize("d,q,bits", ORACLE_GRID)
-    def test_series_forms_and_negative_integers_are_bit_identical(self, d, q, bits):
-        chi = largest_order_character(d)
-        for n in (0, 3):
+    @staticmethod
+    def assert_real_terms_bit_identical(chi, q, bits, ns):
+        for n in ns:
             with mp.workprec(bits + 64):
                 M, _ = choose_truncation(n, q, bits - 4)
                 series = term_by_term(chi, q, bits, M, lambda m: mp.mpf(m) ** n)
@@ -185,6 +227,18 @@ class TestTermByTermOracle:
             assert chi_eulerian_series_check(n, chi, q, bits).rhs._mpc_ == series._mpc_
             assert kernel_series_check(n, chi, q, bits).rhs._mpc_ == kernel._mpc_
             assert l_eulerian(-n, chi, q, bits).value._mpc_ == oracle_l_value(-n, chi, q, bits)._mpc_
+
+    @pytest.mark.parametrize("d,q,bits", ORACLE_GRID)
+    def test_series_forms_and_negative_integers_are_bit_identical(self, d, q, bits):
+        self.assert_real_terms_bit_identical(largest_order_character(d), q, bits, (0, 3))
+
+    @pytest.mark.parametrize("d", [11, 13])
+    def test_long_real_parts_are_bit_identical(self, d):
+        # on ORACLE_GRID every chi(m) has real part 0, +-1 or +-1/2, so chi(m) * term(m)
+        # is exact for short terms; orders 10 and 12 give long ones.  At n = 9 the
+        # kernel's (-m(1+q))^9 takes mpf_pow_int's rounding on the way.
+        chi = largest_order_character(d)
+        self.assert_real_terms_bit_identical(chi, Fraction(11, 10), 128, (0, 3, 9))
 
     @pytest.mark.parametrize("d,q,bits", ORACLE_GRID)
     def test_complex_s_within_relative_rounding(self, d, q, bits):
@@ -197,6 +251,26 @@ class TestTermByTermOracle:
         reference = oracle_l_value(s, chi, q, bits)
         with mp.workprec(bits + 96):
             assert mp.fabs(value - reference) <= mp.mpf(2) ** -(bits + 32) * mp.fabs(reference)
+
+
+    @pytest.mark.parametrize("d,q,bits", ORACLE_GRID)
+    def test_complex_s_is_bit_identical(self, d, q, bits):
+        # the partial sum at Re s <= 0 and the Chebyshev-damped class sums at Re s > 0
+        chi = largest_order_character(d)
+        s = complex(-0.5, 3) if (d + bits) % 2 else complex(-2, 5)
+        reference = oracle_l_value(s, chi, q, bits, multiplicative_powers)
+        assert _partial_sum(s, chi, q, bits).value._mpc_ == reference._mpc_
+        s = complex(2, -3) if (d + bits) % 2 else complex(0.5, 14)
+        with mp.workprec(bits + 64):
+            s_val = to_mpc(s)
+            lv = _accelerated(s_val, chi, q, bits)
+            classes = sum(1 for a in range(1, d + 1) if chi(a % d))
+            n = lv.terms // classes
+            weights = [mp.make_mpf(from_man_exp(*w)) for w in _chebyshev_weights(n, q, d)]
+            power = multiplicative_powers(s_val)
+            acc = term_by_term(chi, q, bits, d * n, lambda m: power(m) * weights[(m - 1) // d])
+            reference = +(to_mpf(q) * mp.power(to_mpf(1 + q), 1 - s_val) * acc)
+        assert lv.value._mpc_ == reference._mpc_
 
 
 def chebyshev_route(s, chi, q, bits):
@@ -276,7 +350,7 @@ class TestAcceleratedRoute:
             assert all((-1) ** i * c > 0 for i, c in enumerate(cur))
             magnitudes = [abs(c) * q ** (d * i) for i, c in enumerate(cur)]
             with mp.workprec(200):
-                got = [mp.make_mpf(w) for w in _chebyshev_weights(n, q, d)]
+                got = [mp.make_mpf(from_man_exp(*w)) for w in _chebyshev_weights(n, q, d)]
             with mp.workprec(400):
                 for k, w in enumerate(got):
                     exact = to_mpf(sum(magnitudes[k + 1:]) / sum(magnitudes))

@@ -1,0 +1,131 @@
+"""The integer (mantissa, exponent) arithmetic of the alternating character
+series against the libmp operations of mpmath, which it must round alike."""
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+from mpmath import mp
+from mpmath.libmp import from_man_exp, mpc_mul, mpf_add, mpf_mul, mpf_pow_int, round_nearest
+
+from qeuler.errors import ConvergenceDomain, QEulerError
+from qeuler.numerics import _add, _add_wide, _cmul, _power, _round, choose_truncation
+
+precs = st.integers(64, 400)
+exps = st.integers(-2000, 2000)
+
+
+def exact(pair):
+    return from_man_exp(*pair)
+
+
+def assert_rounded(pair, prec):
+    """A rounded pair has at most prec bits, or is +-2^prec after a carry."""
+    assert abs(pair[0]).bit_length() <= prec or abs(pair[0]) == 1 << prec
+
+
+@st.composite
+def mantissas(draw, prec):
+    """Signed mantissas up to 3 prec bits: arbitrary ones, exact ties at prec bits
+    and all-ones runs, whose rounding carries to a power of two."""
+    kind = draw(st.sampled_from(["any", "tie", "ones"]))
+    sign = draw(st.sampled_from([1, -1]))
+    if kind == "any":
+        return sign * draw(st.integers(0, 2 ** (3 * prec)))
+    n = draw(st.integers(1, 2 * prec))
+    if kind == "tie":
+        k = draw(st.integers(2 ** (prec - 1), 2**prec - 1))  # exactly prec bits, either parity
+        return sign * ((k << n) | (1 << (n - 1)))
+    return sign * ((1 << (prec + n)) - 1)
+
+
+@st.composite
+def operands(draw, count):
+    prec = draw(precs)
+    return prec, [(draw(mantissas(prec)), draw(exps)) for _ in range(count)]
+
+
+class TestRound:
+    @settings(max_examples=400, deadline=None)
+    @given(operands(1))
+    def test_matches_from_man_exp(self, case):
+        prec, [(man, exp)] = case
+        got = _round(man, exp, prec)
+        assert_rounded(got, prec)
+        assert exact(got) == from_man_exp(man, exp, prec, round_nearest)
+
+    @pytest.mark.parametrize("man,want", [(0b1010_1, 0b1010), (0b1011_1, 0b1100), (0b1010_11, 0b1011),
+                                          (-0b1010_1, -0b1010), (-0b1011_1, -0b1100), (0b1111_1, 0b10000),
+                                          (-0b1111_11, -0b10000), (0b1011_0, 0b1011)])
+    def test_ties_go_to_even_and_carries_reach_a_power_of_two(self, man, want):
+        # four bits kept; the result's exponent rises by the bits dropped
+        got = _round(man, 0, 4)
+        assert got[0] * 2 ** got[1] == want * 2 ** (man.bit_length() - 4)
+
+
+class TestPairArithmetic:
+    @settings(max_examples=300, deadline=None)
+    @given(operands(2), st.booleans())
+    @example((64, [(3, 5), (-3, 5)]), False)
+    @example((64, [(2**70 - 1, -3), (1 - 2**70, -3)]), True)
+    def test_add_of_rounded_operands_matches_mpf_add(self, case, cancel):
+        prec, [(am, ae), (bm, be)] = case
+        am, ae = _round(am, ae, prec)
+        bm, be = (-am, ae) if cancel else _round(bm, be, prec)  # b = -a cancels to zero
+        got = _add(am, ae, bm, be, prec)
+        assert_rounded(got, prec)
+        assert exact(got) == mpf_add(from_man_exp(am, ae), from_man_exp(bm, be), prec, round_nearest)
+
+    @settings(max_examples=300, deadline=None)
+    @given(operands(2), st.booleans())
+    # the top of 2^135 - 2^70 - 2^65 + 1 rounds down alone and up with the 2^65-sized
+    # addend, which sits 70 bits lower and 101 bits lower at its lowest bit: mpf_add
+    # lets the addend count as a sticky bit and rounds down
+    @example((64, [((2**65 - 1) * (2**70 - 1), 158), ((2**102 - 1) * (2**64 + 1), 57)]), False)
+    @example((64, [(3 * 2**200, 0), (-(2**99), -150)]), True)
+    def test_add_of_wide_operands_matches_mpf_add(self, case, cancel):
+        prec, [(am, ae), (bm, be)] = case
+        if cancel:
+            bm, be = -am, ae
+        got = _add_wide(am, ae, bm, be, prec)
+        assert_rounded(got, prec)
+        assert exact(got) == mpf_add(from_man_exp(am, ae), from_man_exp(bm, be), prec, round_nearest)
+
+    @settings(max_examples=300, deadline=None)
+    @given(operands(2))
+    def test_product_matches_mpf_mul(self, case):
+        prec, [(am, ae), (bm, be)] = case
+        got = _round(am * bm, ae + be, prec)
+        assert exact(got) == mpf_mul(from_man_exp(am, ae), from_man_exp(bm, be), prec, round_nearest)
+
+    @settings(max_examples=300, deadline=None)
+    @given(operands(4), st.booleans())
+    # each part adds the two products of the wide-operand example above
+    @example((64, [(2**65 - 1, 0), (2**102 - 1, 0), (2**70 - 1, 158), (-(2**64) - 1, 57)]), False)
+    @example((64, [(1 - 2**65, 0), (1 - 2**102, 0), (-(2**64) - 1, 57), (1 - 2**70, 158)]), False)
+    def test_complex_product_matches_mpc_mul(self, case, cancel):
+        prec, [a, b, c, d] = case
+        if cancel:  # (a + bi)(b + ai): the real part a b - b a cancels to zero
+            c, d = b, a
+        got = _cmul((*a, *b), (*c, *d), prec)
+        want = mpc_mul((exact(a), exact(b)), (exact(c), exact(d)), prec, round_nearest)
+        assert (exact(got[:2]), exact(got[2:])) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(precs, st.integers(-(2**150), 2**150), st.integers(-50, 50), st.integers(0, 40))
+    @example(128, 3**90, 0, 12)  # 143 bits: a 12th power takes mpmath's rounding-on-the-way branch
+    @example(128, -(2**40), 3, 30)  # odd part 1: exact at any n
+    # (2^252 + 1)^4 = 2^1008 + 2^758 + ... lies above a tie at 250 bits, but mpf_pow_int
+    # truncates the low terms on the way and rounds the tie to even, down to 2^1008
+    @example(250, 2**252 + 1, 0, 4)
+    def test_power_matches_mpf_pow_int(self, prec, man, exp, n):
+        got = _power(man, exp, n, prec)
+        assert exact(got) == mpf_pow_int(from_man_exp(man, exp), n, prec, round_nearest)
+
+
+class TestChooseTruncation:
+    def test_too_close_to_one_is_a_domain_error(self):
+        # 64 doublings of M stop short of the 2^124 / 10^-21 terms this q needs
+        with mp.workprec(192):
+            with pytest.raises(ConvergenceDomain, match="too close to 1") as info:
+                choose_truncation(0, Fraction(10**21 + 1, 10**21), 124)
+        assert isinstance(info.value, QEulerError)
