@@ -42,10 +42,8 @@ from .padic_verify import (
     verify_witt,
     verify_witt_chi,
 )
-from .polyq import PolyQ
 from .qnumbers import q_number, q_samples
 from .report import VerificationReport
-from .series import TruncSeries, series_div
 
 __all__ = [
     "CycElem",
@@ -54,8 +52,6 @@ __all__ = [
     "IntegrandSpec",
     "LValue",
     "PadicResidue",
-    "PolyQ",
-    "TruncSeries",
     "UnitGroupStructure",
     "VerificationReport",
     "character_by_index",
@@ -77,7 +73,6 @@ __all__ = [
     "principal_character",
     "q_number",
     "q_samples",
-    "series_div",
     "series_reference",
     "shifted_monomial",
     "truncated_integral",

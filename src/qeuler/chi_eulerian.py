@@ -70,8 +70,8 @@ def chi_eulerian(n: int, chi: DirichletCharacter, q: Scalar) -> CycElem:
     # g_k = C(n,k) h_k d^k, so that I_l is the polynomial sum_k g_k x^{n-k} at x = D l
     g = [1]
     for k in range(1, n + 1):
-        row = eulerian_poly(k).poly.coeffs
-        h = sum(c.numerator * ad_pow[i] * bd_pow[k - 1 - i] for i, c in enumerate(row))
+        row = eulerian_poly(k).coeffs
+        h = sum(c * ad_pow[i] * bd_pow[k - 1 - i] for i, c in enumerate(row))
         g.append(comb(n, k) * (-1) ** k * bd * h * d**k)
     buckets = [0] * m
     for l, j in enumerate(chi.zeta_exponents()):

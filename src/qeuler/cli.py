@@ -173,9 +173,21 @@ def _character(parser, args, default_modulus=3):
     return character_by_index(modulus, _char_index(parser, args, [modulus]) or 0)
 
 
+def _joined_values(argv: list[str]) -> list[str]:
+    """argv with --s and --q joined to the token after them, as --s=<token>, so
+    that a value such as -1/2,1, which argparse would take for an option, parses."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in ("--s", "--q"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _parser()  # built on the first call; parsing leaves it unchanged
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_values(sys.argv[1:] if argv is None else argv))
     try:
         return _dispatch(parser, args)
     except QEulerError as exc:
@@ -185,8 +197,8 @@ def main(argv=None) -> int:
 
 def _dispatch(parser, args) -> int:
     if args.command == "eulerian" and args.subcommand == "classical":
-        coeffs = eulerian_poly(_n(parser, args, args.max_n or 0)).poly.coeffs
-        _write(",".join(str(c.numerator) for c in coeffs) + "\n", args.out)
+        coeffs = eulerian_poly(_n(parser, args, args.max_n or 0)).coeffs
+        _write(",".join(map(str, coeffs)) + "\n", args.out)
         return rep.EXIT_OK
 
     if args.command == "eulerian" and args.subcommand == "chi":

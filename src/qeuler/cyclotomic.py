@@ -17,35 +17,35 @@ from typing import Union
 from mpmath import mp
 
 from .numtheory import divisors, phi
-from .polyq import PolyQ
 
 Scalar = Union[int, Fraction]
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(m: int) -> PolyQ:
-    """The m-th cyclotomic polynomial Phi_m.
+def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
+    """Coefficients of the m-th cyclotomic polynomial Phi_m, index = degree.
 
-    Computed by dividing x^m - 1 by Phi_d for every proper divisor d of m;
-    the result is monic with integer coefficients.
+    x^m - 1 divided by Phi_d for every proper divisor d of m; each Phi_d is
+    monic, so the long division stays in integers and leaves no remainder.
     """
     if m < 1:
         raise ValueError("cyclotomic polynomial needs m >= 1")
-    poly = PolyQ.x_power_minus_one(m)
-    for d in divisors(m):
-        if d < m:
-            poly = poly.exact_div(cyclotomic_polynomial(d))
-    return poly
-
-
-@lru_cache(maxsize=None)
-def _phi_coeffs(m: int) -> tuple[Fraction, ...]:
-    return cyclotomic_polynomial(m).coeffs
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in divisors(m)[:-1]:
+        div = cyclotomic_polynomial(d)
+        deg = len(div) - 1
+        quot = [0] * (len(poly) - deg)
+        for i in range(len(quot) - 1, -1, -1):
+            c = quot[i] = poly[i + deg]
+            for j, e in enumerate(div):
+                poly[i + j] -= c * e
+        poly = quot
+    return tuple(poly)
 
 
 def _reduce(coeffs: list[Fraction], m: int) -> tuple[Fraction, ...]:
     """Remainder of a dense coefficient list modulo the monic Phi_m."""
-    mod = _phi_coeffs(m)
+    mod = cyclotomic_polynomial(m)
     deg = len(mod) - 1
     rem = list(coeffs)
     for i in range(len(rem) - 1 - deg, -1, -1):
@@ -92,15 +92,6 @@ class CycElem:
     @classmethod
     def from_rational(cls, value: Scalar, order: int = 1) -> CycElem:
         return cls(order, (Fraction(value),))
-
-    @classmethod
-    def zeta(cls, order: int) -> CycElem:
-        """The distinguished primitive root of unity zeta_order."""
-        return cls.from_poly(PolyQ.monomial(1), order)
-
-    @classmethod
-    def from_poly(cls, poly: PolyQ, order: int) -> CycElem:
-        return cls(order, _reduce(list(poly.coeffs), order))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

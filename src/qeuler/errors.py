@@ -5,10 +5,6 @@ class QEulerError(ValueError):
     """Base class for all domain errors in this package."""
 
 
-class ZeroConstantTerm(QEulerError):
-    """Series division by a series whose constant term vanishes."""
-
-
 class QisOne(QEulerError):
     """q-integer requested at Q = 1; the caller must use the limit value."""
 

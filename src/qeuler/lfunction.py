@@ -59,20 +59,34 @@ def l_eulerian(s, chi: DirichletCharacter, q: Scalar, bits: int = 128) -> LValue
     qf = Fraction(q)
     with mp.workprec(bits + 64):
         s_val = to_mpc(s)
-        if s_val.real > 0 and chi.modulus % 2 and qf >= 1 and (lv := _accelerated(s_val, chi, qf, bits)):
+        if s_val.real > 0 and chi.modulus % 2 and qf >= 1 and (lv := _accelerated(s, chi, qf, bits)):
             return lv
         if qf <= 1:
             raise ConvergenceDomain(f"the L-series needs q > 1, or q = 1 with Re s > 0, an odd modulus "
                                     f"and at most {MAX_CLASS_TERMS} terms per residue class")
-        return _partial_sum(s_val, chi, qf, bits)
+        return _partial_sum(s, chi, qf, bits)
+
+
+def _working_prec(s, M: int, q: Fraction, bits: int) -> int:
+    """Working precision for a route that sums m^{-s} for m <= M times (1+q)^{1-s}.
+
+    The phases Im s log m and Im s log(1+q) come out with an absolute error of about
+    |Im s| log max(M, 1+q) 2^-prec.  Below 2^32 that takes at most 32 of the 64 guard
+    bits, and the precision stays bits + 64; past it, each further bit adds one.
+    """
+    with mp.workprec(64):
+        loss = mp.fabs(to_mpc(s).imag) * mp.log(to_mpf(max(M, 1 + q)))
+    _, man, exp, bc = loss._mpf_  # man * 2^exp < 2^(exp+bc)
+    return bits + 64 + (max(0, exp + bc - 32) if man else 0)
 
 
 def _partial_sum(s, chi: DirichletCharacter, q: Fraction, bits: int) -> LValue:
     """The series to M terms, M and the tail bound from ``choose_truncation`` (q > 1)."""
     with mp.workprec(bits + 64):
-        s_val = to_mpc(s)
-        growth = max(mp.mpf(0), -s_val.real)
+        growth = max(mp.mpf(0), -to_mpc(s).real)
         M, tail = choose_truncation(growth, q, bits - 4)
+    with mp.workprec(_working_prec(s, M, q, bits)):
+        s_val = to_mpc(s)
         acc = alternating_character_sum(chi, q, bits, M, _inverse_powers(s_val, M))
         prefactor = to_mpf(q) * mp.power(to_mpf(1 + q), 1 - s_val)
         return LValue(+s_val, chi, q, bits, +(prefactor * acc), +(mp.fabs(prefactor) * tail), M,
@@ -93,8 +107,9 @@ def _accelerated(s, chi: DirichletCharacter, q: Fraction, bits: int) -> LValue |
     rounding: chi is rounded at bits + 32, and a class adds n terms of modulus
     <= q^{-a} a^{-sigma} with under d n + 64 roundings at bits + 64.  The limit
     is phi(d) n < M, the partial sum's count, and MAX_CLASS_TERMS at q = 1 or
-    where no M certifies the partial sum's tail.
+    where no M certifies the partial sum's tail.  The sum runs at ``_working_prec``.
     """
+    s_val = to_mpc(s)
     d = max(chi.modulus, 1)
     classes = [a for a in range(1, d + 1) if chi(a % d)]
     limit = MAX_CLASS_TERMS
@@ -103,10 +118,10 @@ def _accelerated(s, chi: DirichletCharacter, q: Fraction, bits: int) -> LValue |
             limit = (choose_truncation(0, q, bits - 4)[0] - 1) // len(classes)
         except ConvergenceDomain:  # no partial sum certifies its tail this close to q = 1
             pass
-    prefactor = to_mpf(q) * mp.power(to_mpf(1 + q), 1 - s)
+    prefactor = to_mpf(q) * mp.power(to_mpf(1 + q), 1 - s_val)
     with mp.workprec(64):
-        mass = 2 * mp.fabs(prefactor) * mp.fsum(to_mpf(q) ** -a * mp.mpf(a) ** -s.real for a in classes)
-        ratio = mp.gamma(s.real) / mp.fabs(mp.gamma(s))
+        mass = 2 * mp.fabs(prefactor) * mp.fsum(to_mpf(q) ** -a * mp.mpf(a) ** -s_val.real for a in classes)
+        ratio = mp.gamma(s_val.real) / mp.fabs(mp.gamma(s_val))
         z = 1 + 2 * to_mpf(q) ** d
         eps, unit = mp.mpf(2) ** (4 - bits), mp.mpf(2) ** -(bits + 30)
         t_prev, t = mp.mpf(1), z  # T_{n-1}(z), T_n(z)
@@ -117,19 +132,23 @@ def _accelerated(s, chi: DirichletCharacter, q: Fraction, bits: int) -> LValue |
             t_prev, t = t, 2 * z * t - t_prev
         else:
             return None
-    prec = mp.prec
-    weights = _chebyshev_weights(n, q, d)
-    power = _inverse_powers(s, d * n)
+    with mp.workprec(_working_prec(s, d * n, q, bits)):
+        if mp.prec > bits + 64:  # s_val and prefactor were formed at bits + 64
+            s_val = to_mpc(s)
+            prefactor = to_mpf(q) * mp.power(to_mpf(1 + q), 1 - s_val)
+        prec = mp.prec
+        weights = _chebyshev_weights(n, q, d)
+        power = _inverse_powers(s_val, d * n)
 
-    def damped(m):
-        wm, we = weights[(m - 1) // d]
-        t = power(m)
-        if len(t) == 2:
-            return _round(t[0] * wm, t[1] + we, prec)
-        return (*_round(t[0] * wm, t[1] + we, prec), *_round(t[2] * wm, t[3] + we, prec))
+        def damped(m):
+            wm, we = weights[(m - 1) // d]
+            t = power(m)
+            if len(t) == 2:
+                return _round(t[0] * wm, t[1] + we, prec)
+            return (*_round(t[0] * wm, t[1] + we, prec), *_round(t[2] * wm, t[3] + we, prec))
 
-    acc = alternating_character_sum(chi, q, bits, d * n, damped)
-    return LValue(+s, chi, q, bits, +(prefactor * acc), +bound, len(classes) * n, "accelerated")
+        acc = alternating_character_sum(chi, q, bits, d * n, damped)
+        return LValue(+s_val, chi, q, bits, +(prefactor * acc), +bound, len(classes) * n, "accelerated")
 
 
 def _chebyshev_weights(n: int, q: Fraction, d: int) -> list:

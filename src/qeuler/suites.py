@@ -155,7 +155,7 @@ def _sign_sample_points(count: int) -> list[Fraction]:
 
 
 def _sign_pair(n: int, x0: Fraction) -> tuple[Fraction, Fraction]:
-    return eulerian_series_coeff(n, x0), Fraction((-1) ** n) * eulerian_poly(n).poly.evaluate(x0)
+    return eulerian_series_coeff(n, x0), Fraction((-1) ** n) * eulerian_poly(n).evaluate(x0)
 
 
 def suite_eq19_vs_eq20(opts: SuiteOptions) -> list[VerificationReport]:

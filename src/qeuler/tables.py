@@ -45,8 +45,7 @@ def build_table(opts: TableOptions) -> tuple[list[str], list[dict]]:
     if opts.kind == "classical":
         header = ["n", "coefficients"]
         for n in n_range:
-            coeffs = eulerian_poly(n).poly.coeffs
-            rows.append({"n": n, "coefficients": ",".join(str(c.numerator) for c in coeffs)})
+            rows.append({"n": n, "coefficients": ",".join(map(str, eulerian_poly(n).coeffs))})
         return header, rows
     if opts.kind == "chi-eulerian":
         header = ["n", "modulus", "char", "q", "value"]

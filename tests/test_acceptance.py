@@ -31,7 +31,7 @@ from qeuler.chi_eulerian import (
     weight_zero_euler,
     weight_zero_genocchi,
 )
-from qeuler.cyclotomic import CycElem, cyc_embed
+from qeuler.cyclotomic import CycElem, cyc_embed, cyclotomic_polynomial
 from qeuler.eulerian import eulerian_poly, eulerian_series_coeff, witt_value
 from qeuler.lfunction import mellin_term_check, verify_interpolation
 from qeuler.numtheory import divisors, phi
@@ -44,9 +44,7 @@ from qeuler.padic_verify import (
     verify_integral_equation,
     verify_witt_chi,
 )
-from qeuler.polyq import PolyQ
 from qeuler.qnumbers import q_samples
-from qeuler.series import TruncSeries, series_div
 
 Q_THREE = [Fraction(2), Fraction(3), Fraction(7, 2)]
 
@@ -59,23 +57,38 @@ def _summarize(number, name, failures, total, started):
     assert not failures, f"criterion {number}: {len(failures)} failing cases; first: {failures[0]}"
 
 
+def _poly_mul(a, b):
+    """Product of two dense coefficient sequences (index = degree)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def test_criterion_01_classical_engine_consistency():
     started = time.perf_counter()
     failures, total = [], 0
-    t_minus_1 = PolyQ((-1, 1))
+    t_minus_1_powers = [[1]]
+    for _ in range(26):
+        t_minus_1_powers.append(_poly_mul(t_minus_1_powers[-1], (-1, 1)))
     for n in range(26):
         total += 1
-        poly = eulerian_poly(n).poly
-        residual = PolyQ.zero()
+        poly = eulerian_poly(n)
+        residual = [0] * (n + 2)  # sum_k C(n,k) A_k(t) (t-1)^{n-k} - t A_n(t)
         for k in range(n + 1):
-            residual = residual + comb(n, k) * eulerian_poly(k).poly * t_minus_1 ** (n - k)
-        residual = residual - PolyQ((0, 1)) * poly
-        expected = PolyQ((1, -1)) if n == 0 else PolyQ.zero()
+            for i, c in enumerate(_poly_mul(eulerian_poly(k).coeffs, t_minus_1_powers[n - k])):
+                residual[i] += comb(n, k) * c
+        for i, c in enumerate(poly.coeffs):
+            residual[i + 1] -= c
+        expected = [1, -1] if n == 0 else [0] * (n + 2)
         coeffs = poly.coeffs
         ok = (residual == expected
               and poly.evaluate(1) == factorial(n)
-              and poly.degree == max(n - 1, 0)
-              and all(c > 0 and c.denominator == 1 for c in coeffs)
+              and len(coeffs) == max(n, 1)
+              and all(type(c) is int and c > 0 for c in coeffs)
               and list(coeffs) == list(reversed(coeffs)))
         if not ok:
             failures.append(f"n={n}")
@@ -93,7 +106,7 @@ def test_criterion_02_sign_reconciliation():
                 points.append(cand)
         k += 1
     for n in range(26):
-        poly = eulerian_poly(n).poly
+        poly = eulerian_poly(n)
         for x0 in points[: n + 1]:
             total += 1
             if eulerian_series_coeff(n, x0) != Fraction(-1) ** n * poly.evaluate(x0):
@@ -302,13 +315,6 @@ def test_criterion_11_kernel_law_suites():
         if not (a * (b + c) == a * b + a * c and (a * b) * c == a * (b * c)):
             failures.append(f"rational laws {a} {b} {c}")
 
-    for _ in range(500):  # polynomial ring laws
-        total += 1
-        a, b, c = (PolyQ([_random_fraction(rng, 12) for _ in range(rng.randint(0, 5))])
-                   for _ in range(3))
-        if not ((a * b) * c == a * (b * c) and a * (b + c) == a * b + a * c):
-            failures.append("polynomial laws")
-
     orders = [1, 2, 3, 4, 5, 6, 8, 9, 12]
     for _ in range(500):  # cyclotomic field laws
         total += 1
@@ -321,18 +327,17 @@ def test_criterion_11_kernel_law_suites():
     for _ in range(500):  # reduction is multiplicative
         total += 1
         m = rng.choice(orders)
-        a = PolyQ([rng.randint(-9, 9) for _ in range(rng.randint(0, 9))])
-        b = PolyQ([rng.randint(-9, 9) for _ in range(rng.randint(0, 9))])
-        if CycElem.from_poly(a * b, m) != CycElem.from_poly(a, m) * CycElem.from_poly(b, m):
-            failures.append(f"CycElem.from_poly multiplicativity at order {m}")
+        a = [rng.randint(-9, 9) for _ in range(rng.randint(0, 9))]
+        b = [rng.randint(-9, 9) for _ in range(rng.randint(0, 9))]
+        if CycElem(m, _poly_mul(a, b)) != CycElem(m, a) * CycElem(m, b):
+            failures.append(f"reduction multiplicativity at order {m}")
 
     for m in range(1, 61):  # cyclotomic factorization of x^m - 1
         total += 1
-        from qeuler.cyclotomic import cyclotomic_polynomial
-        product = PolyQ.one()
+        product = [1]
         for d in divisors(m):
-            product = product * cyclotomic_polynomial(d)
-        if product != PolyQ.x_power_minus_one(m):
+            product = _poly_mul(product, cyclotomic_polynomial(d))
+        if product != [-1] + [0] * (m - 1) + [1]:
             failures.append(f"divisor product at m={m}")
 
     for _ in range(500):  # residue embedding is a ring homomorphism
@@ -350,16 +355,14 @@ def test_criterion_11_kernel_law_suites():
         if not (emb(a + b) == emb(a) + emb(b) and emb(a * b) == emb(a) * emb(b)):
             failures.append(f"padic homomorphism p={p} k={k}")
 
-    for _ in range(500):  # series division undoes multiplication
+    for _ in range(500):  # series division against the triangle at random rational points
         total += 1
-        order = rng.randint(2, 6)
-        a = TruncSeries(order, [_random_fraction(rng, 9) for _ in range(order + 1)])
-        b_coeffs = [_random_fraction(rng, 9) for _ in range(order + 1)]
-        if b_coeffs[0] == 0:
-            b_coeffs[0] = Fraction(1)
-        b = TruncSeries(order, b_coeffs)
-        if series_div(a * b, b) != a:
-            failures.append("series_div property")
+        n = rng.randint(0, 12)
+        x0 = _random_fraction(rng)
+        while x0 == 1:
+            x0 = _random_fraction(rng)
+        if eulerian_series_coeff(n, x0) != (-1) ** n * eulerian_poly(n).evaluate(x0):
+            failures.append(f"series coefficient n={n} x0={x0}")
 
     pair_count = 0  # orthogonality, exhaustive per modulus
     for d in (3, 5, 9, 15, 21, 27):

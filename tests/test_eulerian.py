@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qeuler.errors import PoleAtMinusOne, PoleAtOne
 from qeuler.eulerian import (
@@ -11,21 +12,26 @@ from qeuler.eulerian import (
     eulerian_series_coeff,
     witt_value,
 )
-from qeuler.polyq import PolyQ
 
 SIGN_POINTS = [Fraction(0), Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(5, 3)]
 
 
-def recurrence_residual(n: int) -> PolyQ:
-    """sum_{k<=n} C(n,k) A_k(t) (t-1)^{n-k} - t A_n(t), from the binomial recurrence.
+def recurrence_residual(n: int) -> list[int]:
+    """sum_{k<=n} C(n,k) A_k(t) (t-1)^{n-k} - t A_n(t), from the binomial recurrence,
+    as a coefficient list of length n + 2.
 
     Zero for n >= 1; equals 1 - t for n = 0.
     """
-    t_minus_1 = PolyQ((-1, 1))
-    acc = PolyQ.zero()
+    acc = [0] * (n + 2)
     for k in range(n + 1):
-        acc = acc + comb(n, k) * eulerian_poly(k).poly * t_minus_1 ** (n - k)
-    return acc - PolyQ((0, 1)) * eulerian_poly(n).poly
+        term = [comb(n, k) * c for c in eulerian_poly(k).coeffs]
+        for _ in range(n - k):  # times (t - 1)
+            term = [a - b for a, b in zip([0] + term, term + [0])]
+        for i, c in enumerate(term):
+            acc[i] += c
+    for i, c in enumerate(eulerian_poly(n).coeffs):
+        acc[i + 1] -= c
+    return acc
 
 
 def explicit_eulerian_number(n: int, k: int) -> int:
@@ -35,32 +41,29 @@ def explicit_eulerian_number(n: int, k: int) -> int:
 
 class TestRecurrenceEngine:
     def test_first_values(self):
-        assert eulerian_poly(0).poly == PolyQ((1,))
-        assert eulerian_poly(1).poly == PolyQ((1,))
-        assert eulerian_poly(2).poly == PolyQ((1, 1))
-        assert eulerian_poly(3).poly == PolyQ((1, 4, 1))
-        assert eulerian_poly(5).poly == PolyQ((1, 26, 66, 26, 1))
+        assert eulerian_poly(0).coeffs == (1,)
+        assert eulerian_poly(1).coeffs == (1,)
+        assert eulerian_poly(2).coeffs == (1, 1)
+        assert eulerian_poly(3).coeffs == (1, 4, 1)
+        assert eulerian_poly(5).coeffs == (1, 26, 66, 26, 1)
 
     @pytest.mark.parametrize("n", range(26))
     def test_structure(self, n):
-        poly = eulerian_poly(n).poly
+        poly = eulerian_poly(n)
         coeffs = poly.coeffs
-        assert poly.degree == max(n - 1, 0)
-        assert all(c > 0 and c.denominator == 1 for c in coeffs)
+        assert len(coeffs) == max(n, 1)
+        assert all(type(c) is int and c > 0 for c in coeffs)
         assert list(coeffs) == list(reversed(coeffs))
         assert poly.evaluate(1) == factorial(n)
 
     @pytest.mark.parametrize("n", range(26))
     def test_recurrence_residual(self, n):
         residual = recurrence_residual(n)
-        if n == 0:
-            assert residual == PolyQ((1, -1))
-        else:
-            assert residual.is_zero()
+        assert residual == ([1, -1] if n == 0 else [0] * (n + 2))
 
     def test_explicit_sum_oracle(self):
         for n in range(121):
-            coeffs = eulerian_poly(n).poly.coeffs
+            coeffs = eulerian_poly(n).coeffs
             assert list(coeffs) == [explicit_eulerian_number(n, k) for k in range(max(n, 1))]
 
 
@@ -82,9 +85,19 @@ class TestSeriesOracle:
 
     @pytest.mark.parametrize("n", range(26))
     def test_sign_reconciliation(self, n):
-        poly = eulerian_poly(n).poly
+        poly = eulerian_poly(n)
         for x0 in SIGN_POINTS:
             assert eulerian_series_coeff(n, x0) == Fraction(-1) ** n * poly.evaluate(x0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 30), st.integers(-10**6, 10**6), st.integers(1, 10**6))
+    def test_integer_recurrence_matches_the_triangle(self, n, a, b):
+        assume(a != b)
+        x0 = Fraction(a, b)
+        assert eulerian_series_coeff(n, x0) == (-1) ** n * eulerian_poly(n).evaluate(x0)
+
+    def test_poly_is_the_polynomial_itself(self):
+        assert eulerian_poly(4).poly.coeffs == eulerian_poly(4).coeffs == (1, 11, 11, 1)
 
 
 class TestWittValue:

@@ -12,8 +12,8 @@ from qeuler.characters import enumerate_characters, principal_character
 from qeuler.chi_eulerian import chi_eulerian, chi_eulerian_series_check, kernel_series_check
 from qeuler.cyclotomic import cyc_embed
 from qeuler.errors import ConvergenceDomain, DomainError
-from qeuler.lfunction import (_accelerated, _chebyshev_weights, _partial_sum, l_eulerian, mellin_term_check,
-                              verify_interpolation)
+from qeuler.lfunction import (_accelerated, _chebyshev_weights, _partial_sum, _working_prec, l_eulerian,
+                              mellin_term_check, verify_interpolation)
 from qeuler.numerics import choose_truncation, to_mpc, to_mpf
 from qeuler.numtheory import phi
 
@@ -51,6 +51,21 @@ class TestLEulerian:
         fine = l_eulerian(Fraction(1, 2), QUAD3, 2, 160)
         with mp.workprec(200):
             assert mp.fabs(coarse.value - fine.value) <= 2 * coarse.tail_bound + mp.mpf(2) ** -90
+
+    @pytest.mark.parametrize("height", [10**25, 10**40])
+    def test_tail_bound_holds_at_large_imaginary_part(self, height):
+        # the phases of m^-s and (1+q)^{1-s} lose log2(|Im s| log M) bits; the working precision adds them
+        coarse = l_eulerian((1, height), QUAD3, 2, 64)
+        fine = l_eulerian((1, height), QUAD3, 2, 512)
+        with mp.workprec(600):
+            slack = mp.mpf(2) ** (8 - 64) * max(1, mp.fabs(fine.value))
+            assert mp.fabs(coarse.value - fine.value) <= coarse.tail_bound + slack
+
+    def test_working_precision_grows_only_past_the_threshold(self):
+        # |Im s| log 128 is 4.9e8 < 2^32 at Im s = 10^8 and 4.9e9 < 2^33 at 10^9
+        assert _working_prec(complex(0.5, 1e8), 128, Fraction(2), 128) == 192
+        assert _working_prec(complex(0.5, 1e9), 128, Fraction(2), 128) == 193
+        assert _working_prec(Fraction(-3), 10**6, Fraction(2), 128) == 192
 
     def test_real_character_real_value(self):
         for s in (Fraction(2), Fraction(-4)):
