@@ -113,6 +113,8 @@ def chi_eulerian_series_check(n: int, chi: DirichletCharacter, q: Scalar, bits: 
     chi(0) * 0^n: zero except at n = 0 for modulus 1, where it is 1 and the
     check fails.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     qf = Fraction(q)
     if qf <= 1:
         raise ConvergenceDomain("the alternating character series needs q > 1")
@@ -129,6 +131,8 @@ def chi_eulerian_series_check(n: int, chi: DirichletCharacter, q: Scalar, bits: 
 def kernel_series_check(n: int, chi: DirichletCharacter, q: Scalar, bits: int = 128) -> SeriesCheck:
     """Compare A_n (closed form) with the partial sum of the full geometric
     expansion q(1+q) sum_{m>=0} (-1)^m chi(m) q^{-m} (-m(1+q))^n."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     qf = Fraction(q)
     if qf <= 1:
         raise ConvergenceDomain("the geometric kernel expansion needs q > 1")

@@ -177,13 +177,17 @@ def _inverse_powers(s, M: int):
     One ``mpc_pow`` per prime p <= M, kept for p <= M/2; a composite is the
     product of its prime factors' powers, each product exact and rounded once
     as ``mpc_mul`` rounds it, at most log2(M) more roundings than
-    ``mp.power``, and exact at s = -n while m^n fits.  At real s every power
-    is real (imaginary part fzero), so only the real parts are multiplied:
-    the same roundings in fewer operations.
+    ``mp.power``.  At real s every power is real (imaginary part fzero), so
+    only the real parts are multiplied: the same roundings in fewer operations.
+    At s = -n with M^n below 2^prec (n <= prec is tested first, so that
+    M**n stays small) every prime power and product is exact, and m^n is
+    returned as (m**n, 0): the same values with no powers or products.
     """
     prec = mp.prec
     w = mpc_neg(s._mpc_)
     real = w[1] == fzero
+    if real and s.real <= 0 and mp.isint(s.real) and (n := int(-s.real)) <= prec and M**n >> prec == 0:
+        return lambda m: (m**n, 0)
     spf = smallest_prime_factors(M)
     powers = {}
 

@@ -173,6 +173,14 @@ class TestSeriesChecks:
         with pytest.raises(ConvergenceDomain):
             chi_eulerian_series_check(1, QUAD3, 1, 128)
 
+    def test_series_check_negative_index(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            chi_eulerian_series_check(-1, QUAD3, 2)
+
+    def test_kernel_series_check_negative_index(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            kernel_series_check(-1, QUAD3, 2)
+
 
 class TestWeightZeroFamilies:
     def test_e0_is_one(self):

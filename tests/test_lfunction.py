@@ -5,16 +5,17 @@ from functools import reduce
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 from mpmath.libmp import from_man_exp
 
-from qeuler.characters import enumerate_characters, principal_character
+from qeuler.characters import character_by_index, enumerate_characters, principal_character
 from qeuler.chi_eulerian import chi_eulerian, chi_eulerian_series_check, kernel_series_check
 from qeuler.cyclotomic import cyc_embed
 from qeuler.errors import ConvergenceDomain, DomainError
-from qeuler.lfunction import (_accelerated, _chebyshev_weights, _partial_sum, _working_prec, l_eulerian,
-                              mellin_term_check, verify_interpolation)
-from qeuler.numerics import choose_truncation, to_mpc, to_mpf
+from qeuler.lfunction import (_accelerated, _chebyshev_weights, _inverse_powers, _partial_sum, _working_prec,
+                              l_eulerian, mellin_term_check, verify_interpolation)
+from qeuler.numerics import _pair, _power, _round, alternating_character_sum, choose_truncation, to_mpc, to_mpf
 from qeuler.numtheory import phi
 
 QUAD3 = enumerate_characters(3)[1]
@@ -255,6 +256,21 @@ class TestTermByTermOracle:
         chi = largest_order_character(d)
         self.assert_real_terms_bit_identical(chi, Fraction(11, 10), 128, (0, 3, 9))
 
+    @pytest.mark.parametrize("n", [0, 14, 16])
+    def test_exact_powers_end_where_m_to_the_n_outgrows_the_precision(self, n):
+        # at 64 bits (working precision 128) and q = 2 the series runs to M = 64, 240 and 272:
+        # 240^14 has 111 bits and m^n is exact, 272^16 has 130 and m^-s comes from prime powers
+        q, bits = Fraction(2), 64
+        with mp.workprec(bits + 64):
+            M, _ = choose_truncation(n, q, bits - 4)
+            assert ((M**n).bit_length() <= mp.prec) == (n < 16)
+            if n:  # the exact case returns (2^n, 0); a prime power comes normalized as (1, n)
+                assert (_inverse_powers(mp.mpc(-n), M)(2) == (2**n, 0)) == (n < 16)
+        for d in (1, 3, 5, 7, 11):
+            chi = largest_order_character(d)
+            reference = oracle_l_value(-n, chi, q, bits, multiplicative_powers)
+            assert l_eulerian(-n, chi, q, bits).value._mpc_ == reference._mpc_
+
     @pytest.mark.parametrize("d,q,bits", ORACLE_GRID)
     def test_complex_s_within_relative_rounding(self, d, q, bits):
         # Re s <= 0, where the partial sum is the engine
@@ -286,6 +302,68 @@ class TestTermByTermOracle:
             acc = term_by_term(chi, q, bits, d * n, lambda m: power(m) * weights[(m - 1) // d])
             reference = +(to_mpf(q) * mp.power(to_mpf(1 + q), 1 - s_val) * acc)
         assert lv.value._mpc_ == reference._mpc_
+
+
+TERM_SHAPES = ("m^n", "(-m(1+q))^n", "m^n + i(-m(1+q))^k", "m^-s")
+
+
+@st.composite
+def kernel_cases(draw):
+    """chi of odd modulus <= 15, q = a/b in (1, 4], 64-320 bits, M <= 200, start, and a term
+    shape with its exponents n, k <= 12 and s."""
+    b = draw(st.integers(1, 60))
+    q = Fraction(draw(st.integers(b + 1, 4 * b)), b)
+    chi = draw(st.sampled_from(enumerate_characters(draw(st.sampled_from(range(1, 16, 2))))))
+    shape = draw(st.sampled_from(TERM_SHAPES))
+    start = 1 if shape == "m^-s" else draw(st.sampled_from((0, 1)))
+    s = complex(draw(st.integers(-8, 8)) / 2, draw(st.integers(1, 40)) * draw(st.sampled_from((-1, 1))))
+    return (chi, q, draw(st.integers(64, 320)), draw(st.integers(1, 200)), start, shape,
+            draw(st.integers(0, 12)), draw(st.integers(0, 12)), s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_cases())
+# a real character, and an order-12 one, with (-m(1+q))^12 on mpf_pow_int's rounding-on-the-way branch
+@example((next(c for c in enumerate_characters(5) if c.order == 2), Fraction(11, 10), 128, 200, 0,
+          "(-m(1+q))^n", 12, 0, 0j))
+@example((largest_order_character(13), Fraction(21, 20), 256, 200, 1, "m^n + i(-m(1+q))^k", 3, 12, 0j))
+# exact ties, one at each product rounding of the two loop bodies (q^-m included):
+# rounding a tie up instead of to even at that site changes the sum
+@example((character_by_index(15, 6), Fraction(8, 7), 239, 139, 1, "(-m(1+q))^n", 8, 8, 0j))
+@example((character_by_index(3, 1), Fraction(8, 7), 243, 118, 0, "m^n + i(-m(1+q))^k", 11, 1, 0j))
+@example((character_by_index(11, 6), Fraction(4, 3), 76, 135, 0, "(-m(1+q))^n", 1, 12, 0j))
+@example((character_by_index(13, 6), Fraction(3, 2), 180, 183, 0, "(-m(1+q))^n", 2, 12, 0j))
+@example((character_by_index(7, 5), Fraction(4, 3), 116, 69, 0, "m^n", 1, 7, 0j))
+@example((character_by_index(7, 5), Fraction(16, 9), 140, 151, 0, "(-m(1+q))^n", 1, 2, 0j))
+@example((MOD1, Fraction(3, 2), 256, 78, 1, "m^n + i(-m(1+q))^k", 1, 9, 0j))
+@example((MOD1, Fraction(8, 5), 140, 100, 1, "m^n + i(-m(1+q))^k", 12, 1, 0j))
+def test_kernel_matches_term_by_term(case):
+    """``alternating_character_sum`` on integer pairs is bit for bit the mpc loop, for every term shape."""
+    chi, q, bits, M, start, shape, n, k, s = case
+    with mp.workprec(bits + 64):
+        prec = mp.prec
+        opq = to_mpf(1 + q)
+        om, oe = _pair(opq._mpf_, prec)
+
+        def kernel_pair(m, e):  # (-m(1+q))^e as kernel_series_check forms it
+            return _power(*_round(-m * om, oe, prec), e, prec)
+
+        def kernel_value(m, e):
+            return (-(mp.mpf(m)) * opq) ** e
+
+        if shape == "m^-s":
+            s_val = to_mpc(s)
+            pair, value = _inverse_powers(s_val, M), multiplicative_powers(s_val)
+        elif shape == "m^n":
+            pair, value = (lambda m: _power(m, 0, n, prec)), (lambda m: mp.mpf(m) ** n)
+        elif shape == "(-m(1+q))^n":
+            pair, value = (lambda m: kernel_pair(m, n)), (lambda m: kernel_value(m, n))
+        else:
+            pair = lambda m: (*_power(m, 0, n, prec), *kernel_pair(m, k))
+            value = lambda m: mp.mpc(mp.mpf(m) ** n, kernel_value(m, k))
+        got = alternating_character_sum(chi, q, bits, M, pair, start)
+        want = term_by_term(chi, q, bits, M, value, start)
+    assert got._mpc_ == want._mpc_
 
 
 def chebyshev_route(s, chi, q, bits):
