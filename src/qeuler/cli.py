@@ -19,11 +19,9 @@ from .eulerian import eulerian_poly
 from .lfunction import l_eulerian
 from .numtheory import is_prime, phi
 from .padic_verify import chi_monomial, monomial, truncated_integral, MEASURES
-from .serialize import parse_int_list, parse_q_list, render_complex, render_rational, render_value
+from .serialize import parse_int_list, parse_q_list, render_l_value, render_rational, render_value
 from .suites import SUITES, SuiteOptions, run_suite
 from .tables import KINDS, TableOptions, build_table, render_table
-
-from mpmath import mp
 
 
 def _checked(kind: str, parse, ok=None):
@@ -242,12 +240,9 @@ def _dispatch(parser, args) -> int:
         q = _single(parser, args, "q", Fraction(2))
         bits = args.bits if args.bits is not None else 128
         lv = l_eulerian(s, chi, q, bits)
-        re_s, im_s = render_complex(lv.value, bits)
-        with mp.workprec(64):
-            tail = mp.nstr(mp.mpf(lv.tail_bound), 10)
         _write(json.dumps({
             "s": s_text, "char": chi.label, "q": render_rational(q), "bits": bits,
-            "value_re": re_s, "value_im": im_s, "tail_bound": tail, "terms": lv.terms, "method": lv.method,
+            **render_l_value(lv), "terms": lv.terms, "method": lv.method,
         }, sort_keys=True) + "\n", args.out)
         return rep.EXIT_OK
 

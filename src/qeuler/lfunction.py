@@ -5,8 +5,9 @@ For q > 1 the defining series
     L_E(s | chi) = q (1+q)^{1-s} sum_{m>=1} (-1)^m chi(m) q^{-m} m^{-s}
 
 converges geometrically for every complex s, so no continuation machinery is
-needed.  For Re s > 0 and odd modulus d it also converges at q = 1.  Every
-evaluation carries a rigorous bound on its error.
+needed.  For Re s > 0 it also converges at q = 1.  Every modulus d is odd,
+since ``unit_group`` refuses even ones.  Every evaluation carries a rigorous
+bound on its error.
 
 At negative integers it interpolates the character-attached Eulerian values
 up to sign and one boundary term.  The geometric expansion of their
@@ -54,16 +55,16 @@ class LValue:
 
 
 def l_eulerian(s, chi: DirichletCharacter, q: Scalar, bits: int = 128) -> LValue:
-    """L_E(s | chi) within ``tail_bound`` < 2^(4-bits): by ``_accelerated`` when Re s > 0 and
-    d is odd, if that takes fewer terms than ``_partial_sum`` (at q = 1 always)."""
+    """L_E(s | chi) within ``tail_bound`` < 2^(4-bits): by ``_accelerated`` when Re s > 0,
+    if that takes fewer terms than ``_partial_sum`` (at q = 1 always)."""
     qf = Fraction(q)
     with mp.workprec(bits + 64):
         s_val = to_mpc(s)
-        if s_val.real > 0 and chi.modulus % 2 and qf >= 1 and (lv := _accelerated(s, chi, qf, bits)):
+        if s_val.real > 0 and qf >= 1 and (lv := _accelerated(s, chi, qf, bits)):
             return lv
         if qf <= 1:
-            raise ConvergenceDomain(f"the L-series needs q > 1, or q = 1 with Re s > 0, an odd modulus "
-                                    f"and at most {MAX_CLASS_TERMS} terms per residue class")
+            raise ConvergenceDomain(f"the L-series needs q > 1, or q = 1 with Re s > 0 and at most "
+                                    f"{MAX_CLASS_TERMS} terms per residue class")
         return _partial_sum(s, chi, qf, bits)
 
 
@@ -96,7 +97,7 @@ def _partial_sum(s, chi: DirichletCharacter, q: Fraction, bits: int) -> LValue:
 def _accelerated(s, chi: DirichletCharacter, q: Fraction, bits: int) -> LValue | None:
     """The series by residue classes with Chebyshev weights; None past the term limit.
 
-    For odd d, (-1)^{a+dj} = (-1)^a (-1)^j, and by the Mellin transform the
+    As d is odd, (-1)^{a+dj} = (-1)^a (-1)^j, and by the Mellin transform the
     class terms r^j (a+dj)^{-s}, r = q^{-d}, are the moments on [0, r] of a
     measure of total variation Gamma(sigma) a^{-sigma} / |Gamma(s)|, sigma = Re s > 0.
     Algorithm 1 of Cohen, Rodriguez Villegas and Zagier with P_n(x) = T_n(1 - 2x/r)

@@ -7,7 +7,9 @@ rounded once, to nearest with ties to even, which is how mpmath's libmp
 rounds the same operation; the one exception, mpf_add's sticky rule for
 operands wider than the precision, is copied in ``_add_wide``.  ``_round``
 and ``_add`` state the rule; the series loop does the same in straight-line
-integer code, since it rounds up to seven times per term.
+integer code, since it rounds up to seven times per term.  It has one body
+for every term: the shape of each term picks how chi(m) * term(m) is formed,
+and both shapes share the rest, which skips the parts that are exactly zero.
 """
 from __future__ import annotations
 
@@ -155,8 +157,6 @@ def alternating_character_sum(chi, q: Fraction, bits: int, M: int, term, start: 
     pairs, value = man * 2^exp: a pair (man, exp) for a real term, or
     (re_man, re_exp, im_man, im_exp) for a complex one; ``start`` is 0 or 1.
     The series checks and the L-function differ only in ``term`` and ``start``.
-    The shape of the first term computed picks the loop body, one for real
-    terms and one for complex ones, so ``term`` keeps one shape per sum.
 
     Rounding contract.  chi is embedded at bits + 32, and (-1)^m chi(m) is
     rounded to nearest at mp.prec once per class of m mod 2d.  Each term is
@@ -165,12 +165,15 @@ def alternating_character_sum(chi, q: Fraction, bits: int, M: int, term, start: 
     computed exactly in integers and rounded once at mp.prec, as mpmath's
     number types round the same operations in the same order, so the sum is
     bit for bit that of the mpc expression (-1)**m * chi(m) * term(m) * q**-m
-    (the term-by-term oracle in tests/test_lfunction.py).  The loop bodies
-    round and add inline, as ``_round`` and ``_add`` do; only the complex
-    product chi(m) * term(m), whose exact parts can be wider than mp.prec,
-    calls ``_cmul`` for ``_add_wide``'s sticky rule.  Terms with chi(m) = 0 are
-    skipped, and so are the zero parts of a real term's chi(m), which would
-    only add exact zeros.
+    (the term-by-term oracle in tests/test_lfunction.py).  The loop has one
+    body, which rounds and adds inline, as ``_round`` and ``_add`` do.  The
+    shape of each term picks how chi(m) * term(m) is formed: a real term
+    takes Re chi(m) * term(m) and Im chi(m) * term(m), each rounded once, and
+    a complex one calls ``_cmul``, whose exact parts can be wider than mp.prec,
+    for ``_add_wide``'s sticky rule.  Both parts then go through the same
+    product with q^{-m} and add.  Terms with chi(m) = 0 are skipped, and so is
+    each part that is exactly zero: a rounded sum depends only on the value,
+    so adding an exact zero would leave the accumulator's value unchanged.
     """
     if bits < 64:
         raise ValueError("bits must be >= 64")
@@ -189,61 +192,26 @@ def alternating_character_sum(chi, q: Fraction, bits: int, M: int, term, start: 
     for _ in range(start):
         wm, we = _round(wm * qm, we + qe, prec)
     rm = re = im = ie = 0
-    shapes = (len(term(m)) for m in range(start, M + 1) if signed[m % period] is not None)
-    if next(shapes, 2) == 2:
-        for m in range(start, M + 1):
-            c = signed[m % period]
-            if c is not None:
-                tm, te = term(m)
+    for m in range(start, M + 1):
+        c = signed[m % period]
+        if c is not None:
+            v = term(m)
+            if len(v) == 2:
+                tm, te = v
                 xm, xe, ym, ye = c
-                if xm:
-                    pm, pe = xm * tm, xe + te
-                    if (n := pm.bit_length() - prec) > 0:
-                        t = pm >> (n - 1)
-                        pm = (t >> 1) + 1 if t & 1 and (t & 2 or pm != t << (n - 1)) else t >> 1
-                        pe += n
-                    pm, pe = pm * wm, pe + we
-                    if (n := pm.bit_length() - prec) > 0:
-                        t = pm >> (n - 1)
-                        pm = (t >> 1) + 1 if t & 1 and (t & 2 or pm != t << (n - 1)) else t >> 1
-                        pe += n
-                    if re > pe:
-                        rm, re = (rm << (re - pe)) + pm, pe
-                    else:
-                        rm += pm << (pe - re)
-                    if (n := rm.bit_length() - prec) > 0:
-                        t = rm >> (n - 1)
-                        rm = (t >> 1) + 1 if t & 1 and (t & 2 or rm != t << (n - 1)) else t >> 1
-                        re += n
-                if ym:
-                    pm, pe = ym * tm, ye + te
-                    if (n := pm.bit_length() - prec) > 0:
-                        t = pm >> (n - 1)
-                        pm = (t >> 1) + 1 if t & 1 and (t & 2 or pm != t << (n - 1)) else t >> 1
-                        pe += n
-                    pm, pe = pm * wm, pe + we
-                    if (n := pm.bit_length() - prec) > 0:
-                        t = pm >> (n - 1)
-                        pm = (t >> 1) + 1 if t & 1 and (t & 2 or pm != t << (n - 1)) else t >> 1
-                        pe += n
-                    if ie > pe:
-                        im, ie = (im << (ie - pe)) + pm, pe
-                    else:
-                        im += pm << (pe - ie)
-                    if (n := im.bit_length() - prec) > 0:
-                        t = im >> (n - 1)
-                        im = (t >> 1) + 1 if t & 1 and (t & 2 or im != t << (n - 1)) else t >> 1
-                        ie += n
-            wm, we = wm * qm, we + qe
-            if (n := wm.bit_length() - prec) > 0:
-                t = wm >> (n - 1)
-                wm = (t >> 1) + 1 if t & 1 and (t & 2 or wm != t << (n - 1)) else t >> 1
-                we += n
-    else:
-        for m in range(start, M + 1):
-            c = signed[m % period]
-            if c is not None:
-                pm, pe, um, ue = _cmul(c, term(m), prec)
+                pm, pe = xm * tm, xe + te
+                um, ue = ym * tm, ye + te
+                if (n := pm.bit_length() - prec) > 0:
+                    t = pm >> (n - 1)
+                    pm = (t >> 1) + 1 if t & 1 and (t & 2 or pm != t << (n - 1)) else t >> 1
+                    pe += n
+                if (n := um.bit_length() - prec) > 0:
+                    t = um >> (n - 1)
+                    um = (t >> 1) + 1 if t & 1 and (t & 2 or um != t << (n - 1)) else t >> 1
+                    ue += n
+            else:
+                pm, pe, um, ue = _cmul(c, v, prec)
+            if pm:
                 pm, pe = pm * wm, pe + we
                 if (n := pm.bit_length() - prec) > 0:
                     t = pm >> (n - 1)
@@ -257,6 +225,7 @@ def alternating_character_sum(chi, q: Fraction, bits: int, M: int, term, start: 
                     t = rm >> (n - 1)
                     rm = (t >> 1) + 1 if t & 1 and (t & 2 or rm != t << (n - 1)) else t >> 1
                     re += n
+            if um:
                 um, ue = um * wm, ue + we
                 if (n := um.bit_length() - prec) > 0:
                     t = um >> (n - 1)
@@ -270,9 +239,9 @@ def alternating_character_sum(chi, q: Fraction, bits: int, M: int, term, start: 
                     t = im >> (n - 1)
                     im = (t >> 1) + 1 if t & 1 and (t & 2 or im != t << (n - 1)) else t >> 1
                     ie += n
-            wm, we = wm * qm, we + qe
-            if (n := wm.bit_length() - prec) > 0:
-                t = wm >> (n - 1)
-                wm = (t >> 1) + 1 if t & 1 and (t & 2 or wm != t << (n - 1)) else t >> 1
-                we += n
+        wm, we = wm * qm, we + qe
+        if (n := wm.bit_length() - prec) > 0:
+            t = wm >> (n - 1)
+            wm = (t >> 1) + 1 if t & 1 and (t & 2 or wm != t << (n - 1)) else t >> 1
+            we += n
     return mp.make_mpc((from_man_exp(rm, re), from_man_exp(im, ie)))

@@ -11,9 +11,8 @@ from .characters import enumerate_characters
 from .chi_eulerian import chi_eulerian, weight_zero_euler_values
 from .eulerian import eulerian_poly
 from .lfunction import l_eulerian
-from .serialize import render_complex, render_rational, render_value
+from .serialize import render_l_value, render_rational, render_value
 
-from mpmath import mp
 
 KINDS = ("classical", "chi-eulerian", "weight-zero-euler", "l-values")
 
@@ -72,14 +71,10 @@ def build_table(opts: TableOptions) -> tuple[list[str], list[dict]]:
     for n in n_range:
         for chi in _chars(opts):
             for q in opts.q_list:
-                lv = l_eulerian(-n, chi, q, opts.bits)
-                re_s, im_s = render_complex(lv.value, opts.bits)
-                with mp.workprec(64):
-                    tail = mp.nstr(mp.mpf(lv.tail_bound), 10)
                 rows.append({
                     "s": -n, "modulus": opts.modulus, "char": chi.index,
                     "q": render_rational(q), "bits": opts.bits,
-                    "value_re": re_s, "value_im": im_s, "tail_bound": tail,
+                    **render_l_value(l_eulerian(-n, chi, q, opts.bits)),
                 })
     return header, rows
 

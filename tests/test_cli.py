@@ -6,6 +6,8 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,7 @@ from qeuler.suites import SUITES
 from qeuler.tables import KINDS
 from qeuler.lfunction import l_eulerian
 from qeuler.padic_verify import MEASURES
-from qeuler.serialize import parse_rational, parse_value, render_value
+from qeuler.serialize import decimal_digits, parse_rational, parse_value, render_value
 
 
 def run(capsys, *argv):
@@ -308,6 +310,25 @@ class TestTables:
                 parsed = mp.mpc(mp.mpf(row["value_re"]), mp.mpf(row["value_im"]))
                 tol = 2 * lv.tail_bound + mp.mpf(2) ** (-row["bits"] + 12)
                 assert mp.fabs(parsed - lv.value) <= tol
+
+    def test_l_values_stop_at_the_tail_bound(self, capsys):
+        # the last printed decimal place 10^-k is the largest with 10^-k <= tail_bound,
+        # or a coarser one where the value already has decimal_digits(bits) digits
+        code, table = run(capsys, "emit", "table", "--kind", "l-values", "--modulus", "3",
+                          "--max-n", "3", "--q", "2", "--bits", "96", "--format", "json")
+        assert code == 0
+        code, out = run(capsys, "lfunction", "eval", "--s", "2,-3", "--modulus", "5", "--char", "1",
+                        "--q", "11/10", "--bits", "96")
+        assert code == 0
+        rows = json.loads(table) + [json.loads(out)]
+        assert len(rows) == 9
+        for row in rows:
+            bound = Fraction(row["tail_bound"])
+            k_min = next(k for k in count() if Fraction(10) ** -k <= bound)
+            for text in (row["value_re"], row["value_im"]):
+                k = len(text.partition(".")[2])
+                digits = len(text.lstrip("-").replace(".", "").lstrip("0"))
+                assert k == k_min or (k < k_min and digits == decimal_digits(row["bits"])), (text, bound)
 
     def test_empty_range_header_only(self, capsys):
         code, out = run(capsys, "emit", "table", "--kind", "l-values", "--max-n", "-1",

@@ -327,8 +327,11 @@ def kernel_cases(draw):
 @example((next(c for c in enumerate_characters(5) if c.order == 2), Fraction(11, 10), 128, 200, 0,
           "(-m(1+q))^n", 12, 0, 0j))
 @example((largest_order_character(13), Fraction(21, 20), 256, 200, 1, "m^n + i(-m(1+q))^k", 3, 12, 0j))
-# exact ties, one at each product rounding of the two loop bodies (q^-m included):
+# exact ties, one at each product rounding of the loop body (q^-m included):
 # rounding a tie up instead of to even at that site changes the sum
+@example((character_by_index(11, 4), Fraction(4, 3), 136, 14, 1, "(-m(1+q))^n", 1, 0, 0j))
+@example((character_by_index(3, 1), Fraction(3, 2), 181, 108, 1, "m^n + i(-m(1+q))^k", 11, 2, 0j))
+@example((MOD1, Fraction(54, 53), 80, 183, 0, "m^n", 1, 8, 0j))
 @example((character_by_index(15, 6), Fraction(8, 7), 239, 139, 1, "(-m(1+q))^n", 8, 8, 0j))
 @example((character_by_index(3, 1), Fraction(8, 7), 243, 118, 0, "m^n + i(-m(1+q))^k", 11, 1, 0j))
 @example((character_by_index(11, 6), Fraction(4, 3), 76, 135, 0, "(-m(1+q))^n", 1, 12, 0j))
@@ -337,6 +340,9 @@ def kernel_cases(draw):
 @example((character_by_index(7, 5), Fraction(16, 9), 140, 151, 0, "(-m(1+q))^n", 1, 2, 0j))
 @example((MOD1, Fraction(3, 2), 256, 78, 1, "m^n + i(-m(1+q))^k", 1, 9, 0j))
 @example((MOD1, Fraction(8, 5), 140, 100, 1, "m^n + i(-m(1+q))^k", 12, 1, 0j))
+# exactly zero parts, which the loop skips: chi(2) = i with a real term, and term(0) = 0^n + 0i at modulus 1
+@example((character_by_index(5, 1), Fraction(7, 5), 128, 60, 1, "m^n", 3, 0, 0j))
+@example((MOD1, Fraction(5, 4), 96, 80, 0, "m^n + i(-m(1+q))^k", 2, 3, 0j))
 def test_kernel_matches_term_by_term(case):
     """``alternating_character_sum`` on integer pairs is bit for bit the mpc loop, for every term shape."""
     chi, q, bits, M, start, shape, n, k, s = case
@@ -363,6 +369,24 @@ def test_kernel_matches_term_by_term(case):
             value = lambda m: mp.mpc(mp.mpf(m) ** n, kernel_value(m, k))
         got = alternating_character_sum(chi, q, bits, M, pair, start)
         want = term_by_term(chi, q, bits, M, value, start)
+    assert got._mpc_ == want._mpc_
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["real", "mixed-shapes"])
+def test_each_term_is_computed_once(mixed):
+    # the loop checks each term's shape as it comes, so no term is computed twice, and
+    # real and complex terms may alternate within one sum
+    chi, q, bits, M = largest_order_character(7), Fraction(3, 2), 128, 60
+    calls = []
+
+    def pair(m):
+        calls.append(m)
+        return (m**2, 0, -m, 0) if mixed and m % 3 == 0 else (m**2, 0)
+
+    with mp.workprec(bits + 64):
+        got = alternating_character_sum(chi, q, bits, M, pair)
+        want = term_by_term(chi, q, bits, M, lambda m: mp.mpc(m**2, -m) if mixed and m % 3 == 0 else mp.mpf(m**2))
+    assert calls == [m for m in range(1, M + 1) if chi(m % 7)]
     assert got._mpc_ == want._mpc_
 
 
