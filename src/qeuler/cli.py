@@ -66,7 +66,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                                                   lambda ns: all(n > 0 for n in ns)),
                         default=None, help="comma list of levels N")
     parser.add_argument("--variant", choices=("printed", "corrected"), default=None)
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", type=str, default=None)
 
 
@@ -112,6 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     table = emit_sub.add_parser("table")
     table.add_argument("--kind", required=True, choices=KINDS)
     _add_common(table)
+    for formatted in (suite, table):  # the only commands that read --format
+        formatted.add_argument("--format", choices=("json", "csv"), default="json")
 
     return parser
 

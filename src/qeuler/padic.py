@@ -1,9 +1,10 @@
-"""Fixed-precision p-adic residues: integers mod p^k with tracked precision.
+"""Fixed-precision p-adic residues: exact values mod p^k.
 
-These are truncations of p-adic integers.  Rationals embed only when their
-denominator is coprime to p (negative valuation is deliberately unsupported:
-every quantity the verifiers embed is a p-adic integer by construction, so a
-rejected denominator signals a setup bug, not a value to approximate).
+``embed_cyclotomic`` maps an int, Fraction or cyclotomic element to Z/p^k,
+``valuation`` reads a residue's valuation, and ``PadicResidue`` is a plain
+value.  Rationals embed only when their denominator is coprime to p (negative
+valuation is deliberately unsupported: every quantity the verifiers embed is a
+p-adic integer by construction, so a rejected denominator signals a setup bug).
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .cyclotomic import CycElem
 from .errors import CharacterOrderUnsupported, NonCoprimeDenominator
 from .numtheory import is_prime, primitive_root
 
@@ -36,58 +38,29 @@ class PadicResidue:
 
     @classmethod
     def from_rational(cls, value: Scalar, prime: int, precision: int) -> PadicResidue:
-        fr = Fraction(value)
-        if fr.denominator % prime == 0:
-            raise NonCoprimeDenominator(f"denominator of {fr} is divisible by {prime}")
-        pk = prime**precision
-        return cls(prime, precision, fr.numerator * pow(fr.denominator, -1, pk) % pk)
-
-    def _check(self, other: PadicResidue) -> None:
-        if (self.prime, self.precision) != (other.prime, other.precision):
-            raise ValueError("mismatched p-adic contexts")
-
-    def _coerce(self, other: Union[PadicResidue, Scalar]) -> PadicResidue:
-        if isinstance(other, PadicResidue):
-            self._check(other)
-            return other
-        return PadicResidue.from_rational(other, self.prime, self.precision)
-
-    def __add__(self, other: Union[PadicResidue, Scalar]) -> PadicResidue:
-        o = self._coerce(other)
-        return PadicResidue(self.prime, self.precision, self.residue + o.residue)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Union[PadicResidue, Scalar]) -> PadicResidue:
-        o = self._coerce(other)
-        return PadicResidue(self.prime, self.precision, self.residue - o.residue)
-
-    def __mul__(self, other: Union[PadicResidue, Scalar]) -> PadicResidue:
-        o = self._coerce(other)
-        return PadicResidue(self.prime, self.precision, self.residue * o.residue)
-
-    __rmul__ = __mul__
+        return cls(prime, precision, embed_cyclotomic(value, prime, precision))
 
     def is_unit(self) -> bool:
         return self.residue % self.prime != 0
 
-    def inverse(self) -> PadicResidue:
-        if not self.is_unit():
-            raise ZeroDivisionError(f"{self.residue} is not a unit mod {self.prime}")
-        return PadicResidue(self.prime, self.precision, pow(self.residue, -1, self.modulus))
-
     def valuation(self) -> int:
         """p-adic valuation of the residue, capped at the precision."""
-        if self.residue == 0:
-            return self.precision
-        v, r = 0, self.residue
-        while r % self.prime == 0:
-            r //= self.prime
-            v += 1
-        return v
+        return valuation(self.residue, self.prime, self.precision)
 
     def __repr__(self) -> str:
         return f"{self.residue} (mod {self.prime}^{self.precision})"
+
+
+def valuation(x: int, prime: int, precision: int) -> int:
+    """p-adic valuation of x mod p^precision, capped at the precision."""
+    r = x % prime**precision
+    if r == 0:
+        return precision
+    v = 0
+    while r % prime == 0:
+        r //= prime
+        v += 1
+    return v
 
 
 def padic_unit_root(prime: int, precision: int, order: int) -> int:
@@ -104,19 +77,21 @@ def padic_unit_root(prime: int, precision: int, order: int) -> int:
     return pow(r, prime ** (precision - 1), prime**precision)
 
 
-def embed_cyclotomic(elem, prime: int, precision: int) -> int:
-    """Residue of a cyclotomic element mod p^precision.
+def embed_cyclotomic(value: Union[Scalar, CycElem], prime: int, precision: int) -> int:
+    """Residue of an int, Fraction or cyclotomic element mod p^precision.
 
-    Evaluates the coefficient vector at the canonical unit root of matching
-    order.  Supported exactly when the order divides p-1 (orders 1 and 2
-    always do); anything else is refused rather than approximated.
+    A rational is one coefficient; a cyclotomic element is evaluated at the
+    canonical unit root of its order, which must divide p-1 (orders 1 and 2
+    always do): anything else is refused rather than approximated.
     """
     pk = prime**precision
-    root = padic_unit_root(prime, precision, elem.order)
+    if isinstance(value, CycElem):
+        coeffs, root = value.coeffs, padic_unit_root(prime, precision, value.order)
+    else:
+        coeffs, root = (Fraction(value),), 0
     acc = 0
-    for c in reversed(elem.coeffs):
+    for c in reversed(coeffs):
         if c.denominator % prime == 0:
             raise NonCoprimeDenominator(f"denominator of {c} is divisible by {prime}")
-        value = c.numerator * pow(c.denominator, -1, pk) % pk
-        acc = (acc * root + value) % pk
+        acc = (acc * root + c.numerator * pow(c.denominator, -1, pk)) % pk
     return acc

@@ -20,11 +20,10 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
-from typing import Sequence, Union
+from typing import Sequence
 
 from .characters import DirichletCharacter
 from .chi_eulerian import chi_eulerian, series_reference
-from .cyclotomic import CycElem
 from .errors import (
     BadCongruence,
     NonUnitNormalizer,
@@ -32,9 +31,7 @@ from .errors import (
 )
 from .eulerian import witt_value
 from .numtheory import is_prime
-from .padic import PadicResidue, embed_cyclotomic
-
-Scalar = Union[int, Fraction]
+from .padic import PadicResidue, Scalar, embed_cyclotomic, valuation
 
 
 @dataclass(frozen=True)
@@ -93,14 +90,16 @@ def measure_weight(measure: str, q: Fraction, d: int = 1) -> Fraction:
     raise ValueError(f"unknown measure {measure!r}")
 
 
-def _require_congruence(q: Fraction, p: int) -> None:
+def _check_setup(p: int, q: Fraction, levels: Sequence[int], k: int) -> None:
+    """Refuse what the truncated sums do not cover: p must be an odd prime,
+    k and every level N at least 1, and q = 1 (mod p)."""
+    if not is_prime(p) or p == 2:
+        raise ValueError("p must be an odd prime")
+    if min(levels, default=1) < 1 or k < 1:
+        raise ValueError("N and k must be >= 1")
     delta = q - 1
     if delta.denominator % p == 0 or delta.numerator % p != 0:
         raise BadCongruence(f"q = {q} is not congruent to 1 mod {p}")
-
-
-def _residue(fr: Fraction, p: int, k: int) -> int:
-    return PadicResidue.from_rational(fr, p, k).residue
 
 
 def _values(spec: IntegrandSpec, p: int, k: int):
@@ -110,7 +109,7 @@ def _values(spec: IntegrandSpec, p: int, k: int):
     factor period d, so the product has period lcm(p^k, d).
     """
     pk = p**k
-    offset_res = _residue(spec.offset, p, k) if spec.offset else 0
+    offset_res = embed_cyclotomic(spec.offset, p, k) if spec.offset else 0
     powers = (pow((offset_res + t) % pk, spec.degree, pk) for t in itertools.count(spec.shift))
     chi = spec.character
     if chi is None:
@@ -158,15 +157,11 @@ def _integrals(specs: Sequence[IntegrandSpec], p: int, q: Scalar, measure: str,
     One pass over each integrand's values, up to the deepest level, serves
     every level.
     """
-    if not is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
-    if min(levels) < 1 or k < 1:
-        raise ValueError("N and k must be >= 1")
     qf = Fraction(q)
-    _require_congruence(qf, p)
+    _check_setup(p, qf, levels, k)
     d = next((s.character.modulus for s in specs if s.character is not None), 1)
     pk = p**k
-    w_res = _residue(measure_weight(measure, qf, d), p, k)
+    w_res = embed_cyclotomic(measure_weight(measure, qf, d), p, k)
     counts = [p**N for N in levels]
     inv_norms = []
     for count in counts:
@@ -199,12 +194,6 @@ def admissible_modulus(d: int, p: int) -> bool:
     while d > 1 and p > 1 and d % p == 0:
         d //= p
     return d == 1
-
-
-def _embed_exact(value, p: int, k: int) -> int:
-    if isinstance(value, CycElem):
-        return embed_cyclotomic(value, p, k)
-    return _residue(Fraction(value), p, k)
 
 
 @dataclass(frozen=True)
@@ -247,26 +236,26 @@ def verify_integral_equation(eq: int, f: IntegrandSpec, n: int, p: int, q: Scala
     if n < 1:
         raise ValueError("shift must be >= 1")
     qf = Fraction(q)
+    levels = tuple(sorted(N_list))
+    _check_setup(p, qf, levels, k)
     measure = "-q^-1" if eq == 8 else "-q"
     pk = p**k
 
     sign = -1 if eq == 6 else 1
     rhs_exact = sum((Fraction((-1) ** (n - 1 - l)) * qf**l * f.exact_value(l) for l in range(n)),
                     start=Fraction(0) * f.exact_value(0))
-    rhs = sign * _embed_exact((1 + qf) * rhs_exact, p, k) % pk
+    rhs = sign * embed_cyclotomic((1 + qf) * rhs_exact, p, k) % pk
 
-    qn = _residue(qf**n, p, k)
-    levels = tuple(sorted(N_list))
+    qn = embed_cyclotomic(qf**n, p, k)
     vals = []
     lhs_last = 0
-    if levels:
-        for t_f, t_fn in zip(*_integrals([f, f.shifted(n)], p, qf, measure, levels, k)):
-            if eq == 8:
-                lhs = (t_fn + qn * t_f) % pk
-            else:
-                lhs = sign * (qn * t_fn + (-1) ** (n - 1) * t_f) % pk
-            vals.append(PadicResidue(p, k, lhs - rhs).valuation())
-            lhs_last = lhs
+    for t_f, t_fn in zip(*_integrals([f, f.shifted(n)], p, qf, measure, levels, k)):
+        if eq == 8:
+            lhs = (t_fn + qn * t_f) % pk
+        else:
+            lhs = sign * (qn * t_fn + (-1) ** (n - 1) * t_f) % pk
+        vals.append(valuation(lhs - rhs, p, k))
+        lhs_last = lhs
     monotone = all(a <= b for a, b in zip(vals, vals[1:]))
     passed = bool(vals) and vals[-1] >= k and monotone
     return IntegralEquationReport(eq, f, n, p, qf, k, levels, tuple(vals), lhs_last, rhs, passed)
@@ -314,10 +303,10 @@ def verify_witt_chi(n: int, chi: DirichletCharacter, p: int, q: Scalar, k: int, 
     pk = p**k
     integral = truncated_integral(chi_monomial(chi, n), p, qf, "-q^-1", N, k)
     printed = (Fraction((-1) ** n) / (1 + qf) ** n) * chi_eulerian(n, chi, qf)
-    reference = PadicResidue(p, k, _embed_exact(printed / qf**2 if variant == "corrected" else printed, p, k))
+    reference = PadicResidue(p, k, embed_cyclotomic(printed / qf**2 if variant == "corrected" else printed, p, k))
     ratio = None
     if integral.is_unit():
-        ratio = _embed_exact(printed, p, k) * pow(integral.residue, -1, pk) % pk
+        ratio = embed_cyclotomic(printed, p, k) * pow(integral.residue, -1, pk) % pk
     return WittReport(n, p, qf, k, N, integral, reference, variant, ratio,
                       integral.residue == reference.residue)
 
@@ -354,7 +343,7 @@ def corollary4_min_precision(n: int, chi: DirichletCharacter, p: int, q: Scalar,
     if gap.is_zero():
         return None
     k = floor
-    while _embed_exact(gap, p, k) == 0:
+    while embed_cyclotomic(gap, p, k) == 0:
         k += 1
     return k
 
@@ -371,14 +360,14 @@ def corollary4_probe(n: int, chi: DirichletCharacter, p: int, q: Scalar, k: int,
     if not admissible_modulus(chi.modulus, p):
         raise ValueError(f"modulus {chi.modulus} must be 1 or a power of p = {p}")
     qf = Fraction(q)
-    _require_congruence(qf, p)
+    levels = tuple(sorted(N_list))
+    _check_setup(p, qf, levels, k)
     pk = p**k
     spec = chi_monomial(chi, n)
-    levels = tuple(sorted(N_list))
-    w_res = _residue(-1 / qf, p, k)
+    w_res = embed_cyclotomic(-1 / qf, p, k)
     s_a = series_reference(n, chi, qf)
-    cand_plain = 2 * _embed_exact(s_a, p, k) % pk
-    cand_scaled = cand_plain * _residue(qf**2, p, k) % pk
+    cand_plain = 2 * embed_cyclotomic(s_a, p, k) % pk
+    cand_scaled = cand_plain * embed_cyclotomic(qf**2, p, k) % pk
 
     sums = []
     val_plain = []
@@ -388,8 +377,8 @@ def corollary4_probe(n: int, chi: DirichletCharacter, p: int, q: Scalar, k: int,
     for total in _weighted_sums(itertools.chain([first], values), period, w_res, [p**N for N in levels], pk):
         total = (total - first) % pk
         sums.append(total)
-        val_plain.append(PadicResidue(p, k, total - cand_plain).valuation())
-        val_scaled.append(PadicResidue(p, k, total - cand_scaled).valuation())
+        val_plain.append(valuation(total - cand_plain, p, k))
+        val_scaled.append(valuation(total - cand_scaled, p, k))
     converged: str | None = None
     distinguishable = cand_plain != cand_scaled
     if levels and distinguishable:

@@ -23,6 +23,7 @@ from .chi_eulerian import (
 from .errors import QEulerError
 from .eulerian import eulerian_poly, eulerian_series_coeff
 from .lfunction import mellin_term_check, verify_interpolation
+from .padic import valuation
 from .padic_verify import (
     admissible_modulus,
     corollary4_min_precision,
@@ -208,7 +209,8 @@ def suite_eq16_distribution(opts: SuiteOptions) -> list[VerificationReport]:
 def _witt_fields(result, extra: dict | None = None) -> dict:
     return _padic_valuation(_status(result.passed), result.integral.residue,
                             result.reference.residue, result.precision, extra,
-                            valuation=(result.integral - result.reference).valuation())
+                            valuation=valuation(result.integral.residue - result.reference.residue,
+                                                result.prime, result.precision))
 
 
 def suite_witt(opts: SuiteOptions) -> list[VerificationReport]:

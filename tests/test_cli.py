@@ -156,6 +156,18 @@ class TestExitCodes:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["chars", "list"],
+        ["lfunction", "eval", "--s", "2"],
+        ["padic", "integral", "--n", "1"],
+    ])
+    def test_format_is_refused_where_it_is_not_read(self, capsys, argv):
+        # only verify suite and emit table write csv; elsewhere --format is unknown
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
     def test_identity_failure_is_1(self, capsys):
         code, out = run(capsys, "verify", "suite", "--name", "eq16-distribution",
                         "--variant", "printed", "--max-n", "2", "--modulus", "3", "--q", "2")

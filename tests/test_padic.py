@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qeuler.cyclotomic import CycElem
 from qeuler.errors import CharacterOrderUnsupported, NonCoprimeDenominator
 from qeuler.numtheory import divisors, is_prime, primitive_root
-from qeuler.padic import PadicResidue, embed_cyclotomic, padic_unit_root
+from qeuler.padic import PadicResidue, embed_cyclotomic, padic_unit_root, valuation
 
 primes = st.sampled_from([3, 5, 7])
 precisions = st.integers(1, 8)
@@ -45,19 +45,64 @@ class TestPadicResidue:
         assert PadicResidue(5, 3, 0).valuation() == 3
         assert PadicResidue(5, 3, 3).valuation() == 0
 
-    def test_inverse(self):
-        r = PadicResidue(7, 2, 10)
-        assert (r * r.inverse()).residue == 1
-
     @settings(max_examples=80)
     @given(embeddings())
     def test_embedding_is_ring_homomorphism(self, case):
         p, k, a, b = case
+        pk = p**k
         def emb(x):
-            return PadicResidue.from_rational(x, p, k)
-        assert emb(a + b).residue == (emb(a) + emb(b)).residue
-        assert emb(a * b).residue == (emb(a) * emb(b)).residue
-        assert emb(a - b).residue == (emb(a) - emb(b)).residue
+            return PadicResidue.from_rational(x, p, k).residue
+        assert emb(a + b) == (emb(a) + emb(b)) % pk
+        assert emb(a * b) == emb(a) * emb(b) % pk
+        assert emb(a - b) == (emb(a) - emb(b)) % pk
+
+
+class TestOneResidueMap:
+    @pytest.mark.parametrize("p,k", [(3, 4), (5, 3), (7, 2), (13, 3)])
+    @pytest.mark.parametrize("value", [0, 1, -7, 12, 250])
+    def test_int_fraction_and_cyclotomic_agree(self, p, k, value):
+        # a rational is one coefficient, at order 1 and at every order m | p - 1
+        residue = embed_cyclotomic(value, p, k)
+        assert residue == value % p**k
+        assert embed_cyclotomic(Fraction(value), p, k) == residue
+        for m in divisors(p - 1):
+            assert embed_cyclotomic(CycElem.from_rational(value, m), p, k) == residue, m
+
+    @pytest.mark.parametrize("p,k,value", [(5, 3, Fraction(-1, 7)), (7, 2, Fraction(22, 3)),
+                                           (3, 5, Fraction(1, 2))])
+    def test_fraction_and_cyclotomic_agree(self, p, k, value):
+        residue = embed_cyclotomic(value, p, k)
+        assert residue * value.denominator % p**k == value.numerator % p**k
+        assert PadicResidue.from_rational(value, p, k).residue == residue
+        for m in divisors(p - 1):
+            assert embed_cyclotomic(CycElem.from_rational(value, m), p, k) == residue, m
+
+    def test_non_coprime_message_is_the_same_for_both_inputs(self):
+        messages = []
+        for value in (Fraction(1, 10), CycElem.from_rational(Fraction(1, 10), 4)):
+            with pytest.raises(NonCoprimeDenominator) as exc:
+                embed_cyclotomic(value, 5, 2)
+            messages.append(str(exc.value))
+        assert messages == ["denominator of 1/10 is divisible by 5"] * 2
+
+    def test_valuation_caps_at_the_precision(self):
+        assert valuation(0, 5, 3) == 3
+        assert valuation(125, 5, 3) == 3
+        assert valuation(-125 * 7, 5, 3) == 3
+
+    def test_valuation_reduces_first(self):
+        # -25 = 100 and 25 + 2 * 125 = 275 mod 125
+        assert valuation(-25, 5, 3) == 2
+        assert valuation(25 + 2 * 125, 5, 3) == 2
+        assert valuation(-1, 5, 3) == 0
+        assert valuation(3 + 125, 5, 3) == 0
+
+    @pytest.mark.parametrize("p,k", [(3, 6), (5, 4), (7, 3)])
+    def test_valuation_of_p_power_times_unit(self, p, k):
+        for j in range(k):
+            for unit in (1, 2, p - 1, p + 1, -1):
+                assert valuation(p**j * unit, p, k) == j, (j, unit)
+                assert PadicResidue(p, k, p**j * unit).valuation() == j
 
 
 def newton_unit_root(prime: int, precision: int, order: int) -> int:

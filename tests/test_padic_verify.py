@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qeuler.characters import enumerate_characters, principal_character
 from qeuler.errors import BadCongruence, ParityMismatch
-from qeuler.padic import PadicResidue
+from qeuler.padic import PadicResidue, valuation
 from qeuler.padic_verify import (
     _weighted_sums,
     admissible_modulus,
@@ -149,9 +149,38 @@ class TestIntegralEquations:
             for N in range(1, 8):
                 value = truncated_integral(spec, p, q, "-q^-1", N, k)
                 if previous is not None:
-                    assert (value - previous).valuation() >= min(N - 1 - 2, k)
+                    assert valuation(value.residue - previous.residue, p, k) >= min(N - 1 - 2, k)
                 previous = value
 
+
+
+# Each entry point refuses the same setups: p must be an odd prime, k and every
+# level N at least 1, and q = 1 (mod p).
+_SETUP_CALLS = {
+    "truncated_integral": lambda p, q, k, levels: [
+        truncated_integral(monomial(1), p, q, "-q^-1", N, k) for N in levels],
+    "verify_integral_equation": lambda p, q, k, levels: verify_integral_equation(
+        8, monomial(1), 1, p, q, k, levels),
+    "verify_integral_equation, no level": lambda p, q, k, levels: verify_integral_equation(
+        8, monomial(1), 1, p, q, k, []),
+    "corollary4_probe": lambda p, q, k, levels: corollary4_probe(1, MOD1, p, q, k, levels),
+}
+_BAD_SETUPS = [
+    # (p, q, k, levels, error, message)
+    (2, 3, 3, [2], ValueError, "p must be an odd prime"),
+    (9, 10, 3, [2], ValueError, "p must be an odd prime"),
+    (5, 6, 0, [2], ValueError, "N and k must be >= 1"),
+    (5, 6, 3, [0], ValueError, "N and k must be >= 1"),
+    (5, 7, 3, [2], BadCongruence, "not congruent to 1 mod 5"),
+]
+
+
+@pytest.mark.parametrize("call,p,q,k,levels,error,message", [
+    (call, *setup) for call in sorted(_SETUP_CALLS) for setup in _BAD_SETUPS
+    if not (call.endswith("no level") and setup[3] == [0])])  # no level, so no N = 0
+def test_bad_setup_is_refused_by_every_entry_point(call, p, q, k, levels, error, message):
+    with pytest.raises(error, match=message):
+        _SETUP_CALLS[call](p, q, k, levels)
 
 class TestWeightZeroIntegralRepresentation:
     @pytest.mark.parametrize("p,q,x", [(5, 6, Fraction(1, 3)), (3, 4, Fraction(2, 7)),
