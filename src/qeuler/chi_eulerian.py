@@ -49,7 +49,7 @@ from .characters import DirichletCharacter
 from .cyclotomic import CycElem, cyc_embed
 from .errors import ConvergenceDomain, DegenerateSample, PoleAtMinusOne, PoleQ
 from .eulerian import eulerian_poly
-from .numerics import _pair, _power, _round, alternating_character_sum, choose_truncation, to_mpf
+from .numerics import _pair, _round, alternating_character_sum, choose_truncation, to_mpf
 from .qnumbers import q_number
 
 Scalar = Union[int, Fraction]
@@ -121,7 +121,7 @@ def chi_eulerian_series_check(n: int, chi: DirichletCharacter, q: Scalar, bits: 
     with mp.workprec(bits + 64):
         M, tail = choose_truncation(n, qf, bits - 4)
         prec = mp.prec
-        acc = alternating_character_sum(chi, qf, bits, M, lambda m: _power(m, 0, n, prec))
+        acc = alternating_character_sum(chi, qf, bits, M, lambda m: _round(m**n, 0, prec))
         lhs = cyc_embed(series_reference(n, chi, qf), bits + 32)
         slack = mp.mpf(2) ** (-bits + 8)
         passed = mp.fabs(lhs - acc) <= tail + slack
@@ -143,7 +143,8 @@ def kernel_series_check(n: int, chi: DirichletCharacter, q: Scalar, bits: int = 
         om, oe = _pair(to_mpf(1 + qf)._mpf_, prec)
 
         def term(m):  # (-m (1+q))^n
-            return _power(*_round(-m * om, oe, prec), n, prec)
+            man, exp = _round(-m * om, oe, prec)
+            return _round(man**n, exp * n, prec)
 
         acc = alternating_character_sum(chi, qf, bits, M, term, start=0)
         acc *= to_mpf(qf * (1 + qf))

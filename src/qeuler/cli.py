@@ -40,33 +40,38 @@ def _checked(kind: str, parse, ok=None):
 _POSITIVE_INT = _checked("a positive integer", int, lambda v: v > 0)
 
 
-def _s_value(text: str) -> tuple[str, complex]:
-    """--s as its text (echoed in the output) and the complex s it names."""
+def _s_value(text: str) -> tuple[str, object]:
+    """--s as its text (echoed in the output) and the exact s it names: a
+    Fraction, or a (re, im) pair of them.  An s too large for a complex float
+    is refused, since ``l_eulerian`` overflows on it."""
     parts = parse_q_list(text)
     if len(parts) not in (1, 2):
         raise ValueError(f"{text!r} has {len(parts)} parts")
-    return text, complex(*parts)
+    complex(*parts)
+    return text, parts[0] if len(parts) == 1 else tuple(parts)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=None)
-    parser.add_argument("--max-n", type=int, default=None)
-    parser.add_argument("--modulus", type=_checked("an odd positive modulus", int,
-                                                   lambda d: d > 0 and d % 2 == 1), default=None)
-    parser.add_argument("--char", type=int, default=None)
-    parser.add_argument("--q", type=_checked("a comma list of rationals", parse_q_list),
-                        default=None, help="comma list of rationals a/b")
-    parser.add_argument("--p", type=_checked("a comma list of odd primes", parse_int_list,
-                                             lambda ps: all(p > 2 and is_prime(p) for p in ps)),
-                        default=None, help="comma list of odd primes")
-    parser.add_argument("--precision", type=_POSITIVE_INT, default=None, help="p-adic precision k")
-    parser.add_argument("--bits", type=_checked("an integer >= 64", int, lambda v: v >= 64),
-                        default=None)
-    parser.add_argument("--levels", type=_checked("a comma list of positive integers", parse_int_list,
-                                                  lambda ns: all(n > 0 for n in ns)),
-                        default=None, help="comma list of levels N")
-    parser.add_argument("--variant", choices=("printed", "corrected"), default=None)
-    parser.add_argument("--out", type=str, default=None)
+_COMMON = {
+    "n": dict(type=int),
+    "max-n": dict(type=int),
+    "modulus": dict(type=_checked("an odd positive modulus", int, lambda d: d > 0 and d % 2 == 1)),
+    "char": dict(type=int),
+    "q": dict(type=_checked("a comma list of rationals", parse_q_list), help="comma list of rationals a/b"),
+    "p": dict(type=_checked("a comma list of odd primes", parse_int_list,
+                            lambda ps: all(p > 2 and is_prime(p) for p in ps)), help="comma list of odd primes"),
+    "precision": dict(type=_POSITIVE_INT, help="p-adic precision k"),
+    "bits": dict(type=_checked("an integer >= 64", int, lambda v: v >= 64)),
+    "levels": dict(type=_checked("a comma list of positive integers", parse_int_list,
+                                 lambda ns: all(n > 0 for n in ns)), help="comma list of levels N"),
+    "variant": dict(choices=("printed", "corrected")),
+    "out": dict(type=str),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Register the common flags that the command reads, with --out on every one."""
+    for flag in (*flags, "out"):
+        parser.add_argument(f"--{flag}", default=None, **_COMMON[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,41 +81,41 @@ def build_parser() -> argparse.ArgumentParser:
     eulerian = sub.add_parser("eulerian", help="classical and character-attached values")
     eulerian_sub = eulerian.add_subparsers(dest="subcommand", required=True)
     classical = eulerian_sub.add_parser("classical")
-    _add_common(classical)
+    _add_common(classical, "n", "max-n")
     chi = eulerian_sub.add_parser("chi")
-    _add_common(chi)
+    _add_common(chi, "n", "modulus", "char", "q")
 
     chars = sub.add_parser("chars", help="character enumeration and conductors")
     chars_sub = chars.add_subparsers(dest="subcommand", required=True)
     chars_list = chars_sub.add_parser("list")
-    _add_common(chars_list)
+    _add_common(chars_list, "modulus")
     chars_cond = chars_sub.add_parser("conductor")
-    _add_common(chars_cond)
+    _add_common(chars_cond, "modulus", "char")
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify_sub = verify.add_subparsers(dest="subcommand", required=True)
     suite = verify_sub.add_parser("suite")
     suite.add_argument("--name", required=True, choices=sorted(SUITES))
-    _add_common(suite)
+    _add_common(suite, "n", "max-n", "modulus", "char", "q", "p", "precision", "bits", "levels", "variant")
 
     lfun = sub.add_parser("lfunction", help="numeric L-values")
     lfun_sub = lfun.add_subparsers(dest="subcommand", required=True)
     lfun_eval = lfun_sub.add_parser("eval")
     lfun_eval.add_argument("--s", type=_checked("a rational s or re,im", _s_value),
                            required=True, help="rational s, or re,im")
-    _add_common(lfun_eval)
+    _add_common(lfun_eval, "modulus", "char", "q", "bits")
 
     padic = sub.add_parser("padic", help="truncated fermionic integrals")
     padic_sub = padic.add_subparsers(dest="subcommand", required=True)
     integral = padic_sub.add_parser("integral")
     integral.add_argument("--measure", choices=MEASURES, default="-q^-1")
-    _add_common(integral)
+    _add_common(integral, "n", "modulus", "char", "q", "p", "precision", "levels")
 
     emit = sub.add_parser("emit", help="emit value tables")
     emit_sub = emit.add_subparsers(dest="subcommand", required=True)
     table = emit_sub.add_parser("table")
     table.add_argument("--kind", required=True, choices=KINDS)
-    _add_common(table)
+    _add_common(table, "n", "max-n", "modulus", "char", "q", "bits")
     for formatted in (suite, table):  # the only commands that read --format
         formatted.add_argument("--format", choices=("json", "csv"), default="json")
 

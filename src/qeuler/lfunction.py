@@ -175,20 +175,18 @@ def _inverse_powers(s, M: int):
     ``alternating_character_sum``: (man, exp) at real s, (re_man, re_exp,
     im_man, im_exp) otherwise.
 
-    One ``mpc_pow`` per prime p <= M, kept for p <= M/2; a composite is the
-    product of its prime factors' powers, each product exact and rounded once
-    as ``mpc_mul`` rounds it, at most log2(M) more roundings than
-    ``mp.power``.  At real s every power is real (imaginary part fzero), so
-    only the real parts are multiplied: the same roundings in fewer operations.
-    At s = -n with M^n below 2^prec (n <= prec is tested first, so that
-    M**n stays small) every prime power and product is exact, and m^n is
-    returned as (m**n, 0): the same values with no powers or products.
+    At s = -n every m^n is the exact integer rounded once.  Otherwise one
+    ``mpc_pow`` per prime p <= M, kept for p <= M/2; a composite is the
+    product of its prime factors' powers, each product exact and rounded once,
+    at most log2(M) more roundings than ``mp.power``.  At real s every power
+    is real (imaginary part fzero), so only the real parts are multiplied.
     """
     prec = mp.prec
     w = mpc_neg(s._mpc_)
     real = w[1] == fzero
-    if real and s.real <= 0 and mp.isint(s.real) and (n := int(-s.real)) <= prec and M**n >> prec == 0:
-        return lambda m: (m**n, 0)
+    if real and s.real <= 0 and mp.isint(s.real):
+        n = int(-s.real)
+        return lambda m: _round(m**n, 0, prec)
     spf = smallest_prime_factors(M)
     powers = {}
 

@@ -2,21 +2,20 @@
 and the alternating character series they all sum.
 
 The series runs on signed integer (mantissa, exponent) pairs, value
-man * 2^exp.  Each product or sum is formed exactly in Python integers and
-rounded once, to nearest with ties to even, which is how mpmath's libmp
-rounds the same operation; the one exception, mpf_add's sticky rule for
-operands wider than the precision, is copied in ``_add_wide``.  ``_round``
-and ``_add`` state the rule; the series loop does the same in straight-line
-integer code, since it rounds up to seven times per term.  It has one body
-for every term: the shape of each term picks how chi(m) * term(m) is formed,
-and both shapes share the rest, which skips the parts that are exactly zero.
+man * 2^exp, under one rule: every product, sum and power is formed exactly
+in Python integers and rounded once, to nearest with ties to even.  ``_round``
+states the rule and ``_add`` and ``_cmul`` apply it; the series loop does the
+same in straight-line integer code, since it rounds up to seven times per
+term.  It has one body for every term: the shape of each term picks how
+chi(m) * term(m) is formed, and both shapes share the rest, which skips the
+parts that are exactly zero.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, mpf_pow_int, round_nearest
+from mpmath.libmp import from_man_exp
 
 from .cyclotomic import cyc_embed
 from .errors import ConvergenceDomain
@@ -93,55 +92,18 @@ def _round(man: int, exp: int, prec: int) -> tuple[int, int]:
 
 
 def _add(am: int, ae: int, bm: int, be: int, prec: int) -> tuple[int, int]:
-    """am * 2^ae + bm * 2^be, aligned exactly and rounded once.
-
-    That is how ``mpf_add`` rounds operands of at most prec bits, such as the
-    accumulator and a rounded term; ``_add_wide`` takes wider ones.
-    """
+    """am * 2^ae + bm * 2^be, aligned exactly and rounded once."""
     if ae > be:
         return _round((am << (ae - be)) + bm, be, prec)
     return _round(am + (bm << (be - ae)), ae, prec)
 
 
-def _add_wide(am: int, ae: int, bm: int, be: int, prec: int) -> tuple[int, int]:
-    """``_add`` for operands wider than prec bits, such as exact products,
-    rounded as ``mpf_add`` rounds them.
-
-    mpf_add lets an operand whose top bit is more than prec + 4 bits below the
-    other's, and whose lowest set bit is more than 100 bits below the other's,
-    count only as a sticky bit.  When the larger operand has more than prec
-    bits, that can round differently from the exact sum.
-    """
-    if am and bm:
-        gap = am.bit_length() + ae - bm.bit_length() - be
-        if gap < 0:
-            am, ae, bm, be, gap = bm, be, am, ae, -gap
-        if gap > prec + 4 and (ae + (am & -am).bit_length()) - (be + (bm & -bm).bit_length()) > 100:
-            return _round((am << (prec + 4)) + (1 if bm > 0 else -1), ae - prec - 4, prec)
-    return _add(am, ae, bm, be, prec)
-
-
 def _cmul(a: tuple, b: tuple, prec: int) -> tuple:
-    """The product of two complex (re_man, re_exp, im_man, im_exp) values as
-    ``mpc_mul`` rounds it: each part from exact products, added by ``_add_wide``."""
+    """The product of two complex (re_man, re_exp, im_man, im_exp) values, each
+    part the exact sum of two exact products, rounded once by ``_add``."""
     am, ae, bm, be = a
     cm, ce, dm, de = b
-    return (*_add_wide(am * cm, ae + ce, -bm * dm, be + de, prec),
-            *_add_wide(am * dm, ae + de, bm * cm, be + ce, prec))
-
-
-def _power(man: int, exp: int, n: int, prec: int) -> tuple[int, int]:
-    """(man * 2^exp)^n for n >= 0, rounded as ``mpf_pow_int`` rounds it.
-
-    That is the exact power rounded once when n <= 2, the odd part of man is
-    +-1 or it has fewer than 1000 / n bits.  Beyond that mpf_pow_int rounds
-    on the way, so it computes the value itself.
-    """
-    if n > 2 and man.bit_length() * n >= 1000:
-        odd = man >> ((man & -man).bit_length() - 1)
-        if abs(odd) > 1 and odd.bit_length() * n >= 1000:
-            return _pair(mpf_pow_int(from_man_exp(man, exp), n, prec, round_nearest), prec)
-    return _round(man**n, exp * n, prec)
+    return (*_add(am * cm, ae + ce, -bm * dm, be + de, prec), *_add(am * dm, ae + de, bm * cm, be + ce, prec))
 
 
 def _pair(x: tuple, prec: int) -> tuple[int, int]:
@@ -161,19 +123,18 @@ def alternating_character_sum(chi, q: Fraction, bits: int, M: int, term, start: 
     Rounding contract.  chi is embedded at bits + 32, and (-1)^m chi(m) is
     rounded to nearest at mp.prec once per class of m mod 2d.  Each term is
     then ((-1)^m chi(m) * term(m)) * q^{-m} and is added to the accumulator,
-    with q^{-m} built by repeated multiplication.  Every product and sum is
-    computed exactly in integers and rounded once at mp.prec, as mpmath's
-    number types round the same operations in the same order, so the sum is
-    bit for bit that of the mpc expression (-1)**m * chi(m) * term(m) * q**-m
-    (the term-by-term oracle in tests/test_lfunction.py).  The loop has one
-    body, which rounds and adds inline, as ``_round`` and ``_add`` do.  The
-    shape of each term picks how chi(m) * term(m) is formed: a real term
-    takes Re chi(m) * term(m) and Im chi(m) * term(m), each rounded once, and
-    a complex one calls ``_cmul``, whose exact parts can be wider than mp.prec,
-    for ``_add_wide``'s sticky rule.  Both parts then go through the same
-    product with q^{-m} and add.  Terms with chi(m) = 0 are skipped, and so is
-    each part that is exactly zero: a rounded sum depends only on the value,
-    so adding an exact zero would leave the accumulator's value unchanged.
+    with q^{-m} built by repeated multiplication.  Every product and sum,
+    complex ones included, is computed exactly in integers and rounded once at
+    mp.prec, so the sum is bit for bit that of the term-by-term oracle in
+    tests/test_lfunction.py, which evaluates the same expression in mpmath's
+    numbers and rounds each exact product once.  The loop has one body, which
+    rounds and adds inline, as ``_round`` and ``_add`` do.  The shape of each
+    term picks how chi(m) * term(m) is formed: a real term takes
+    Re chi(m) * term(m) and Im chi(m) * term(m), each rounded once, and a
+    complex one calls ``_cmul``.  Both parts then go through the same product
+    with q^{-m} and add.  Terms with chi(m) = 0 are skipped, and so is each
+    part that is exactly zero: a rounded sum depends only on the value, so
+    adding an exact zero would leave the accumulator's value unchanged.
     """
     if bits < 64:
         raise ValueError("bits must be >= 64")

@@ -23,7 +23,7 @@ from qeuler.suites import SUITES
 from qeuler.tables import KINDS
 from qeuler.lfunction import l_eulerian
 from qeuler.padic_verify import MEASURES
-from qeuler.serialize import decimal_digits, parse_rational, parse_value, render_value
+from qeuler.serialize import decimal_digits, parse_rational, parse_value, render_l_value, render_value
 
 
 def run(capsys, *argv):
@@ -74,6 +74,19 @@ class TestBasicCommands:
         spaced = run(capsys, "emit", "table", "--kind", "weight-zero-euler", "--q", "-1/2")
         assert spaced[0] == 0
         assert spaced == run(capsys, "emit", "table", "--kind", "weight-zero-euler", "--q=-1/2")
+
+    @pytest.mark.parametrize("s,exact", [("1/3", Fraction(1, 3)), ("1/10,14", (Fraction(1, 10), Fraction(14)))])
+    def test_lfunction_eval_takes_s_exactly(self, capsys, s, exact):
+        # 1/3 and 1/10 are not doubles; summed at the nearest double, the value is wrong
+        # from the 17th digit, far above the 1.8e-39 tail bound
+        code, out = run(capsys, "lfunction", "eval", "--s", s, "--modulus", "3", "--char", "1", "--q", "2")
+        assert code == 0
+        row = json.loads(out)
+        chi = character_by_index(3, 1)
+        want = render_l_value(l_eulerian(exact, chi, Fraction(2), 128))
+        assert {key: row[key] for key in want} == want
+        nearest_double = complex(*exact) if isinstance(exact, tuple) else complex(exact)
+        assert render_l_value(l_eulerian(nearest_double, chi, Fraction(2), 128)) != want
 
     def test_lfunction_eval_at_q_one(self, capsys):
         # q = 1 converges only for Re s > 0, where the accelerated route sums it
@@ -134,6 +147,23 @@ USAGE_PROBES = [
 ]
 
 
+# The common flags, each with a valid value, and the ones each command reads besides --out.
+# verify suite reads them all; any other (command, flag) pair is a usage error.
+COMMON_FLAGS = {"n": "1", "max-n": "1", "modulus": "3", "char": "0", "q": "2", "p": "5", "precision": "2",
+                "bits": "64", "levels": "2", "variant": "printed"}
+READ_FLAGS = {
+    "eulerian classical": {"n", "max-n"},
+    "eulerian chi": {"n", "modulus", "char", "q"},
+    "chars list": {"modulus"},
+    "chars conductor": {"modulus", "char"},
+    "lfunction eval --s 2": {"modulus", "char", "q", "bits"},
+    "padic integral": {"n", "modulus", "char", "q", "p", "precision", "levels"},
+    "emit table --kind classical": {"n", "max-n", "modulus", "char", "q", "bits"},
+}
+UNREAD_FLAGS = [(command, flag) for command, read in READ_FLAGS.items() for flag in COMMON_FLAGS
+                if flag not in read]
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("probe", USAGE_PROBES)
     def test_bad_flag_value_is_usage_error(self, probe):
@@ -167,6 +197,13 @@ class TestExitCodes:
             main(argv + ["--format", "csv"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
+    def test_a_common_flag_is_refused_where_it_is_not_read(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(command.split() + [f"--{flag}", COMMON_FLAGS[flag]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
 
     def test_identity_failure_is_1(self, capsys):
         code, out = run(capsys, "verify", "suite", "--name", "eq16-distribution",

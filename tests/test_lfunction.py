@@ -1,5 +1,4 @@
 """Numeric Eulerian L-values, interpolation at negative integers, Mellin terms."""
-import operator
 from fractions import Fraction
 from functools import reduce
 from math import comb
@@ -7,7 +6,7 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, mpf_add, mpf_mul, mpf_neg, mpf_pos, round_nearest
 
 from qeuler.characters import character_by_index, enumerate_characters, principal_character
 from qeuler.chi_eulerian import chi_eulerian, chi_eulerian_series_check, kernel_series_check
@@ -15,7 +14,7 @@ from qeuler.cyclotomic import cyc_embed
 from qeuler.errors import ConvergenceDomain, DomainError
 from qeuler.lfunction import (_accelerated, _chebyshev_weights, _inverse_powers, _partial_sum, _working_prec,
                               l_eulerian, mellin_term_check, verify_interpolation)
-from qeuler.numerics import _pair, _power, _round, alternating_character_sum, choose_truncation, to_mpc, to_mpf
+from qeuler.numerics import _pair, _round, alternating_character_sum, choose_truncation, to_mpc, to_mpf
 from qeuler.numtheory import phi
 
 QUAD3 = enumerate_characters(3)[1]
@@ -164,11 +163,29 @@ class TestMellinTerm:
             mellin_term_check(Fraction(-1), 1, 2, 64)
 
 
+def mul_once(x, y):
+    """x * y for mpc x and y, each part formed exactly and rounded once at mp.prec.
+
+    mpc_mul can round a part differently: mpf_add lets a much smaller exact
+    product count only as a sticky bit."""
+    (a, b), (c, d) = mp.mpc(x)._mpc_, mp.mpc(y)._mpc_
+    re = mpf_add(mpf_mul(a, c), mpf_neg(mpf_mul(b, d)), 0)
+    im = mpf_add(mpf_mul(a, d), mpf_mul(b, c), 0)
+    return mp.make_mpc((mpf_pos(re, mp.prec, round_nearest), mpf_pos(im, mp.prec, round_nearest)))
+
+
+def power_once(x, n):
+    """x^n for an mpf x and n >= 0, formed exactly and rounded once at mp.prec,
+    where mpf_pow_int rounds on the way once the exact power has 1,000 bits."""
+    sign, man, exp, _ = x._mpf_
+    return mp.make_mpf(from_man_exp((-man if sign else man) ** n, exp * n, mp.prec, round_nearest))
+
+
 def term_by_term(chi, q, bits, M, term, start=1):
     """The alternating character series as a plain mpc loop: chi embedded at
     bits + 32 and every term (-1)^m * chi(m) * term(m) * q^{-m} evaluated with
-    mpmath's number types.  ``alternating_character_sum`` must agree with it
-    bit for bit."""
+    mpmath's number types, the complex product chi(m) * term(m) by ``mul_once``.
+    ``alternating_character_sum`` must agree with it bit for bit."""
     d = max(chi.modulus, 1)
     table = [cyc_embed(chi(a), bits + 32) for a in range(d)]
     qinv = to_mpf(1 / Fraction(q))
@@ -177,7 +194,7 @@ def term_by_term(chi, q, bits, M, term, start=1):
     for m in range(M + 1):
         cval = table[m % d]
         if m >= start and cval:
-            acc += (-1) ** m * cval * term(m) * weight
+            acc += mul_once((-1) ** m * cval, term(m)) * weight
         weight *= qinv
     return acc
 
@@ -207,7 +224,7 @@ def prime_factors(m):
 def multiplicative_powers(s_val):
     """m -> m^{-s} as mpc: ``mp.mpc(p) ** -s`` once per prime, a composite the
     product of its prime factors' powers from the smallest up, each product
-    one mpc multiplication."""
+    one ``mul_once``."""
     cache = {}
 
     def prime_power(p):
@@ -215,7 +232,7 @@ def multiplicative_powers(s_val):
             cache[p] = mp.mpc(p) ** -s_val
         return cache[p]
 
-    return lambda m: reduce(operator.mul, map(prime_power, prime_factors(m)), mp.mpc(1))
+    return lambda m: reduce(mul_once, map(prime_power, prime_factors(m)), mp.mpc(1))
 
 
 def largest_order_character(d):
@@ -238,7 +255,7 @@ class TestTermByTermOracle:
                 M, _ = choose_truncation(n, q, bits - 4)
                 series = term_by_term(chi, q, bits, M, lambda m: mp.mpf(m) ** n)
                 opq = to_mpf(1 + q)
-                kernel = term_by_term(chi, q, bits, M, lambda m: (-(mp.mpf(m)) * opq) ** n, start=0)
+                kernel = term_by_term(chi, q, bits, M, lambda m: power_once(-(mp.mpf(m)) * opq, n), start=0)
                 kernel *= to_mpf(q * (1 + q))
             assert chi_eulerian_series_check(n, chi, q, bits).rhs._mpc_ == series._mpc_
             assert kernel_series_check(n, chi, q, bits).rhs._mpc_ == kernel._mpc_
@@ -252,23 +269,25 @@ class TestTermByTermOracle:
     def test_long_real_parts_are_bit_identical(self, d):
         # on ORACLE_GRID every chi(m) has real part 0, +-1 or +-1/2, so chi(m) * term(m)
         # is exact for short terms; orders 10 and 12 give long ones.  At n = 9 the
-        # kernel's (-m(1+q))^9 takes mpf_pow_int's rounding on the way.
+        # kernel's (-m(1+q))^9 has over 1,000 bits before it is rounded.
         chi = largest_order_character(d)
         self.assert_real_terms_bit_identical(chi, Fraction(11, 10), 128, (0, 3, 9))
 
     @pytest.mark.parametrize("n", [0, 14, 16])
     def test_exact_powers_end_where_m_to_the_n_outgrows_the_precision(self, n):
         # at 64 bits (working precision 128) and q = 2 the series runs to M = 64, 240 and 272:
-        # 240^14 has 111 bits and m^n is exact, 272^16 has 130 and m^-s comes from prime powers
+        # 240^14 has 111 bits and 272^16 has 130, and on both sides of the precision m^n is
+        # the exact power rounded once
         q, bits = Fraction(2), 64
         with mp.workprec(bits + 64):
+            prec = mp.prec
             M, _ = choose_truncation(n, q, bits - 4)
-            assert ((M**n).bit_length() <= mp.prec) == (n < 16)
-            if n:  # the exact case returns (2^n, 0); a prime power comes normalized as (1, n)
-                assert (_inverse_powers(mp.mpc(-n), M)(2) == (2**n, 0)) == (n < 16)
+            assert ((M**n).bit_length() <= prec) == (n < 16)
+            power = _inverse_powers(mp.mpc(-n), M)
+            assert all(power(m) == _round(m**n, 0, prec) for m in range(1, M + 1))
         for d in (1, 3, 5, 7, 11):
             chi = largest_order_character(d)
-            reference = oracle_l_value(-n, chi, q, bits, multiplicative_powers)
+            reference = oracle_l_value(-n, chi, q, bits, lambda s_val: lambda m: mp.mpf(m) ** n)
             assert l_eulerian(-n, chi, q, bits).value._mpc_ == reference._mpc_
 
     @pytest.mark.parametrize("d,q,bits", ORACLE_GRID)
@@ -323,7 +342,7 @@ def kernel_cases(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(kernel_cases())
-# a real character, and an order-12 one, with (-m(1+q))^12 on mpf_pow_int's rounding-on-the-way branch
+# a real character, and an order-12 one, with (-m(1+q))^12 of over 1,000 bits before it is rounded
 @example((next(c for c in enumerate_characters(5) if c.order == 2), Fraction(11, 10), 128, 200, 0,
           "(-m(1+q))^n", 12, 0, 0j))
 @example((largest_order_character(13), Fraction(21, 20), 256, 200, 1, "m^n + i(-m(1+q))^k", 3, 12, 0j))
@@ -352,20 +371,21 @@ def test_kernel_matches_term_by_term(case):
         om, oe = _pair(opq._mpf_, prec)
 
         def kernel_pair(m, e):  # (-m(1+q))^e as kernel_series_check forms it
-            return _power(*_round(-m * om, oe, prec), e, prec)
+            man, exp = _round(-m * om, oe, prec)
+            return _round(man**e, exp * e, prec)
 
         def kernel_value(m, e):
-            return (-(mp.mpf(m)) * opq) ** e
+            return power_once(-(mp.mpf(m)) * opq, e)
 
         if shape == "m^-s":
             s_val = to_mpc(s)
             pair, value = _inverse_powers(s_val, M), multiplicative_powers(s_val)
         elif shape == "m^n":
-            pair, value = (lambda m: _power(m, 0, n, prec)), (lambda m: mp.mpf(m) ** n)
+            pair, value = (lambda m: _round(m**n, 0, prec)), (lambda m: mp.mpf(m) ** n)
         elif shape == "(-m(1+q))^n":
             pair, value = (lambda m: kernel_pair(m, n)), (lambda m: kernel_value(m, n))
         else:
-            pair = lambda m: (*_power(m, 0, n, prec), *kernel_pair(m, k))
+            pair = lambda m: (*_round(m**n, 0, prec), *kernel_pair(m, k))
             value = lambda m: mp.mpc(mp.mpf(m) ** n, kernel_value(m, k))
         got = alternating_character_sum(chi, q, bits, M, pair, start)
         want = term_by_term(chi, q, bits, M, value, start)

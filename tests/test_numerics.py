@@ -1,14 +1,14 @@
 """The integer (mantissa, exponent) arithmetic of the alternating character
-series against the libmp operations of mpmath, which it must round alike."""
+series against mpmath's libmp: each operation formed exactly, then rounded once."""
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
-from mpmath.libmp import from_man_exp, mpc_mul, mpf_add, mpf_mul, mpf_pow_int, round_nearest
+from mpmath.libmp import from_man_exp, mpc_mul, mpf_add, mpf_mul, mpf_neg, mpf_pos, mpf_pow_int, round_nearest
 
 from qeuler.errors import ConvergenceDomain, QEulerError
-from qeuler.numerics import _add, _add_wide, _cmul, _power, _round, choose_truncation
+from qeuler.numerics import _add, _cmul, _round, choose_truncation
 
 precs = st.integers(64, 400)
 exps = st.integers(-2000, 2000)
@@ -16,6 +16,11 @@ exps = st.integers(-2000, 2000)
 
 def exact(pair):
     return from_man_exp(*pair)
+
+
+def rounded_once(x, prec):
+    """An exact raw mpf rounded to prec bits, to nearest with ties to even."""
+    return mpf_pos(x, prec, round_nearest)
 
 
 def assert_rounded(pair, prec):
@@ -62,6 +67,12 @@ class TestRound:
         assert got[0] * 2 ** got[1] == want * 2 ** (man.bit_length() - 4)
 
 
+# Operands where mpf_add and mpc_mul round differently from the exact result (see below)
+STICKY_SUM = (64, [((2**65 - 1) * (2**70 - 1), 158), ((2**102 - 1) * (2**64 + 1), 57)])
+STICKY_PRODUCTS = [(64, [(2**65 - 1, 0), (2**102 - 1, 0), (2**70 - 1, 158), (-(2**64) - 1, 57)]),
+                   (64, [(1 - 2**65, 0), (1 - 2**102, 0), (-(2**64) - 1, 57), (1 - 2**70, 158)])]
+
+
 class TestPairArithmetic:
     @settings(max_examples=300, deadline=None)
     @given(operands(2), st.booleans())
@@ -78,17 +89,20 @@ class TestPairArithmetic:
     @settings(max_examples=300, deadline=None)
     @given(operands(2), st.booleans())
     # the top of 2^135 - 2^70 - 2^65 + 1 rounds down alone and up with the 2^65-sized
-    # addend, which sits 70 bits lower and 101 bits lower at its lowest bit: mpf_add
-    # lets the addend count as a sticky bit and rounds down
-    @example((64, [((2**65 - 1) * (2**70 - 1), 158), ((2**102 - 1) * (2**64 + 1), 57)]), False)
+    # addend, which sits 70 bits lower and 101 bits lower at its lowest bit: the exact
+    # sum rounds up, while mpf_add lets the addend count as a sticky bit and rounds down
+    @example(STICKY_SUM, False)
     @example((64, [(3 * 2**200, 0), (-(2**99), -150)]), True)
     def test_add_of_wide_operands_matches_mpf_add(self, case, cancel):
         prec, [(am, ae), (bm, be)] = case
         if cancel:
             bm, be = -am, ae
-        got = _add_wide(am, ae, bm, be, prec)
+        got = _add(am, ae, bm, be, prec)
         assert_rounded(got, prec)
-        assert exact(got) == mpf_add(from_man_exp(am, ae), from_man_exp(bm, be), prec, round_nearest)
+        x, y = from_man_exp(am, ae), from_man_exp(bm, be)
+        assert exact(got) == rounded_once(mpf_add(x, y, 0), prec)
+        if case == STICKY_SUM and not cancel:
+            assert exact(got) != mpf_add(x, y, prec, round_nearest)
 
     @settings(max_examples=300, deadline=None)
     @given(operands(2))
@@ -100,26 +114,33 @@ class TestPairArithmetic:
     @settings(max_examples=300, deadline=None)
     @given(operands(4), st.booleans())
     # each part adds the two products of the wide-operand example above
-    @example((64, [(2**65 - 1, 0), (2**102 - 1, 0), (2**70 - 1, 158), (-(2**64) - 1, 57)]), False)
-    @example((64, [(1 - 2**65, 0), (1 - 2**102, 0), (-(2**64) - 1, 57), (1 - 2**70, 158)]), False)
+    @example(STICKY_PRODUCTS[0], False)
+    @example(STICKY_PRODUCTS[1], False)
     def test_complex_product_matches_mpc_mul(self, case, cancel):
         prec, [a, b, c, d] = case
         if cancel:  # (a + bi)(b + ai): the real part a b - b a cancels to zero
             c, d = b, a
         got = _cmul((*a, *b), (*c, *d), prec)
-        want = mpc_mul((exact(a), exact(b)), (exact(c), exact(d)), prec, round_nearest)
+        a, b, c, d = map(exact, (a, b, c, d))
+        want = (rounded_once(mpf_add(mpf_mul(a, c), mpf_neg(mpf_mul(b, d)), 0), prec),
+                rounded_once(mpf_add(mpf_mul(a, d), mpf_mul(b, c), 0), prec))
         assert (exact(got[:2]), exact(got[2:])) == want
+        if case in STICKY_PRODUCTS and not cancel:
+            assert (exact(got[:2]), exact(got[2:])) != mpc_mul((a, b), (c, d), prec, round_nearest)
 
     @settings(max_examples=200, deadline=None)
     @given(precs, st.integers(-(2**150), 2**150), st.integers(-50, 50), st.integers(0, 40))
     @example(128, 3**90, 0, 12)  # 143 bits: a 12th power takes mpmath's rounding-on-the-way branch
     @example(128, -(2**40), 3, 30)  # odd part 1: exact at any n
-    # (2^252 + 1)^4 = 2^1008 + 2^758 + ... lies above a tie at 250 bits, but mpf_pow_int
-    # truncates the low terms on the way and rounds the tie to even, down to 2^1008
+    # (2^252 + 1)^4 = 2^1008 + 2^758 + ... lies above a tie at 250 bits and rounds up,
+    # but mpf_pow_int truncates the low terms on the way and rounds the tie to even,
+    # down to 2^1008
     @example(250, 2**252 + 1, 0, 4)
     def test_power_matches_mpf_pow_int(self, prec, man, exp, n):
-        got = _power(man, exp, n, prec)
-        assert exact(got) == mpf_pow_int(from_man_exp(man, exp), n, prec, round_nearest)
+        got = _round(man**n, exp * n, prec)
+        assert exact(got) == rounded_once(from_man_exp(man**n, exp * n), prec)
+        if (prec, man, exp, n) == (250, 2**252 + 1, 0, 4):
+            assert exact(got) != mpf_pow_int(from_man_exp(man, exp), n, prec, round_nearest)
 
 
 class TestChooseTruncation:
