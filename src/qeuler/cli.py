@@ -6,7 +6,6 @@ value rejected while parsing arguments), 3 precision/convergence failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from functools import cache
@@ -21,7 +20,7 @@ from .numtheory import is_prime, phi
 from .padic_verify import chi_monomial, monomial, truncated_integral, MEASURES
 from .serialize import parse_int_list, parse_q_list, render_l_value, render_rational, render_value
 from .suites import SUITES, SuiteOptions, run_suite
-from .tables import KINDS, TableOptions, build_table, render_table
+from .tables import KINDS, TableOptions, build_table
 
 
 def _checked(kind: str, parse, ok=None):
@@ -68,57 +67,40 @@ _COMMON = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser, *flags: str) -> None:
-    """Register the common flags that the command reads, with --out on every one."""
-    for flag in (*flags, "out"):
-        parser.add_argument(f"--{flag}", default=None, **_COMMON[flag])
+# (command, subcommand) -> (help of the command, the common flags it reads besides --out)
+_COMMANDS = {
+    ("eulerian", "classical"): ("classical and character-attached values", ("n", "max-n")),
+    ("eulerian", "chi"): ("classical and character-attached values", ("n", "modulus", "char", "q")),
+    ("chars", "list"): ("character enumeration and conductors", ("modulus",)),
+    ("chars", "conductor"): ("character enumeration and conductors", ("modulus", "char")),
+    ("verify", "suite"): ("run a verification suite", tuple(flag for flag in _COMMON if flag != "out")),
+    ("lfunction", "eval"): ("numeric L-values", ("modulus", "char", "q", "bits")),
+    ("padic", "integral"): ("truncated fermionic integrals",
+                            ("n", "modulus", "char", "q", "p", "precision", "levels")),
+    ("emit", "table"): ("emit value tables", ("n", "max-n", "modulus", "char", "q", "bits")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qeuler")
     sub = parser.add_subparsers(dest="command", required=True)
+    groups, leaves = {}, {}
+    for (command, subcommand), (help_text, _) in _COMMANDS.items():
+        if command not in groups:
+            group = sub.add_parser(command, help=help_text)
+            groups[command] = group.add_subparsers(dest="subcommand", required=True)
+        leaves[command, subcommand] = groups[command].add_parser(subcommand)
 
-    eulerian = sub.add_parser("eulerian", help="classical and character-attached values")
-    eulerian_sub = eulerian.add_subparsers(dest="subcommand", required=True)
-    classical = eulerian_sub.add_parser("classical")
-    _add_common(classical, "n", "max-n")
-    chi = eulerian_sub.add_parser("chi")
-    _add_common(chi, "n", "modulus", "char", "q")
-
-    chars = sub.add_parser("chars", help="character enumeration and conductors")
-    chars_sub = chars.add_subparsers(dest="subcommand", required=True)
-    chars_list = chars_sub.add_parser("list")
-    _add_common(chars_list, "modulus")
-    chars_cond = chars_sub.add_parser("conductor")
-    _add_common(chars_cond, "modulus", "char")
-
-    verify = sub.add_parser("verify", help="run a verification suite")
-    verify_sub = verify.add_subparsers(dest="subcommand", required=True)
-    suite = verify_sub.add_parser("suite")
-    suite.add_argument("--name", required=True, choices=sorted(SUITES))
-    _add_common(suite, "n", "max-n", "modulus", "char", "q", "p", "precision", "bits", "levels", "variant")
-
-    lfun = sub.add_parser("lfunction", help="numeric L-values")
-    lfun_sub = lfun.add_subparsers(dest="subcommand", required=True)
-    lfun_eval = lfun_sub.add_parser("eval")
-    lfun_eval.add_argument("--s", type=_checked("a rational s or re,im", _s_value),
-                           required=True, help="rational s, or re,im")
-    _add_common(lfun_eval, "modulus", "char", "q", "bits")
-
-    padic = sub.add_parser("padic", help="truncated fermionic integrals")
-    padic_sub = padic.add_subparsers(dest="subcommand", required=True)
-    integral = padic_sub.add_parser("integral")
-    integral.add_argument("--measure", choices=MEASURES, default="-q^-1")
-    _add_common(integral, "n", "modulus", "char", "q", "p", "precision", "levels")
-
-    emit = sub.add_parser("emit", help="emit value tables")
-    emit_sub = emit.add_subparsers(dest="subcommand", required=True)
-    table = emit_sub.add_parser("table")
-    table.add_argument("--kind", required=True, choices=KINDS)
-    _add_common(table, "n", "max-n", "modulus", "char", "q", "bits")
-    for formatted in (suite, table):  # the only commands that read --format
-        formatted.add_argument("--format", choices=("json", "csv"), default="json")
-
+    leaves["verify", "suite"].add_argument("--name", required=True, choices=sorted(SUITES))
+    leaves["lfunction", "eval"].add_argument("--s", type=_checked("a rational s or re,im", _s_value),
+                                             required=True, help="rational s, or re,im")
+    leaves["padic", "integral"].add_argument("--measure", choices=MEASURES, default="-q^-1")
+    leaves["emit", "table"].add_argument("--kind", required=True, choices=KINDS)
+    for key, (_, flags) in _COMMANDS.items():
+        for flag in (*flags, "out"):
+            leaves[key].add_argument(f"--{flag}", default=None, **_COMMON[flag])
+    for key in (("verify", "suite"), ("emit", "table")):  # the only commands that read --format
+        leaves[key].add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
 
@@ -214,14 +196,11 @@ def _dispatch(parser, args) -> int:
 
     if args.command == "chars" and args.subcommand == "list":
         modulus = args.modulus if args.modulus is not None else 3
-        lines = []
-        for k, chi in enumerate(enumerate_characters(modulus)):
-            lines.append(json.dumps({
-                "name": chi.label, "modulus": modulus, "index": k,
-                "exponents": list(chi.exponents), "order": chi.order,
-                "value_order": chi.order, "conductor": chi.conductor(),
-            }, sort_keys=True))
-        _write("\n".join(lines) + "\n", args.out)
+        _write(rep.json_lines({
+            "name": chi.label, "modulus": modulus, "index": k,
+            "exponents": list(chi.exponents), "order": chi.order,
+            "value_order": chi.order, "conductor": chi.conductor(),
+        } for k, chi in enumerate(enumerate_characters(modulus))), args.out)
         return rep.EXIT_OK
 
     if args.command == "chars" and args.subcommand == "conductor":
@@ -234,10 +213,7 @@ def _dispatch(parser, args) -> int:
         reports = run_suite(args.name, opts)
         if not reports:
             print(f"note: suite {args.name} ran no case: no case matched the flags", file=sys.stderr)
-        if args.format == "csv":
-            _write(rep.dump_csv(reports), args.out)
-        else:
-            _write(rep.dump_json_lines(reports), args.out)
+        _write((rep.dump_csv if args.format == "csv" else rep.dump_json_lines)(reports), args.out)
         return rep.exit_code(reports)
 
     if args.command == "lfunction":
@@ -246,10 +222,10 @@ def _dispatch(parser, args) -> int:
         q = _single(parser, args, "q", Fraction(2))
         bits = args.bits if args.bits is not None else 128
         lv = l_eulerian(s, chi, q, bits)
-        _write(json.dumps({
+        _write(rep.json_lines([{
             "s": s_text, "char": chi.label, "q": render_rational(q), "bits": bits,
             **render_l_value(lv), "terms": lv.terms, "method": lv.method,
-        }, sort_keys=True) + "\n", args.out)
+        }]), args.out)
         return rep.EXIT_OK
 
     if args.command == "padic":
@@ -262,15 +238,12 @@ def _dispatch(parser, args) -> int:
             f = chi_monomial(_character(parser, args), n)
         else:
             f = monomial(n)
-        lines = []
-        for N in levels:
-            value = truncated_integral(f, p, q, args.measure, N, k)
-            lines.append(json.dumps({
-                "integrand": f.describe(), "measure": args.measure, "p": p,
-                "q": render_rational(q), "k": k, "N": N,
-                "residue": value.residue, "modulus": value.modulus,
-            }, sort_keys=True))
-        _write("\n".join(lines) + "\n", args.out)
+        values = [(N, truncated_integral(f, p, q, args.measure, N, k)) for N in levels]
+        _write(rep.json_lines({
+            "integrand": f.describe(), "measure": args.measure, "p": p,
+            "q": render_rational(q), "k": k, "N": N,
+            "residue": value.residue, "modulus": value.modulus,
+        } for N, value in values), args.out)
         return rep.EXIT_OK
 
     if args.command == "emit":
@@ -278,11 +251,10 @@ def _dispatch(parser, args) -> int:
                          bits=args.bits, max_n=args.n if args.max_n is None else args.max_n)
         opts.char_index = _char_index(parser, args, [opts.modulus])
         header, rows = build_table(opts)
-        _write(render_table(header, rows, args.format), args.out)
+        _write(rep.render_table(header, rows, args.format), args.out)
         return rep.EXIT_OK
 
     parser.error("unknown command")
-    return rep.EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -56,10 +56,19 @@ class LValue:
 
 def l_eulerian(s, chi: DirichletCharacter, q: Scalar, bits: int = 128) -> LValue:
     """L_E(s | chi) within ``tail_bound`` < 2^(4-bits): by ``_accelerated`` when Re s > 0,
-    if that takes fewer terms than ``_partial_sum`` (at q = 1 always)."""
+    if that takes fewer terms than ``_partial_sum`` (at q = 1 always).
+
+    Re s must lie in [-2^11, 2^30]; outside it ConvergenceDomain is raised before any sum.
+    Above 2^30 the integer accumulator would align the m = 1 and m = 2 terms, 2^-Re s
+    apart, in integers of more than 2^30 bits.  Below -2^11 the partial sum takes more
+    than 2 |Re s| terms, each the exact m^|Re s|, so its time grows as (Re s)^2.
+    """
     qf = Fraction(q)
     with mp.workprec(bits + 64):
         s_val = to_mpc(s)
+        if not -2**11 <= s_val.real <= 2**30:
+            raise ConvergenceDomain(f"s = {mp.nstr(s_val, 8)}: the L-series is summed only at "
+                                    "-2^11 <= Re s <= 2^30")
         if s_val.real > 0 and qf >= 1 and (lv := _accelerated(s, chi, qf, bits)):
             return lv
         if qf <= 1:

@@ -6,10 +6,10 @@ inputs (the elapsed_ms field is the one timing exception).
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass, field
-
-from .tables import render_table
 
 PASS = "pass"
 FAIL = "fail"
@@ -55,9 +55,13 @@ def sort_reports(reports: list[VerificationReport]) -> list[VerificationReport]:
     return sorted(reports, key=VerificationReport.sort_key)
 
 
+def json_lines(rows) -> str:
+    """Each row as one line of sorted-key JSON; no rows give the empty string."""
+    return "".join(json.dumps(row, sort_keys=True, default=str) + "\n" for row in rows)
+
+
 def dump_json_lines(reports: list[VerificationReport]) -> str:
-    lines = [json.dumps(r.to_obj(), sort_keys=True, default=str) for r in sort_reports(reports)]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return json_lines(r.to_obj() for r in sort_reports(reports))
 
 
 CSV_HEADER = ["identity", "params", "status", "lhs", "rhs", "metric", "variant", "elapsed_ms"]
@@ -70,6 +74,19 @@ def dump_csv(reports: list[VerificationReport]) -> str:
                  metric=json.dumps(r.metric, sort_keys=True, default=str))
             for r in sort_reports(reports)]
     return render_table(CSV_HEADER, rows, "csv")
+
+
+def render_table(header: list[str], rows: list[dict], fmt: str) -> str:
+    """Rows as one indented JSON array or as CSV under ``header``."""
+    if fmt == "json":
+        return json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=header)
+        writer.writeheader()
+        writer.writerows(rows)
+        return buf.getvalue()
+    raise ValueError(f"unknown format {fmt!r}")
 
 
 def exit_code(reports: list[VerificationReport]) -> int:

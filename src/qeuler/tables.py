@@ -1,9 +1,6 @@
-"""Table emission (json/csv) for computed families of values."""
+"""Rows of computed families of values, written by ``report.render_table``."""
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -77,15 +74,3 @@ def build_table(opts: TableOptions) -> tuple[list[str], list[dict]]:
                     **render_l_value(l_eulerian(-n, chi, q, opts.bits)),
                 })
     return header, rows
-
-
-def render_table(header: list[str], rows: list[dict], fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(rows, indent=2, sort_keys=True) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=header)
-        writer.writeheader()
-        writer.writerows(rows)
-        return buf.getvalue()
-    raise ValueError(f"unknown format {fmt!r}")

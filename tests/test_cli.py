@@ -1,9 +1,11 @@
 """CLI surface: subcommands, exit codes, report streams, table round-trips."""
+import argparse
 import contextlib
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,7 +19,7 @@ from mpmath import mp
 import qeuler
 from qeuler.characters import character_by_index
 from qeuler.chi_eulerian import chi_eulerian, weight_zero_euler
-from qeuler.cli import main
+from qeuler.cli import build_parser, main
 from qeuler.eulerian import eulerian_poly
 from qeuler.suites import SUITES
 from qeuler.tables import KINDS
@@ -174,6 +176,17 @@ class TestExitCodes:
         assert "Traceback" not in done.stderr
         assert "error:" in done.stderr.strip().splitlines()[-1]
 
+    @pytest.mark.parametrize("s", ["1e12", "1e300", "1e300,1", "-1e300"])
+    def test_huge_real_part_of_s_is_a_precision_failure(self, s):
+        # outside -2^11 <= Re s <= 2^30 l_eulerian refuses s before summing: exit 3, one line
+        env = dict(os.environ, PYTHONPATH=str(Path(qeuler.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-m", "qeuler.cli", "lfunction", "eval", f"--s={s}"],
+                              capture_output=True, text=True, env=env, timeout=15)
+        assert done.returncode == 3, done.stderr
+        assert done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("error: s = ")
+
     def test_usage_error_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "suite", "--name", "no-such-suite"])
@@ -197,6 +210,25 @@ class TestExitCodes:
             main(argv + ["--format", "csv"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+    def test_the_readme_flag_table_is_what_the_parser_registers(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("| Command | Flags besides `--out` |\n|---|---|\n")[1].split("\n\n")[0]
+        documented = {}
+        for row in table.splitlines():
+            command, flags = row.strip("|").split("|")
+            documented[command.strip(" `")] = set(re.findall(r"`(--[a-z-]+)`", flags))
+
+        def registered(parser):
+            subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            return subparsers.choices
+
+        found = {}
+        for command, group in registered(build_parser()).items():
+            for subcommand, leaf in registered(group).items():
+                flags = {flag for action in leaf._actions for flag in action.option_strings}
+                found[f"{command} {subcommand}"] = flags - {"-h", "--help", "--out"}
+        assert documented == found
 
     @pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
     def test_a_common_flag_is_refused_where_it_is_not_read(self, capsys, command, flag):
@@ -425,7 +457,7 @@ _FLAGS = {
     "--variant": ["printed", "corrected", "other"],
     "--format": ["json", "csv", "xml"],
     "--measure": list(MEASURES) + ["q"],
-    "--s": ["0", "2", "-1", "1/2,14", "2,-3", "abc", "1e400", "1,2,3"],
+    "--s": ["0", "2", "-1", "1/2,14", "2,-3", "abc", "1e400", "1,2,3", "1e300", "-1e300"],
 }
 _COMMANDS = st.one_of(
     st.sampled_from([["eulerian", "classical"], ["eulerian", "chi"], ["chars", "list"],

@@ -88,6 +88,19 @@ class TestLEulerian:
         with pytest.raises(ConvergenceDomain, match="4096 terms"):
             l_eulerian(complex(0.5, 1e4), QUAD3, 1, 128)
 
+    @pytest.mark.parametrize("s", [2**30 + 1, Fraction(-2**22 - 1, 2**11), (Fraction(10**300), Fraction(1)),
+                                   -10**300])
+    def test_real_part_outside_the_summed_range_is_refused(self, s):
+        # past 2^30 the accumulator would align terms 2^-Re s apart; below -2^11 the partial
+        # sum would take more than 2^12 terms of exact m^|Re s|; either is refused before any sum
+        with pytest.raises(ConvergenceDomain, match=r"^s = .* -2\^11 <= Re s <= 2\^30$"):
+            l_eulerian(s, QUAD3, 2, 128)
+
+    def test_large_real_parts_inside_the_range_are_summed(self):
+        lv = l_eulerian(10**6, QUAD3, 2, 128)
+        assert (lv.method, lv.terms) == ("accelerated", 2)
+        assert l_eulerian(-2**9, QUAD3, 2, 64).method == "partial-sum"
+
     def test_q_too_close_to_one_for_a_partial_sum(self):
         # 64 doublings of M cannot certify the partial sum's tail at q - 1 = 10^-21; Re s > 0
         # takes the q = 1 term limit instead, and Re s <= 0 is refused with a domain error
