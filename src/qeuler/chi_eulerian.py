@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb
 from typing import Sequence, Union
 
@@ -48,7 +49,7 @@ from mpmath import mp
 from .characters import DirichletCharacter
 from .cyclotomic import CycElem, cyc_embed
 from .errors import ConvergenceDomain, DegenerateSample, PoleAtMinusOne, PoleQ
-from .eulerian import eulerian_poly
+from .eulerian import _rows
 from .numerics import _pair, _round, alternating_character_sum, choose_truncation, to_mpf
 from .qnumbers import q_number
 
@@ -69,8 +70,7 @@ def chi_eulerian(n: int, chi: DirichletCharacter, q: Scalar) -> CycElem:
     ad_pow, bd_pow = [(-ad) ** i for i in range(n + 1)], [bd**i for i in range(n + 1)]
     # g_k = C(n,k) h_k d^k, so that I_l is the polynomial sum_k g_k x^{n-k} at x = D l
     g = [1]
-    for k in range(1, n + 1):
-        row = eulerian_poly(k).coeffs
+    for k, row in enumerate(islice(_rows(), 1, n + 1), 1):
         h = sum(c * ad_pow[i] * bd_pow[k - 1 - i] for i, c in enumerate(row))
         g.append(comb(n, k) * (-1) ** k * bd * h * d**k)
     buckets = [0] * m

@@ -174,11 +174,15 @@ def _joined_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     parser = _parser()  # built on the first call; parsing leaves it unchanged
     args = parser.parse_args(_joined_values(sys.argv[1:] if argv is None else argv))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # exact values print in full, past Python's 4,300-digit default
     try:
         return _dispatch(parser, args)
     except QEulerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return rep.EXIT_PRECISION
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _dispatch(parser, args) -> int:

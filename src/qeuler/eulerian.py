@@ -15,9 +15,9 @@ sign reconciliation is checked, never assumed.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 from math import comb
 from typing import Union
 
@@ -45,22 +45,21 @@ class EulerianPoly:
         return acc
 
 
-_polys: list[tuple[int, ...]] = [(1,)]
-_polys_lock = threading.Lock()
+def _rows():
+    """A_0, A_1, ... as coefficient tuples, each built from the row before; none is kept."""
+    row = (1,)
+    for m in count(1):
+        yield row
+        ext = row + (0,)  # ext[-1] = 0 stands for <m-1,-1> and <m-1,m-1>
+        # tuple of a list, not of a generator: growing a tuple by resizing fragments the heap
+        row = tuple([(k + 1) * ext[k] + (m - k) * ext[k - 1] for k in range(m)])
 
 
 def eulerian_poly(n: int) -> EulerianPoly:
     """A_n(t) from the integer triangle engine."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n >= len(_polys):
-        with _polys_lock:
-            while len(_polys) <= n:
-                m = len(_polys)
-                ext = _polys[-1] + (0,)  # ext[-1] = 0 stands for <m-1,-1> and <m-1,m-1>
-                # tuple of a list, not of a generator: growing a tuple by resizing fragments the heap
-                _polys.append(tuple([(k + 1) * ext[k] + (m - k) * ext[k - 1] for k in range(m)]))
-    return EulerianPoly(n, _polys[n])
+    return EulerianPoly(n, next(islice(_rows(), n, None)))
 
 
 def eulerian_series_coeff(n: int, x0: Scalar) -> Fraction:

@@ -15,8 +15,10 @@ from fractions import Fraction
 from mpmath import mp
 
 from .cyclotomic import CycElem
+from .errors import DomainError
 
 _CYC_RE = re.compile(r"^\[(.*)\]@zeta(\d+)$")
+MAX_PLACE = 100_000  # the farthest decimal place 10^-k to which an L-value is printed
 
 
 def render_rational(x) -> str:
@@ -52,6 +54,15 @@ def decimal_digits(bits: int) -> int:
     return int(bits * 0.30103) + 6
 
 
+def _digits(x: int) -> int:
+    """len(str(x)) for an integer x >= 0, counted without str, which refuses
+    integers of more than 4,300 digits."""
+    d = max(1, int(x.bit_length() * 0.30102999566398120))  # never above the count
+    while x >= 10**d:
+        d += 1
+    return d
+
+
 def _exact(x) -> Fraction:
     """An mpf as the Fraction it equals."""
     sign, man, exp, _ = x._mpf_
@@ -65,13 +76,20 @@ def render_l_value(lv) -> dict[str, str]:
     smallest with 10^-k <= tail_bound (which is below 1), and to at most
     ``decimal_digits(bits)`` significant digits.  So the last printed digit is
     the first that the bound leaves uncertain, and no digit below it is printed.
+    An L-value whose place k is above ``MAX_PLACE`` raises ``DomainError``.
     """
-    bound = _exact(lv.tail_bound)
-    k = len(str(-(-bound.denominator // bound.numerator) - 1))  # smallest k with 10^k >= ceil(1 / bound)
+    with mp.workprec(64):
+        k = int(mp.ceil(-mp.log10(lv.tail_bound)))  # within one of k, without building 1 / bound
+    if k <= MAX_PLACE + 1:
+        bound = _exact(lv.tail_bound)
+        k = _digits(-(-bound.denominator // bound.numerator) - 1)  # smallest k with 10^k >= ceil(1 / bound)
+    if k > MAX_PLACE:
+        raise DomainError(f"the L-value's certified decimal place 10^-{k} lies past 10^-{MAX_PLACE}: "
+                          "too far out to print")
     row = {}
     for key, part in (("value_re", lv.value.real), ("value_im", lv.value.imag)):
         x = _exact(part)
-        place = k - max(0, len(str(abs(round(x * 10**k)))) - decimal_digits(lv.bits))
+        place = k - max(0, _digits(abs(round(x * 10**k))) - decimal_digits(lv.bits))
         row[key] = format(Decimal(f"{round(x * Fraction(10) ** place)}e{-place}"), "f")
     with mp.workprec(64):
         row["tail_bound"] = mp.nstr(mp.mpf(lv.tail_bound), 10)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from .characters import enumerate_characters
 from .chi_eulerian import chi_eulerian, weight_zero_euler_values
-from .eulerian import eulerian_poly
+from .eulerian import _rows
 from .lfunction import l_eulerian
 from .serialize import render_l_value, render_rational, render_value
 
@@ -40,8 +40,8 @@ def build_table(opts: TableOptions) -> tuple[list[str], list[dict]]:
     rows: list[dict] = []
     if opts.kind == "classical":
         header = ["n", "coefficients"]
-        for n in n_range:
-            rows.append({"n": n, "coefficients": ",".join(map(str, eulerian_poly(n).coeffs))})
+        for n, coeffs in zip(n_range, _rows()):
+            rows.append({"n": n, "coefficients": ",".join(map(str, coeffs))})
         return header, rows
     if opts.kind == "chi-eulerian":
         header = ["n", "modulus", "char", "q", "value"]

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import count
 from pathlib import Path
@@ -25,7 +26,8 @@ from qeuler.suites import SUITES
 from qeuler.tables import KINDS
 from qeuler.lfunction import l_eulerian
 from qeuler.padic_verify import MEASURES
-from qeuler.serialize import decimal_digits, parse_rational, parse_value, render_l_value, render_value
+from qeuler.serialize import (MAX_PLACE, _digits, decimal_digits, parse_rational, parse_value, render_l_value,
+                              render_value)
 
 
 def run(capsys, *argv):
@@ -258,6 +260,82 @@ class TestExitCodes:
         rows = [json.loads(line) for line in out.splitlines()]
         assert len(rows) == 10
         assert all(r["status"] == "pass" for r in rows)
+
+
+def _cli_process(*argv, timeout):
+    """``python -m qeuler.cli argv`` in a fresh interpreter, with its wall time in seconds."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qeuler.__file__).resolve().parents[1]))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "qeuler.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+    return done, time.perf_counter() - start
+
+
+@contextlib.contextmanager
+def _any_int_length():
+    """Python's 4,300-digit limit on int-str conversion lifted, as ``main`` lifts it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+HUGE_Q = f"{10**200 + 1}/7"  # a^3 has 600 digits, so A_n(chi, -q) passes 4,300 digits by n = 8
+
+
+class TestLongIntegers:
+    """Exact values of more than 4,300 digits print in full, and L-values whose certified
+    place lies past 10^-MAX_PLACE exit 3; no command ends in a traceback."""
+
+    def test_classical_row_1700(self):
+        done, _ = _cli_process("eulerian", "classical", "--n", "1700", timeout=120)
+        assert done.returncode == 0, done.stderr[-500:]
+        row = done.stdout.strip().split(",")
+        assert len(row) == 1700 and row == row[::-1]
+        assert row[1] == str(2**1700 - 1701)  # <n,1> = 2^n - n - 1
+
+    def test_chi_value_past_4300_digits(self):
+        done, seconds = _cli_process("eulerian", "chi", "--n", "100", "--modulus", "5", "--char", "1",
+                                     "--q", "10000000001/7", timeout=60)
+        assert done.returncode == 0, done.stderr[-500:]
+        assert seconds < 2
+        assert max(map(len, re.findall(r"\d+", done.stdout))) > 4300
+        with _any_int_length():
+            assert parse_value(done.stdout) == chi_eulerian(100, character_by_index(5, 1),
+                                                            Fraction(10000000001, 7))
+
+    @pytest.mark.parametrize("argv", [
+        ["emit", "table", "--kind", "chi-eulerian", "--max-n", "8", "--modulus", "3", "--char", "1"],
+        ["verify", "suite", "--name", "eq16-distribution", "--max-n", "8", "--modulus", "3"],
+    ])
+    def test_writers_print_long_values_and_restore_the_limit(self, capsys, argv):
+        limit = sys.get_int_max_str_digits()
+        code, out = run(capsys, *argv, "--q", HUGE_Q)
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        assert max(map(len, re.findall(r"\d+", out))) > 4300
+
+    @pytest.mark.parametrize("argv", [["--s", "14000"], ["--s", "1e5"], ["--s=-1500", "--q", "2"]])
+    def test_l_value_with_long_digit_strings(self, argv):
+        done, _ = _cli_process("lfunction", "eval", *argv, timeout=60)
+        assert done.returncode == 0, done.stderr[-500:]
+        row = json.loads(done.stdout)
+        assert max(len(row["value_re"]), len(row["value_im"])) > 4300
+
+    def test_l_value_whose_place_is_too_far_out_exits_3(self):
+        done, _ = _cli_process("lfunction", "eval", "--s", "1e9", timeout=60)
+        assert done.returncode == 3 and done.stdout == ""
+        assert done.stderr.splitlines() == [
+            f"error: the L-value's certified decimal place 10^-477121256 lies past 10^-{MAX_PLACE}: "
+            "too far out to print"]
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 17, 4299, 4300, 4301, 20000])
+    def test_digits_counts_like_str(self, k):
+        with _any_int_length():
+            for x in (0, 10**k - 1, 10**k, 10**k + 1, 2 * 10**k, 2 ** (3 * k + 1)):
+                assert _digits(x) == len(str(x)), x
 
 
 class TestSuiteStreams:

@@ -1,12 +1,19 @@
 """Classical Eulerian polynomials: triangle engine vs recurrence, explicit-sum and
-generating-function oracles."""
+generating-function oracles, and the engine keeping no rows."""
+import gc
+import sys
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from qeuler.characters import character_by_index
+from qeuler.chi_eulerian import chi_eulerian
+from qeuler.cli import main
 from qeuler.errors import PoleAtMinusOne, PoleAtOne
+from qeuler.lfunction import l_eulerian
 from qeuler.eulerian import (
     eulerian_poly,
     eulerian_series_coeff,
@@ -117,3 +124,40 @@ class TestWittValue:
     def test_pole(self):
         with pytest.raises(PoleAtMinusOne):
             witt_value(2, -1)
+
+
+def _module_container_sizes() -> dict[tuple[str, str], int]:
+    """The length of every list, dict and set bound at module level in the package."""
+    return {(name, attr): len(obj) for name, module in list(sys.modules.items())
+            if name == "qeuler" or name.startswith("qeuler.")
+            for attr, obj in vars(module).items()
+            if not attr.startswith("__") and isinstance(obj, (list, dict, set))}
+
+
+class TestNoRowsKept:
+    """Each caller steps the triangle through the rows it needs; no row outlives the call."""
+
+    def test_rows_are_freed_when_the_call_returns(self):
+        chi, q = character_by_index(7, 1), Fraction(7, 3)
+        chi_eulerian(1, chi, q)  # the character's own tables, keyed by the modulus, are built here
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            eulerian_poly(600)
+            chi_eulerian(300, chi, q)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 2**20
+
+    def test_no_module_level_container_grows(self, capsys):
+        main(["verify", "suite", "--name", "eq19-vs-eq20", "--max-n", "2"])  # imports and parser built
+        before = _module_container_sizes()
+        eulerian_poly(640)
+        chi_eulerian(320, character_by_index(5, 1), Fraction(3))
+        l_eulerian(-3, character_by_index(7, 2), Fraction(2))
+        assert main(["verify", "suite", "--name", "eq16-distribution", "--max-n", "6"]) == 0
+        capsys.readouterr()
+        assert _module_container_sizes() == before
