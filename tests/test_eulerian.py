@@ -1,15 +1,18 @@
 """Classical Eulerian polynomials: triangle engine vs recurrence, explicit-sum and
 generating-function oracles, and the engine keeping no rows."""
 import gc
+import importlib
 import sys
 import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qeuler.characters import character_by_index
+from qeuler import eulerian
+from qeuler.characters import character_by_index, unit_group
 from qeuler.chi_eulerian import chi_eulerian
 from qeuler.cli import main
 from qeuler.errors import PoleAtMinusOne, PoleAtOne
@@ -161,3 +164,20 @@ class TestNoRowsKept:
         assert main(["verify", "suite", "--name", "eq16-distribution", "--max-n", "6"]) == 0
         capsys.readouterr()
         assert _module_container_sizes() == before
+
+    def test_benchmark_cold_start_still_resets_module_state(self, monkeypatch):
+        # bench/run.py's CacheReset puts back every private module-level container and
+        # empties every functools cache; with no row list left, check it on a container
+        # the test binds itself and on characters.unit_group.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        run = importlib.import_module("run")
+        probe = []
+        monkeypatch.setattr(eulerian, "_probe", probe, raising=False)
+        reset = run.CacheReset()
+        probe.append(eulerian_poly(4))
+        monkeypatch.setattr(eulerian, "_probe", [1, 2])
+        unit_group(7)
+        assert unit_group.cache_info().currsize > 0
+        reset()
+        assert eulerian._probe is probe and probe == []
+        assert unit_group.cache_info().currsize == 0
