@@ -31,7 +31,7 @@ class UnitGroupStructure:
         self.dlog = dlog
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def unit_group(d: int) -> UnitGroupStructure:
     """Unit group structure mod odd d >= 1 (memoized)."""
     if d < 1:
@@ -59,7 +59,7 @@ def unit_group(d: int) -> UnitGroupStructure:
     return UnitGroupStructure(d, tuple(generators), tuple(orders), dlog)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _zeta_powers(m: int) -> tuple[CycElem, ...]:
     """zeta_m^j for j < m, each one reduction of x^j modulo Phi_m."""
     return tuple(CycElem(m, (0,) * j + (1,)) for j in range(m))

@@ -160,12 +160,9 @@ def weight_zero_euler_values(max_n: int, q: Scalar, x: Scalar) -> list[Fraction]
     qf, xf = Fraction(q), Fraction(x)
     if qf == -1:
         raise PoleAtMinusOne("weight-zero polynomials have a pole at q = -1")
-    out: list[Fraction] = []
+    c, out = qf / (1 + qf), []
     for n in range(max_n + 1):
-        acc = (1 + qf) * xf**n
-        for k in range(n):
-            acc -= qf * comb(n, k) * out[k]
-        out.append(acc / (1 + qf))
+        out.append(xf**n - c * sum(comb(n, k) * e for k, e in enumerate(out)))
     return out
 
 
@@ -188,12 +185,9 @@ def weight_zero_genocchi(n_plus_1: int, q: Scalar, x: Scalar) -> Fraction:
     qf, xf = Fraction(q), Fraction(x)
     if qf == -1:
         raise PoleAtMinusOne("weight-zero polynomials have a pole at q = -1")
-    out: list[Fraction] = [Fraction(0)]
+    c, out = qf / (1 + qf), [Fraction(0)]
     for n in range(1, n_plus_1 + 1):
-        acc = (1 + qf) * n * xf ** (n - 1)
-        for k in range(1, n):
-            acc -= qf * comb(n, k) * out[k]
-        out.append(acc / (1 + qf))
+        out.append(n * xf ** (n - 1) - c * sum(comb(n, k) * g for k, g in enumerate(out)))
     return out[n_plus_1]
 
 
@@ -244,18 +238,14 @@ def verify_distribution(n: int, chi: DirichletCharacter, q_samples: Sequence[Sca
         lhs_corrected = lhs_printed / qf**2
         qd = qf ** (-d)
         coeff = Fraction(d) ** n / q_number(d, -1 / qf)
-        euler_sum = CycElem.zero(m)
-        genocchi_sum = CycElem.zero(m)
-        for a in range(d):
-            ca = chi(a)
-            if not ca:
-                continue
-            w = Fraction((-1) ** a) / qf**a
-            x = Fraction(a, d)
-            euler_sum = euler_sum + ca * (w * weight_zero_euler(n, qd, x))
-            genocchi_sum = genocchi_sum + ca * (w * weight_zero_genocchi(n + 1, qd, x) / (n + 1))
-        rhs_euler = coeff * euler_sum
-        rhs_genocchi = coeff * genocchi_sum
+        euler, genocchi = [0] * m, [0] * m  # sums over a by the zeta_m exponent of chi(a)
+        for a, j in enumerate(chi.zeta_exponents()):
+            if j is not None:
+                w, x = Fraction((-1) ** a) / qf**a, Fraction(a, d)
+                euler[j] += w * weight_zero_euler(n, qd, x)
+                genocchi[j] += w * weight_zero_genocchi(n + 1, qd, x)
+        rhs_euler = coeff * CycElem(m, euler)
+        rhs_genocchi = coeff / (n + 1) * CycElem(m, genocchi)
         lhs = lhs_corrected if variant == "corrected" else lhs_printed
         ok = lhs == rhs_euler
         genocchi_ok = rhs_euler == rhs_genocchi

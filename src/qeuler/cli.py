@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 
 from . import report as rep
 from .characters import character_by_index, enumerate_characters
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser = cache(build_parser)
+_parser = lru_cache(maxsize=1)(build_parser)
 
 
 def _write(text: str, out: str | None) -> None:

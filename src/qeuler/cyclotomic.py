@@ -1,11 +1,12 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
 A ``CycElem`` is a residue modulo the m-th cyclotomic polynomial, stored as a
-coefficient vector of length deg(Phi_m) = phi(m).  Working modulo Phi_m (not
-x^m - 1) makes equality testing sound *and* complete field equality, which is
-what the character-linear identities in this package need.  Elements of
-different orders compare and combine through the canonical embeddings
-zeta_m = zeta_M^(M/m) for m | M.
+coefficient vector of length deg(Phi_m) = phi(m) whose entries are ints or
+Fractions, each kept as it is (any other input becomes a Fraction).  Working
+modulo Phi_m (not x^m - 1) makes equality testing sound *and* complete field
+equality, which is what the character-linear identities in this package need.
+Elements of different orders compare and combine through the canonical
+embeddings zeta_m = zeta_M^(M/m) for m | M.
 """
 from __future__ import annotations
 
@@ -16,12 +17,12 @@ from typing import Union
 
 from mpmath import mp
 
-from .numtheory import divisors, phi
+from .numtheory import divisors
 
 Scalar = Union[int, Fraction]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of the m-th cyclotomic polynomial Phi_m, index = degree.
 
@@ -43,43 +44,22 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _reduce(coeffs: list[Fraction], m: int) -> tuple[Fraction, ...]:
-    """Remainder of a dense coefficient list modulo the monic Phi_m."""
-    mod = cyclotomic_polynomial(m)
-    deg = len(mod) - 1
-    rem = list(coeffs)
-    for i in range(len(rem) - 1 - deg, -1, -1):
-        factor = rem[i + deg]
-        if factor:
-            for j in range(deg):
-                rem[i + j] -= factor * mod[j]
-            rem[i + deg] = Fraction(0)
-    rem = rem[:deg]
-    rem += [Fraction(0)] * (deg - len(rem))
-    return tuple(rem)
-
-
 class CycElem:
     """Element of Q(zeta_m), reduced modulo Phi_m."""
 
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Union[tuple, list]):
-        deg = phi(order)
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > deg:
-            cs = list(_reduce(cs, order))
-        cs += [Fraction(0)] * (deg - len(cs))
+        mod = cyclotomic_polynomial(order)
+        deg = len(mod) - 1
+        rem = [c if type(c) in (int, Fraction) else Fraction(c) for c in coeffs]
+        for i in range(len(rem) - 1 - deg, -1, -1):  # the remainder modulo the monic Phi_m
+            factor = rem[i + deg]
+            if factor:
+                for j in range(deg):
+                    rem[i + j] -= factor * mod[j]
         self.order = order
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def _raw(cls, order: int, coeffs: tuple) -> CycElem:
-        """Trusted constructor: coeffs already a reduced Fraction tuple."""
-        elem = object.__new__(cls)
-        elem.order = order
-        elem.coeffs = coeffs
-        return elem
+        self.coeffs = tuple(rem[:deg]) + (0,) * (deg - len(rem))
 
     @classmethod
     def zero(cls, order: int = 1) -> CycElem:
@@ -91,7 +71,7 @@ class CycElem:
 
     @classmethod
     def from_rational(cls, value: Scalar, order: int = 1) -> CycElem:
-        return cls(order, (Fraction(value),))
+        return cls(order, (value,))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -106,7 +86,7 @@ class CycElem:
     def to_rational(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"element of Q(zeta_{self.order}) is not rational")
-        return self.coeffs[0]
+        return Fraction(self.coeffs[0])
 
     def raised(self, target: int) -> CycElem:
         """Image under the canonical embedding Q(zeta_m) -> Q(zeta_target)."""
@@ -115,11 +95,9 @@ class CycElem:
         if target % self.order:
             raise ValueError(f"{self.order} does not divide {target}")
         stride = target // self.order
-        spread = [Fraction(0)] * ((len(self.coeffs) - 1) * stride + 1) if self.coeffs else []
-        for j, c in enumerate(self.coeffs):
-            if c:
-                spread[j * stride] = c
-        return CycElem(target, _reduce(spread, target))
+        spread = [0] * ((len(self.coeffs) - 1) * stride + 1) if self.coeffs else []
+        spread[::stride] = self.coeffs
+        return CycElem(target, spread)
 
     def _pair(self, other: Union[CycElem, Scalar]) -> tuple[CycElem, CycElem]:
         if isinstance(other, (int, Fraction)):
@@ -133,26 +111,26 @@ class CycElem:
 
     def __add__(self, other: Union[CycElem, Scalar]) -> CycElem:
         a, b = self._pair(other)
-        return CycElem._raw(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return CycElem(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
     __radd__ = __add__
 
     def __sub__(self, other: Union[CycElem, Scalar]) -> CycElem:
         a, b = self._pair(other)
-        return CycElem._raw(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return CycElem(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
 
     def __mul__(self, other: Union[CycElem, Scalar]) -> CycElem:
         if isinstance(other, (int, Fraction)):
-            return CycElem._raw(self.order, tuple(c * other for c in self.coeffs))
+            return CycElem(self.order, tuple(c * other for c in self.coeffs))
         a, b = self._pair(other)
         deg = len(a.coeffs)
-        out = [Fraction(0)] * (2 * deg - 1)
+        out = [0] * (2 * deg - 1)
         for i, x in enumerate(a.coeffs):
             if x:
                 for j, y in enumerate(b.coeffs):
                     if y:
                         out[i + j] += x * y
-        return CycElem._raw(a.order, _reduce(out, a.order))
+        return CycElem(a.order, out)
 
     __rmul__ = __mul__
 
@@ -166,7 +144,7 @@ class CycElem:
         i = next((i for i, c in enumerate(b.coeffs) if c), None)
         if i is None:
             raise ZeroDivisionError("ratio to zero in Q(zeta_m)")
-        r = a.coeffs[i] / b.coeffs[i]
+        r = Fraction(a.coeffs[i], b.coeffs[i])
         return r if all(x == r * y for x, y in zip(a.coeffs, b.coeffs)) else None
 
     def __truediv__(self, other: Scalar) -> CycElem:

@@ -10,7 +10,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}."""
     if n < 1:
@@ -55,7 +55,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def phi(n: int) -> int:
     """Euler totient."""
     out = 1

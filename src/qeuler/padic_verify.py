@@ -26,6 +26,7 @@ from .characters import DirichletCharacter
 from .chi_eulerian import chi_eulerian, series_reference
 from .errors import (
     BadCongruence,
+    DomainError,
     NonUnitNormalizer,
     ParityMismatch,
 )
@@ -78,6 +79,7 @@ def shifted_monomial(offset: Scalar, degree: int) -> IntegrandSpec:
 
 
 MEASURES = ("-q", "-q^-1", "-q^-d")
+MAX_WALK = 2**22  # the most values of f that one truncated sum walks
 
 
 def measure_weight(measure: str, q: Fraction, d: int = 1) -> Fraction:
@@ -126,9 +128,12 @@ def _weighted_sums(values, period: int, w: int, counts: Sequence[int], pk: int) 
     is S_P (1 + x + ... + x^(a-1)) + x^a S_r, x = w^P, S_r the sum of the first
     r terms.  One pass over at most P values keeps only S_P and the S_r some
     count needs.  The geometric factor is built by doubling on the bits of a,
-    so 1 - x need not be a unit mod pk.
+    so 1 - x need not be a unit mod pk.  A walk of more than ``MAX_WALK``
+    values raises ``DomainError`` before any value is made.
     """
     stop = min(period, max(counts, default=0))
+    if stop > MAX_WALK:
+        raise DomainError(f"a truncated sum would walk {stop} values, more than the {MAX_WALK} allowed")
     wanted = {count % period for count in counts}
     partial = {}  # S_r for r in wanted, and S_stop
     total, x = 0, 1  # S_eta and w^eta in the loop; S_stop and w^stop after it

@@ -63,10 +63,17 @@ def _digits(x: int) -> int:
     return d
 
 
-def _exact(x) -> Fraction:
-    """An mpf as the Fraction it equals."""
+def _dyadic(x) -> tuple[int, int]:
+    """An mpf as integers (numerator, denominator), the denominator a power of two."""
     sign, man, exp, _ = x._mpf_
-    return (-1) ** sign * man * Fraction(2) ** exp
+    return (-man if sign else man) << max(exp, 0), 1 << max(-exp, 0)
+
+
+def _rounded(num: int, den: int, place: int) -> int:
+    """round(num / den * 10^place), ties to even, in integers."""
+    num, den = num * 10 ** max(place, 0), den * 10 ** max(-place, 0)
+    q, r = divmod(num, den)
+    return q + (2 * r > den or 2 * r == den and q & 1)
 
 
 def render_l_value(lv) -> dict[str, str]:
@@ -81,16 +88,16 @@ def render_l_value(lv) -> dict[str, str]:
     with mp.workprec(64):
         k = int(mp.ceil(-mp.log10(lv.tail_bound)))  # within one of k, without building 1 / bound
     if k <= MAX_PLACE + 1:
-        bound = _exact(lv.tail_bound)
-        k = _digits(-(-bound.denominator // bound.numerator) - 1)  # smallest k with 10^k >= ceil(1 / bound)
+        num, den = _dyadic(lv.tail_bound)
+        k = _digits(-(-den // num) - 1)  # smallest k with 10^k >= ceil(1 / bound)
     if k > MAX_PLACE:
         raise DomainError(f"the L-value's certified decimal place 10^-{k} lies past 10^-{MAX_PLACE}: "
                           "too far out to print")
     row = {}
     for key, part in (("value_re", lv.value.real), ("value_im", lv.value.imag)):
-        x = _exact(part)
-        place = k - max(0, _digits(abs(round(x * 10**k))) - decimal_digits(lv.bits))
-        row[key] = format(Decimal(f"{round(x * Fraction(10) ** place)}e{-place}"), "f")
+        num, den = _dyadic(part)
+        place = k - max(0, _digits(abs(_rounded(num, den, k))) - decimal_digits(lv.bits))
+        row[key] = format(Decimal(f"{_rounded(num, den, place)}e{-place}"), "f")
     with mp.workprec(64):
         row["tail_bound"] = mp.nstr(mp.mpf(lv.tail_bound), 10)
     return row

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 import qeuler
 from qeuler.characters import character_by_index
@@ -26,8 +27,8 @@ from qeuler.suites import SUITES
 from qeuler.tables import KINDS
 from qeuler.lfunction import l_eulerian
 from qeuler.padic_verify import MEASURES
-from qeuler.serialize import (MAX_PLACE, _digits, decimal_digits, parse_rational, parse_value, render_l_value,
-                              render_value)
+from qeuler.serialize import (MAX_PLACE, _digits, _dyadic, _rounded, decimal_digits, parse_rational, parse_value,
+                              render_l_value, render_value)
 
 
 def run(capsys, *argv):
@@ -336,6 +337,21 @@ class TestLongIntegers:
             for x in (0, 10**k - 1, 10**k, 10**k + 1, 2 * 10**k, 2 ** (3 * k + 1)):
                 assert _digits(x) == len(str(x)), x
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("man, exp, place", [(1, -2, 1), (3, -2, 1), (1, -3, 2), (5, -4, 3),
+                                                  (5, 0, -1), (15, 0, -1), (125, 2, -3), (625, 2, -3)])
+    def test_integer_rounding_matches_round_on_exact_ties(self, sign, man, exp, place):
+        x = sign * man * Fraction(2) ** exp
+        assert (x * Fraction(10) ** place).denominator == 2  # exactly halfway between two integers
+        num, den = _dyadic(mp.make_mpf(from_man_exp(sign * man, exp)))
+        assert _rounded(num, den, place) == round(x * Fraction(10) ** place)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-2**70, 2**70), st.integers(-300, 300), st.integers(-40, 40))
+    def test_integer_rounding_matches_round(self, man, exp, place):
+        num, den = _dyadic(mp.make_mpf(from_man_exp(man, exp)))
+        assert _rounded(num, den, place) == round(man * Fraction(2) ** exp * Fraction(10) ** place)
+
 
 class TestSuiteStreams:
     @pytest.mark.parametrize("name", ["witt-chi", "corollary4-probe"])
@@ -517,8 +533,7 @@ class TestTables:
 
 
 # Generated command lines for the exit-code contract.  Each flag draws from
-# small valid values, values the parser must refuse and digit-free junk, so no
-# draw asks for a large computation (say --precision 99).
+# valid values, values the parser must refuse and digit-free junk.
 _JUNK = st.sampled_from(["", "0", "-1", "1/0", "2,", ",", "1e400", "nan", "inf", "1/3/4", "0x10",
                          "3.5", " 3", "1,2,3,4"]) | st.text(alphabet="abe/,.-+ ", max_size=5)
 _FLAGS = {
@@ -528,7 +543,7 @@ _FLAGS = {
     "--char": ["0", "1", "2", "3", "-1", "9"],
     "--q": ["2", "7/2", "11/10", "1", "0", "-1", "-3", "6", "2,3", "1/2"],
     "--p": ["3", "5", "7", "2", "4", "3,5"],
-    "--precision": ["1", "2", "3", "0"],
+    "--precision": ["1", "2", "3", "0", "40", "99"],
     "--bits": ["64", "96", "8"],
     "--levels": ["1", "3,4", "6", "0"],
     "--variant": ["printed", "corrected", "other"],

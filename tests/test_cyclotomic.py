@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+from qeuler.characters import enumerate_characters
 from qeuler.cyclotomic import CycElem, cyc_embed, cyclotomic_polynomial
 from qeuler.numtheory import divisors, phi
 
@@ -141,6 +142,28 @@ class TestCycElem:
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+
+
+class TestCoordinateTypes:
+    """Int and Fraction coordinates are kept as given; anything else becomes a Fraction."""
+
+    def test_int_coordinates_stay_ints(self):
+        assert all(type(c) is int for c in CycElem(7, (1, 2, 3)).coeffs)
+        for d in range(3, 64, 2):
+            for chi in enumerate_characters(d):
+                assert all(type(c) is int for v in chi.values() for c in v.coeffs), chi.label
+
+    def test_other_inputs_become_fractions(self):
+        coeffs = CycElem(3, [0.5, "1/3"]).coeffs
+        assert coeffs == (Fraction(1, 2), Fraction(1, 3))
+        assert all(type(c) is Fraction for c in coeffs)
+
+    def test_rationals_read_from_int_coordinates_are_fractions(self):
+        three, two = CycElem(5, (3,)), CycElem(5, (2,))
+        assert type(three.to_rational()) is Fraction and three.to_rational() == 3
+        for lhs, rhs, r in ((three, two, Fraction(3, 2)), (CycElem(5, (4, 0, 6)), CycElem(5, (2, 0, 3)), 2)):
+            ratio = lhs.rational_ratio(rhs)
+            assert type(ratio) is Fraction and ratio == r
 
 
 def euclid_inverse(a: CycElem) -> CycElem:

@@ -2,6 +2,7 @@
 generating-function oracles, and the engine keeping no rows."""
 import gc
 import importlib
+import pkgutil
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import qeuler
 from qeuler import eulerian
 from qeuler.characters import character_by_index, unit_group
 from qeuler.chi_eulerian import chi_eulerian
@@ -164,6 +166,14 @@ class TestNoRowsKept:
         assert main(["verify", "suite", "--name", "eq16-distribution", "--max-n", "6"]) == 0
         capsys.readouterr()
         assert _module_container_sizes() == before
+
+    def test_every_functools_cache_is_bounded(self):
+        for info in pkgutil.iter_modules(qeuler.__path__):
+            importlib.import_module(f"qeuler.{info.name}")
+        caches = {(name, attr): obj.cache_info().maxsize for name, module in list(sys.modules.items())
+                  if name == "qeuler" or name.startswith("qeuler.")
+                  for attr, obj in vars(module).items() if hasattr(obj, "cache_info")}
+        assert caches and all(size is not None for size in caches.values()), caches
 
     def test_benchmark_cold_start_still_resets_module_state(self, monkeypatch):
         # bench/run.py's CacheReset puts back every private module-level container and
