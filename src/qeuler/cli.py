@@ -69,15 +69,16 @@ _COMMON = {
 
 # (command, subcommand) -> (help of the command, the common flags it reads besides --out)
 _COMMANDS = {
-    ("eulerian", "classical"): ("classical and character-attached values", ("n", "max-n")),
+    ("eulerian", "classical"): ("classical and character-attached values", ("n",)),
     ("eulerian", "chi"): ("classical and character-attached values", ("n", "modulus", "char", "q")),
     ("chars", "list"): ("character enumeration and conductors", ("modulus",)),
     ("chars", "conductor"): ("character enumeration and conductors", ("modulus", "char")),
-    ("verify", "suite"): ("run a verification suite", tuple(flag for flag in _COMMON if flag != "out")),
+    ("verify", "suite"): ("run a verification suite", ("max-n", "modulus", "char", "q", "p", "precision",
+                                                       "bits", "levels", "variant")),
     ("lfunction", "eval"): ("numeric L-values", ("modulus", "char", "q", "bits")),
     ("padic", "integral"): ("truncated fermionic integrals",
                             ("n", "modulus", "char", "q", "p", "precision", "levels")),
-    ("emit", "table"): ("emit value tables", ("n", "max-n", "modulus", "char", "q", "bits")),
+    ("emit", "table"): ("emit value tables", ("max-n", "modulus", "char", "q", "bits")),
 }
 
 
@@ -89,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         if command not in groups:
             group = sub.add_parser(command, help=help_text)
             groups[command] = group.add_subparsers(dest="subcommand", required=True)
-        leaves[command, subcommand] = groups[command].add_parser(subcommand)
+        leaves[command, subcommand] = groups[command].add_parser(subcommand, allow_abbrev=False)
 
     leaves["verify", "suite"].add_argument("--name", required=True, choices=sorted(SUITES))
     leaves["lfunction", "eval"].add_argument("--s", type=_checked("a rational s or re,im", _s_value),
@@ -115,8 +116,8 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _n(parser, args, default: int = 0) -> int:
-    n = args.n if args.n is not None else default
+def _n(parser, args) -> int:
+    n = args.n if args.n is not None else 0
     if n < 0:
         parser.error("--n must be >= 0")
     return n
@@ -148,7 +149,7 @@ def _override(opts, **flags):
 def _suite_options(parser, args) -> SuiteOptions:
     opts = _override(SuiteOptions(), q_list=args.q or None, p_list=args.p or None,
                      levels=args.levels or None, precision=args.precision, bits=args.bits,
-                     variant=args.variant, max_n=args.n if args.max_n is None else args.max_n,
+                     variant=args.variant, max_n=args.max_n,
                      moduli=None if args.modulus is None else [args.modulus])
     opts.char_index = _char_index(parser, args, opts.moduli)
     return opts
@@ -187,7 +188,7 @@ def main(argv=None) -> int:
 
 def _dispatch(parser, args) -> int:
     if args.command == "eulerian" and args.subcommand == "classical":
-        coeffs = eulerian_poly(_n(parser, args, args.max_n or 0)).coeffs
+        coeffs = eulerian_poly(_n(parser, args)).coeffs
         _write(",".join(map(str, coeffs)) + "\n", args.out)
         return rep.EXIT_OK
 
@@ -252,7 +253,7 @@ def _dispatch(parser, args) -> int:
 
     if args.command == "emit":
         opts = _override(TableOptions(kind=args.kind), modulus=args.modulus, q_list=args.q or None,
-                         bits=args.bits, max_n=args.n if args.max_n is None else args.max_n)
+                         bits=args.bits, max_n=args.max_n)
         opts.char_index = _char_index(parser, args, [opts.modulus])
         header, rows = build_table(opts)
         _write(rep.render_table(header, rows, args.format), args.out)

@@ -92,6 +92,12 @@ def measure_weight(measure: str, q: Fraction, d: int = 1) -> Fraction:
     raise ValueError(f"unknown measure {measure!r}")
 
 
+def congruent_to_one(q: Fraction, p: int) -> bool:
+    """True when q = 1 (mod p): p divides the numerator of q - 1 and not its denominator."""
+    delta = q - 1
+    return delta.numerator % p == 0 and delta.denominator % p != 0
+
+
 def _check_setup(p: int, q: Fraction, levels: Sequence[int], k: int) -> None:
     """Refuse what the truncated sums do not cover: p must be an odd prime,
     k and every level N at least 1, and q = 1 (mod p)."""
@@ -99,8 +105,7 @@ def _check_setup(p: int, q: Fraction, levels: Sequence[int], k: int) -> None:
         raise ValueError("p must be an odd prime")
     if min(levels, default=1) < 1 or k < 1:
         raise ValueError("N and k must be >= 1")
-    delta = q - 1
-    if delta.denominator % p == 0 or delta.numerator % p != 0:
+    if not congruent_to_one(q, p):
         raise BadCongruence(f"q = {q} is not congruent to 1 mod {p}")
 
 

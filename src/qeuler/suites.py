@@ -4,7 +4,8 @@ Suite names are stable CLI keys.  Unless the caller overrides them, grids
 default to n <= 4, moduli {1, 3, 5}, q in {2, 3}, p in {3, 5}, k = 3,
 bits = 128, levels 1..k+3 — sized to finish in well under a minute.
 
-Each suite is a grid of cases run by ``_case``, plus an adapter per metric kind.
+Each suite is a grid of cases run by ``_case``, one report per grid point,
+plus an adapter per metric kind.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from .lfunction import mellin_term_check, verify_interpolation
 from .padic import valuation
 from .padic_verify import (
     admissible_modulus,
+    congruent_to_one,
     corollary4_min_precision,
     corollary4_probe,
     monomial,
@@ -75,8 +77,7 @@ def _chi_padic_grid(opts: SuiteOptions):
 
 def _padic_q_list(opts: SuiteOptions, p: int) -> list[Fraction]:
     """q values congruent to 1 mod p: the caller's list filtered, else 1+p, 1+2p."""
-    usable = [q for q in opts.q_list
-              if (q - 1).numerator % p == 0 and (q - 1).denominator % p != 0]
+    usable = [q for q in opts.q_list if congruent_to_one(q, p)]
     return usable if usable else [Fraction(1 + p), Fraction(1 + 2 * p)]
 
 
@@ -85,28 +86,23 @@ def _char_params(chi, **params) -> dict:
             **params}
 
 
-def _case(identity: str, params: dict, check, adapt, variant: str = "n/a",
-          catch: bool = False) -> list[VerificationReport]:
-    """Run one timed check and turn its result into reports.
+def _case(identity: str, params: dict, check, adapt, variant: str = "n/a") -> VerificationReport:
+    """Run one timed check and turn its result into the case's one report.
 
-    ``adapt`` maps the result to one report-field dict (status, lhs, rhs,
-    metric, and optionally extra and params to add) or a list of them; the
-    check's time is split evenly among the reports.  With ``catch``, a
-    QEulerError from the check becomes one inconclusive report.
+    ``adapt`` maps the result to the report's fields (status, lhs, rhs,
+    metric, and optionally extra and params to add).  A QEulerError from the
+    check becomes an inconclusive report that names it, so the other cases
+    of the grid still run.
     """
     start = time.perf_counter()
     try:
         result = check()
     except QEulerError as exc:
-        if not catch:
-            raise
-        rows, ms = [_error(str(exc))], 0
+        row = _error(str(exc))
     else:
-        ms = int((time.perf_counter() - start) * 1000)
-        rows = adapt(result)
-        rows = [rows] if isinstance(rows, dict) else rows
-    return [VerificationReport(identity, {**params, **row.pop("params", {})}, variant=variant,
-                               elapsed_ms=ms // len(rows), **row) for row in rows]
+        row = adapt(result)
+    return VerificationReport(identity, {**params, **row.pop("params", {})}, variant=variant,
+                              elapsed_ms=int((time.perf_counter() - start) * 1000), **row)
 
 
 def _status(ok: bool) -> str:
@@ -161,9 +157,9 @@ def _sign_pair(n: int, x0: Fraction) -> tuple[Fraction, Fraction]:
 
 def suite_eq19_vs_eq20(opts: SuiteOptions) -> list[VerificationReport]:
     """Sign reconciliation between the series engine and the recurrence engine."""
-    return [r for n in range(opts.max_n + 1) for x0 in _sign_sample_points(n + 1)
-            for r in _case("eq19-vs-eq20", {"n": n, "x0": render_rational(x0)},
-                           partial(_sign_pair, n, x0), lambda pair: _exact_abs_error(*pair))]
+    return [_case("eq19-vs-eq20", {"n": n, "x0": render_rational(x0)},
+                  partial(_sign_pair, n, x0), lambda pair: _exact_abs_error(*pair))
+            for n in range(opts.max_n + 1) for x0 in _sign_sample_points(n + 1)]
 
 
 def _series_suite(opts: SuiteOptions, checker, identity: str) -> list[VerificationReport]:
@@ -174,9 +170,9 @@ def _series_suite(opts: SuiteOptions, checker, identity: str) -> list[Verificati
         return _numeric_abs_error(result.passed, result.lhs, result.rhs, err, bound, opts.bits,
                                   terms=result.terms, form=result.form)
 
-    return [r for d, chi, n, q in _char_grid(opts, range(opts.max_n + 1), opts.q_list)
-            for r in _case(identity, _char_params(chi, n=n, q=render_rational(q), bits=opts.bits),
-                           partial(checker, n, chi, q, opts.bits), adapt)]
+    return [_case(identity, _char_params(chi, n=n, q=render_rational(q), bits=opts.bits),
+                  partial(checker, n, chi, q, opts.bits), adapt)
+            for d, chi, n, q in _char_grid(opts, range(opts.max_n + 1), opts.q_list)]
 
 
 def suite_eq12_series(opts: SuiteOptions) -> list[VerificationReport]:
@@ -191,19 +187,17 @@ def suite_eq13_series(opts: SuiteOptions) -> list[VerificationReport]:
 
 def suite_eq16_distribution(opts: SuiteOptions) -> list[VerificationReport]:
     def exact(result):
-        """The exact-kind adapter: one report per q sample."""
-        return [{"status": _status(s.ok and s.genocchi_ok),
-                 "lhs": render_value(s.lhs_corrected if opts.variant == "corrected" else s.lhs_printed),
-                 "rhs": render_value(s.rhs_euler),
-                 "metric": {"kind": "exact", "equal": s.ok, "genocchi_equal": s.genocchi_ok},
-                 "params": {"q": render_rational(s.q)},
-                 "extra": {"ratio": render_rational(s.ratio) if s.ratio is not None else None}}
-                for s in result.samples]
+        """The exact-kind adapter for the one q sample of a case."""
+        (s,) = result.samples
+        return {"status": _status(s.ok and s.genocchi_ok),
+                "lhs": render_value(s.lhs_corrected if opts.variant == "corrected" else s.lhs_printed),
+                "rhs": render_value(s.rhs_euler),
+                "metric": {"kind": "exact", "equal": s.ok, "genocchi_equal": s.genocchi_ok},
+                "extra": {"ratio": render_rational(s.ratio) if s.ratio is not None else None}}
 
-    return [r for d, chi, n in _char_grid(opts, range(opts.max_n + 1))
-            for r in _case("eq16-distribution", _char_params(chi, n=n),
-                           partial(verify_distribution, n, chi, opts.q_list, opts.variant),
-                           exact, opts.variant)]
+    return [_case("eq16-distribution", _char_params(chi, n=n, q=render_rational(q)),
+                  partial(verify_distribution, n, chi, [q], opts.variant), exact, opts.variant)
+            for d, chi, n, q in _char_grid(opts, range(opts.max_n + 1), opts.q_list)]
 
 
 def _witt_fields(result, extra: dict | None = None) -> dict:
@@ -215,22 +209,19 @@ def _witt_fields(result, extra: dict | None = None) -> dict:
 
 def suite_witt(opts: SuiteOptions) -> list[VerificationReport]:
     level = max(opts.level_list())
-    return [r for p in opts.p_list for q in _padic_q_list(opts, p) for n in range(opts.max_n + 1)
-            for r in _case("witt", {"n": n, "p": p, "q": render_rational(q),
-                                    "k": opts.precision, "N": level},
-                           partial(verify_witt, n, p, q, opts.precision, level),
-                           _witt_fields)]
+    return [_case("witt", {"n": n, "p": p, "q": render_rational(q), "k": opts.precision, "N": level},
+                  partial(verify_witt, n, p, q, opts.precision, level), _witt_fields)
+            for p in opts.p_list for q in _padic_q_list(opts, p) for n in range(opts.max_n + 1)]
 
 
 def suite_witt_chi(opts: SuiteOptions) -> list[VerificationReport]:
     level = max(opts.level_list())
-    return [r for d, chi, p, q, n in _chi_padic_grid(opts)
-            for r in _case("witt-chi", _char_params(chi, n=n, p=p, q=render_rational(q),
-                                                    k=opts.precision, N=level),
-                           partial(verify_witt_chi, n, chi, p, q, opts.precision, level,
-                                   opts.variant),
-                           lambda result: _witt_fields(result, {"ratio_vs_printed": result.ratio}),
-                           opts.variant, catch=True)]
+    return [_case("witt-chi", _char_params(chi, n=n, p=p, q=render_rational(q),
+                                           k=opts.precision, N=level),
+                  partial(verify_witt_chi, n, chi, p, q, opts.precision, level, opts.variant),
+                  lambda result: _witt_fields(result, {"ratio_vs_printed": result.ratio}),
+                  opts.variant)
+            for d, chi, p, q, n in _chi_padic_grid(opts)]
 
 
 def suite_integral_eq(opts: SuiteOptions) -> list[VerificationReport]:
@@ -249,11 +240,10 @@ def suite_integral_eq(opts: SuiteOptions) -> list[VerificationReport]:
                                      opts.precision, valuation=list(result.valuations)),
                     params={"levels": list(result.levels)})
 
-    return [r for p in opts.p_list for q in _padic_q_list(opts, p) for eq, f, n in cases
-            for r in _case("integral-eq", {"eq": eq, "f": f.describe(), "shift": n, "p": p,
-                                           "q": render_rational(q), "k": opts.precision},
-                           partial(verify_integral_equation, eq, f, n, p, q, opts.precision,
-                                   levels), adapt)]
+    return [_case("integral-eq", {"eq": eq, "f": f.describe(), "shift": n, "p": p,
+                                  "q": render_rational(q), "k": opts.precision},
+                  partial(verify_integral_equation, eq, f, n, p, q, opts.precision, levels), adapt)
+            for p in opts.p_list for q in _padic_q_list(opts, p) for eq, f, n in cases]
 
 
 def _probe(n, chi, p, q, floor, levels):
@@ -280,28 +270,22 @@ def _probe_fields(result, params: dict) -> dict:
 
 
 def suite_corollary4(opts: SuiteOptions) -> list[VerificationReport]:
-    reports = []
     levels = opts.level_list()
-    for d, chi, p, q, n in _chi_padic_grid(opts):
-        if d == 1 and n == 0:
-            # the probed limit statement needs chi(0)*0^n = 0
-            continue
-        reports += _case("corollary4-probe",
-                         _char_params(chi, n=n, p=p, q=render_rational(q),
-                                      k=opts.precision, levels=levels),
-                         partial(_probe, n, chi, p, q, opts.precision, levels),
-                         lambda out: _probe_fields(*out), catch=True)
-    return reports
+    # the probed limit statement needs chi(0)*0^n = 0, so d = 1, n = 0 is left out
+    return [_case("corollary4-probe", _char_params(chi, n=n, p=p, q=render_rational(q),
+                                                   k=opts.precision, levels=levels),
+                  partial(_probe, n, chi, p, q, opts.precision, levels),
+                  lambda out: _probe_fields(*out))
+            for d, chi, p, q, n in _chi_padic_grid(opts) if not (d == 1 and n == 0)]
 
 
 def suite_interpolation(opts: SuiteOptions) -> list[VerificationReport]:
-    return [r for d, chi, n, q in _char_grid(opts, range(opts.max_n + 1), opts.q_list)
-            for r in _case("interpolation", _char_params(chi, n=n, q=render_rational(q),
-                                                         bits=opts.bits),
-                           partial(verify_interpolation, n, chi, q, opts.bits),
-                           lambda result: _numeric_abs_error(
-                               result.passed, result.l_value, result.reference,
-                               mp.mpf(result.difference), mp.mpf(result.bound), opts.bits))]
+    return [_case("interpolation", _char_params(chi, n=n, q=render_rational(q), bits=opts.bits),
+                  partial(verify_interpolation, n, chi, q, opts.bits),
+                  lambda result: _numeric_abs_error(
+                      result.passed, result.l_value, result.reference,
+                      mp.mpf(result.difference), mp.mpf(result.bound), opts.bits))
+            for d, chi, n, q in _char_grid(opts, range(opts.max_n + 1), opts.q_list)]
 
 
 MELLIN_CASES = ((Fraction(2), 1, Fraction(2)), (Fraction(1), 2, Fraction(1)),
@@ -309,13 +293,13 @@ MELLIN_CASES = ((Fraction(2), 1, Fraction(2)), (Fraction(1), 2, Fraction(1)),
 
 
 def suite_mellin(opts: SuiteOptions) -> list[VerificationReport]:
-    return [r for s, m, q in MELLIN_CASES
-            for r in _case("mellin-term", {"s": render_rational(s), "m": m,
-                                           "q": render_rational(q), "bits": opts.bits},
-                           partial(mellin_term_check, s, m, q, opts.bits),
-                           lambda result: _numeric_abs_error(
-                               result.passed, result.lhs, result.rhs,
-                               mp.mpf(result.difference), mp.mpf(result.tolerance), opts.bits))]
+    return [_case("mellin-term", {"s": render_rational(s), "m": m, "q": render_rational(q),
+                                  "bits": opts.bits},
+                  partial(mellin_term_check, s, m, q, opts.bits),
+                  lambda result: _numeric_abs_error(
+                      result.passed, result.lhs, result.rhs,
+                      mp.mpf(result.difference), mp.mpf(result.tolerance), opts.bits))
+            for s, m, q in MELLIN_CASES]
 
 
 SUITES = {

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 from itertools import count
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,7 @@ from qeuler.suites import SUITES
 from qeuler.tables import KINDS
 from qeuler.lfunction import l_eulerian
 from qeuler.padic_verify import MEASURES
+from qeuler.report import exit_code
 from qeuler.serialize import (MAX_PLACE, _digits, _dyadic, _rounded, decimal_digits, parse_rational, parse_value,
                               render_l_value, render_value)
 
@@ -153,17 +155,19 @@ USAGE_PROBES = [
 
 
 # The common flags, each with a valid value, and the ones each command reads besides --out.
-# verify suite reads them all; any other (command, flag) pair is a usage error.
+# verify suite reads all of them but --n; any other (command, flag) pair is a usage error.
 COMMON_FLAGS = {"n": "1", "max-n": "1", "modulus": "3", "char": "0", "q": "2", "p": "5", "precision": "2",
                 "bits": "64", "levels": "2", "variant": "printed"}
 READ_FLAGS = {
-    "eulerian classical": {"n", "max-n"},
+    "eulerian classical": {"n"},
     "eulerian chi": {"n", "modulus", "char", "q"},
     "chars list": {"modulus"},
     "chars conductor": {"modulus", "char"},
     "lfunction eval --s 2": {"modulus", "char", "q", "bits"},
     "padic integral": {"n", "modulus", "char", "q", "p", "precision", "levels"},
-    "emit table --kind classical": {"n", "max-n", "modulus", "char", "q", "bits"},
+    "emit table --kind classical": {"max-n", "modulus", "char", "q", "bits"},
+    "verify suite --name witt": {"max-n", "modulus", "char", "q", "p", "precision", "bits", "levels",
+                                 "variant"},
 }
 UNREAD_FLAGS = [(command, flag) for command, read in READ_FLAGS.items() for flag in COMMON_FLAGS
                 if flag not in read]
@@ -419,6 +423,36 @@ class TestSuiteStreams:
                    and r["metric"]["error"].startswith("cannot embed Q(zeta_")
                    and r["metric"]["error"].endswith(") into residues mod 3^3") for r in errors)
 
+    @pytest.mark.parametrize("argv, count, refused, bad_q, message", [
+        # 7^10 values exceed the walk limit; p = 3 still fits
+        ("witt --p 3,7 --precision 10 --max-n 1", 8, 4, None, "would walk 282475249 values"),
+        ("eq13-series --q 2,1 --max-n 1 --modulus 3", 8, 4, "1/1", "needs q > 1"),
+        ("eq16-distribution --q 2,-1 --max-n 1 --modulus 3", 8, 4, "-1/1", "q = -1 is excluded"),
+        ("integral-eq --precision 99", 24, 24, None, "would walk"),
+    ])
+    def test_a_refused_case_is_its_own_inconclusive_report(self, capsys, argv, count, refused, bad_q,
+                                                           message):
+        code = main(["verify", "suite", "--name", *argv.split()])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == ""
+        rows = [json.loads(line) for line in captured.out.splitlines()]
+        errors = [r for r in rows if r["status"] == "inconclusive"]
+        assert len(rows) == count and len(errors) == refused
+        assert all(r["status"] == "pass" for r in rows if r not in errors)
+        assert all(r["metric"]["kind"] == "error" and message in r["metric"]["error"]
+                   and r["lhs"] == r["rhs"] == "" for r in errors)
+        if bad_q is not None:
+            assert {r["params"]["q"] for r in errors} == {bad_q}
+
+    def test_a_fail_outranks_an_inconclusive_report(self, capsys):
+        # the documented n = 0, modulus 1 boundary fail beside the q = 1 refusals
+        code, out = run(capsys, "verify", "suite", "--name", "eq13-series", "--q", "2,1",
+                        "--max-n", "1", "--modulus", "1")
+        assert code == 1
+        statuses = sorted(json.loads(line)["status"] for line in out.splitlines())
+        assert statuses == ["fail", "inconclusive", "inconclusive", "pass"]
+
     def test_corollary4_precision_above_nine(self, capsys):
         code, out = run(capsys, "verify", "suite", "--name", "corollary4-probe",
                         "--modulus", "3", "--p", "3", "--max-n", "2", "--precision", "10")
@@ -574,3 +608,11 @@ class TestExitCodeFuzz:
             except SystemExit as exc:
                 code = exc.code
         assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+        if command[:2] == ["verify", "suite"] and code in (1, 3):
+            # every refusal past the parser is a case's own report: the code follows the statuses
+            assert not [line for line in err.getvalue().splitlines() if line.startswith("error:")], argv
+            text = out.getvalue()
+            rows = (csv.DictReader(io.StringIO(text)) if text.startswith("identity,")
+                    else map(json.loads, text.splitlines()))
+            statuses = [SimpleNamespace(status=row["status"]) for row in rows]
+            assert code == exit_code(statuses), (argv, code)
