@@ -50,7 +50,8 @@ from .characters import DirichletCharacter
 from .cyclotomic import CycElem, cyc_embed
 from .errors import ConvergenceDomain, DegenerateSample, PoleAtMinusOne, PoleQ
 from .eulerian import _rows
-from .numerics import _pair, _round, alternating_character_sum, choose_truncation, to_mpf
+from .numerics import (NumericCheck, _pair, _round, alternating_character_sum, choose_truncation,
+                       numeric_check, to_mpf)
 from .qnumbers import q_number
 
 Scalar = Union[int, Fraction]
@@ -90,22 +91,7 @@ def series_reference(n: int, chi: DirichletCharacter, q: Scalar) -> CycElem:
     return (Fraction((-1) ** n) / (qf * (1 + qf) ** (n + 1))) * chi_eulerian(n, chi, qf)
 
 
-@dataclass(frozen=True)
-class SeriesCheck:
-    n: int
-    character: DirichletCharacter
-    q: Fraction
-    bits: int
-    lhs: object
-    rhs: object
-    tail_bound: object
-    slack: object
-    terms: int
-    passed: bool
-    form: str
-
-
-def chi_eulerian_series_check(n: int, chi: DirichletCharacter, q: Scalar, bits: int = 128) -> SeriesCheck:
+def chi_eulerian_series_check(n: int, chi: DirichletCharacter, q: Scalar, bits: int = 128) -> NumericCheck:
     """Compare the exact value of (-1)^n A_n / (q(1+q)^{n+1}) with the partial
     sum of sum_{m>=1} (-1)^m chi(m) m^n q^{-m}, under a certified tail bound.
 
@@ -122,13 +108,11 @@ def chi_eulerian_series_check(n: int, chi: DirichletCharacter, q: Scalar, bits: 
         M, tail = choose_truncation(n, qf, bits - 4)
         prec = mp.prec
         acc = alternating_character_sum(chi, qf, bits, M, lambda m: _round(m**n, 0, prec))
-        lhs = cyc_embed(series_reference(n, chi, qf), bits + 32)
-        slack = mp.mpf(2) ** (-bits + 8)
-        passed = mp.fabs(lhs - acc) <= tail + slack
-        return SeriesCheck(n, chi, qf, bits, +lhs, +acc, +tail, +slack, M, bool(passed), "m>=1")
+        return numeric_check(cyc_embed(series_reference(n, chi, qf), bits + 32), acc,
+                             tail + mp.mpf(2) ** (8 - bits), M)
 
 
-def kernel_series_check(n: int, chi: DirichletCharacter, q: Scalar, bits: int = 128) -> SeriesCheck:
+def kernel_series_check(n: int, chi: DirichletCharacter, q: Scalar, bits: int = 128) -> NumericCheck:
     """Compare A_n (closed form) with the partial sum of the full geometric
     expansion q(1+q) sum_{m>=0} (-1)^m chi(m) q^{-m} (-m(1+q))^n."""
     if n < 0:
@@ -138,7 +122,6 @@ def kernel_series_check(n: int, chi: DirichletCharacter, q: Scalar, bits: int = 
         raise ConvergenceDomain("the geometric kernel expansion needs q > 1")
     with mp.workprec(bits + 64):
         M, tail_raw = choose_truncation(n, qf, bits - 4)
-        scale = to_mpf(qf * (1 + qf) ** (n + 1))
         prec = mp.prec
         om, oe = _pair(to_mpf(1 + qf)._mpf_, prec)
 
@@ -149,10 +132,8 @@ def kernel_series_check(n: int, chi: DirichletCharacter, q: Scalar, bits: int = 
         acc = alternating_character_sum(chi, qf, bits, M, term, start=0)
         acc *= to_mpf(qf * (1 + qf))
         lhs = cyc_embed(chi_eulerian(n, chi, qf), bits + 32)
-        tail = mp.fabs(scale) * tail_raw
-        slack = mp.mpf(2) ** (-bits + 8)
-        passed = mp.fabs(lhs - acc) <= tail + slack
-        return SeriesCheck(n, chi, qf, bits, +lhs, +acc, +tail, +slack, M, bool(passed), "m>=0")
+        bound = to_mpf(qf * (1 + qf) ** (n + 1)) * tail_raw + mp.mpf(2) ** (8 - bits)
+        return numeric_check(lhs, acc, bound, M)
 
 
 def weight_zero_euler_values(max_n: int, q: Scalar, x: Scalar) -> list[Fraction]:
@@ -257,4 +238,6 @@ def verify_distribution(n: int, chi: DirichletCharacter, q_samples: Sequence[Sca
         samples.append(DistributionSample(qf, lhs_printed, lhs_corrected, rhs_euler,
                                           rhs_genocchi, ratio, ok, genocchi_ok))
         all_ok = all_ok and ok and genocchi_ok
+    if not samples:
+        raise ValueError("verify_distribution needs at least one q sample")
     return DistributionResult(n, chi, variant, tuple(samples), all_ok, ratio_ok)

@@ -34,7 +34,8 @@ from .characters import DirichletCharacter
 from .chi_eulerian import chi_eulerian
 from .cyclotomic import cyc_embed
 from .errors import ConvergenceDomain, DomainError
-from .numerics import _cmul, _pair, _round, alternating_character_sum, choose_truncation, to_mpc, to_mpf
+from .numerics import (NumericCheck, _cmul, _pair, _round, alternating_character_sum, choose_truncation,
+                       numeric_check, to_mpc, to_mpf)
 from .numtheory import smallest_prime_factors
 
 Scalar = Union[int, Fraction]
@@ -222,20 +223,7 @@ def _inverse_powers(s, M: int):
     return term
 
 
-@dataclass(frozen=True)
-class InterpolationReport:
-    n: int
-    character: DirichletCharacter
-    q: Fraction
-    bits: int
-    l_value: object
-    reference: object
-    difference: object
-    bound: object
-    passed: bool
-
-
-def verify_interpolation(n: int, chi: DirichletCharacter, q: Scalar, bits: int = 128) -> InterpolationReport:
+def verify_interpolation(n: int, chi: DirichletCharacter, q: Scalar, bits: int = 128) -> NumericCheck:
     """Compare L_E(-n | chi) against (-1)^n A_n(chi, -q).
 
     The comparison leaves out the boundary term q (1+q)^{n+1} chi(0) 0^n
@@ -248,26 +236,10 @@ def verify_interpolation(n: int, chi: DirichletCharacter, q: Scalar, bits: int =
     lv = l_eulerian(-n, chi, qf, bits)
     with mp.workprec(bits + 64):
         reference = (-1) ** n * cyc_embed(chi_eulerian(n, chi, qf), bits + 32)
-        diff = mp.fabs(lv.value - reference)
-        bound = lv.tail_bound + mp.mpf(2) ** (-bits + 8)
-        return InterpolationReport(n, chi, qf, bits, lv.value, +reference, +diff, +bound,
-                                   bool(diff <= bound))
+        return numeric_check(lv.value, reference, lv.tail_bound + mp.mpf(2) ** (8 - bits), lv.terms)
 
 
-@dataclass(frozen=True)
-class MellinTermReport:
-    s: object
-    m_index: int
-    q: Fraction
-    bits: int
-    lhs: object
-    rhs: object
-    difference: object
-    tolerance: object
-    passed: bool
-
-
-def mellin_term_check(s, m_index: int, q: Scalar, bits: int = 64) -> MellinTermReport:
+def mellin_term_check(s, m_index: int, q: Scalar, bits: int = 64) -> NumericCheck:
     """Verify (1/Gamma(s)) int_0^inf t^{s-1} e^{-m(1+q)t} dt = (m(1+q))^{-s}.
 
     The integral is evaluated by adaptive quadrature on [0, T] with T chosen
@@ -285,14 +257,6 @@ def mellin_term_check(s, m_index: int, q: Scalar, bits: int = 64) -> MellinTermR
             raise DomainError("the term-wise identity needs Re(s) > 0")
         rate = m_index * to_mpf(1 + qf)
         T = (bits + 64) * mp.ln(2) / rate
-
-        def integrand(t):
-            return mp.power(t, s_val - 1) * mp.exp(-rate * t)
-
-        integral = mp.quad(integrand, [0, T], maxdegree=12)
+        integral = mp.quad(lambda t: mp.power(t, s_val - 1) * mp.exp(-rate * t), [0, T], maxdegree=12)
         lhs = integral / mp.gamma(s_val)
-        rhs = mp.power(rate, -s_val)
-        diff = mp.fabs(lhs - rhs)
-        tol = mp.mpf(2) ** (-(bits // 2))
-        return MellinTermReport(+s_val, m_index, qf, bits, +lhs, +rhs, +diff, +tol,
-                                bool(diff <= tol))
+        return numeric_check(lhs, mp.power(rate, -s_val), mp.mpf(2) ** (-(bits // 2)))

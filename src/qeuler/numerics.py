@@ -1,5 +1,6 @@
-"""mpmath helpers shared by the numeric series checks: conversions, tail bounds
-and the alternating character series they all sum.
+"""mpmath helpers shared by the numeric checks: conversions, tail bounds, the
+alternating character series and ``NumericCheck``, the one record that the four
+checks (eq12, eq13, interpolation, Mellin term) return from ``numeric_check``.
 
 The series runs on signed integer (mantissa, exponent) pairs, value
 man * 2^exp, under one rule: every product, sum and power is formed exactly
@@ -12,6 +13,7 @@ parts that are exactly zero.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
@@ -34,6 +36,23 @@ def to_mpc(x):
     if isinstance(x, tuple):
         return mp.mpc(to_mpf(x[0]), to_mpf(x[1]))
     return mp.mpc(x)
+
+
+@dataclass(frozen=True)
+class NumericCheck:
+    """A closed form and a certified sum or integral, as lhs and rhs: the bound on
+    |lhs - rhs|, the verdict and the series terms summed (None for a quadrature)."""
+    lhs: object
+    rhs: object
+    bound: object
+    passed: bool
+    terms: int | None = None
+
+
+def numeric_check(lhs, rhs, bound, terms: int | None = None) -> NumericCheck:
+    """The record with passed = |lhs - rhs| <= bound, decided at the caller's working
+    precision, with lhs, rhs and bound rounded to it."""
+    return NumericCheck(+lhs, +rhs, +bound, bool(mp.fabs(lhs - rhs) <= bound), terms)
 
 
 def tail_bound(M: int, growth: float, q: Fraction):

@@ -109,11 +109,6 @@ def _status(ok: bool) -> str:
     return PASS if ok else FAIL
 
 
-def _nstr(x, bits: int) -> str:
-    with mp.workprec(bits):
-        return mp.nstr(mp.mpc(x), 30)
-
-
 # Report adapters, one per metric kind.
 
 def _exact_abs_error(lhs: Fraction, rhs: Fraction) -> dict:
@@ -122,10 +117,14 @@ def _exact_abs_error(lhs: Fraction, rhs: Fraction) -> dict:
             "metric": {"kind": "abs_error", "error": render_rational(err), "bound": "0/1"}}
 
 
-def _numeric_abs_error(passed: bool, lhs, rhs, error, bound, bits: int, **params) -> dict:
-    return {"status": _status(passed), "lhs": _nstr(lhs, bits), "rhs": _nstr(rhs, bits),
-            "metric": {"kind": "abs_error", "error": mp.nstr(error, 12),
-                       "bound": mp.nstr(bound, 12)}, "params": params}
+def _numeric_abs_error(result, bits: int, **params) -> dict:
+    """Every numeric row, rounded at the case's bits: lhs and rhs to 30 digits,
+    error |lhs - rhs| and bound to 12."""
+    with mp.workprec(bits):
+        return {"status": _status(result.passed), "lhs": mp.nstr(mp.mpc(result.lhs), 30),
+                "rhs": mp.nstr(mp.mpc(result.rhs), 30),
+                "metric": {"kind": "abs_error", "error": mp.nstr(mp.fabs(result.lhs - result.rhs), 12),
+                           "bound": mp.nstr(result.bound, 12)}, "params": params}
 
 
 def _padic_valuation(status: str, lhs, rhs, target: int, extra: dict | None = None,
@@ -162,27 +161,21 @@ def suite_eq19_vs_eq20(opts: SuiteOptions) -> list[VerificationReport]:
             for n in range(opts.max_n + 1) for x0 in _sign_sample_points(n + 1)]
 
 
-def _series_suite(opts: SuiteOptions, checker, identity: str) -> list[VerificationReport]:
-    def adapt(result):
-        with mp.workprec(opts.bits):
-            err = mp.fabs(result.lhs - result.rhs)
-            bound = result.tail_bound + result.slack
-        return _numeric_abs_error(result.passed, result.lhs, result.rhs, err, bound, opts.bits,
-                                  terms=result.terms, form=result.form)
-
+def _series_suite(opts: SuiteOptions, checker, identity: str, form: str) -> list[VerificationReport]:
     return [_case(identity, _char_params(chi, n=n, q=render_rational(q), bits=opts.bits),
-                  partial(checker, n, chi, q, opts.bits), adapt)
+                  partial(checker, n, chi, q, opts.bits),
+                  lambda result: _numeric_abs_error(result, opts.bits, terms=result.terms, form=form))
             for d, chi, n, q in _char_grid(opts, range(opts.max_n + 1), opts.q_list)]
 
 
 def suite_eq12_series(opts: SuiteOptions) -> list[VerificationReport]:
     """Recurrence values against the full geometric kernel expansion (m >= 0)."""
-    return _series_suite(opts, kernel_series_check, "eq12-series")
+    return _series_suite(opts, kernel_series_check, "eq12-series", "m>=0")
 
 
 def suite_eq13_series(opts: SuiteOptions) -> list[VerificationReport]:
     """Recurrence values against the m >= 1 alternating character series."""
-    return _series_suite(opts, chi_eulerian_series_check, "eq13-series")
+    return _series_suite(opts, chi_eulerian_series_check, "eq13-series", "m>=1")
 
 
 def suite_eq16_distribution(opts: SuiteOptions) -> list[VerificationReport]:
@@ -282,9 +275,7 @@ def suite_corollary4(opts: SuiteOptions) -> list[VerificationReport]:
 def suite_interpolation(opts: SuiteOptions) -> list[VerificationReport]:
     return [_case("interpolation", _char_params(chi, n=n, q=render_rational(q), bits=opts.bits),
                   partial(verify_interpolation, n, chi, q, opts.bits),
-                  lambda result: _numeric_abs_error(
-                      result.passed, result.l_value, result.reference,
-                      mp.mpf(result.difference), mp.mpf(result.bound), opts.bits))
+                  partial(_numeric_abs_error, bits=opts.bits))
             for d, chi, n, q in _char_grid(opts, range(opts.max_n + 1), opts.q_list)]
 
 
@@ -295,10 +286,7 @@ MELLIN_CASES = ((Fraction(2), 1, Fraction(2)), (Fraction(1), 2, Fraction(1)),
 def suite_mellin(opts: SuiteOptions) -> list[VerificationReport]:
     return [_case("mellin-term", {"s": render_rational(s), "m": m, "q": render_rational(q),
                                   "bits": opts.bits},
-                  partial(mellin_term_check, s, m, q, opts.bits),
-                  lambda result: _numeric_abs_error(
-                      result.passed, result.lhs, result.rhs,
-                      mp.mpf(result.difference), mp.mpf(result.tolerance), opts.bits))
+                  partial(mellin_term_check, s, m, q, opts.bits), partial(_numeric_abs_error, bits=opts.bits))
             for s, m, q in MELLIN_CASES]
 
 

@@ -130,10 +130,10 @@ def test_criterion_03_series_oracle():
                 for q in Q_THREE:
                     total += 1
                     report = chi_eulerian_series_check(n, chi, q, 128)
-                    with mp.workprec(report.bits + 64):
+                    with mp.workprec(128 + 64):
                         measured = report.lhs - report.rhs
-                        off = mp.fabs(measured - cyc_embed(gap, report.bits + 32))
-                        ok = off <= report.tail_bound + report.slack
+                        off = mp.fabs(measured - cyc_embed(gap, 128 + 32))
+                        ok = off <= report.bound
                     if not (ok and report.passed == (not gap)):
                         failures.append(
                             f"n={n} d={d} char={chi.label} q={q}: "
@@ -254,8 +254,8 @@ def test_criterion_09_interpolation():
         spot0 = verify_interpolation(0, quad3, 2, 128)
         spot1 = verify_interpolation(1, quad3, 2, 128)
         total += 1
-        if not (mp.fabs(spot0.l_value + 4) < mp.mpf(2) ** -100
-                and mp.fabs(spot1.l_value + 12) < mp.mpf(2) ** -100):
+        if not (mp.fabs(spot0.lhs + 4) < mp.mpf(2) ** -100
+                and mp.fabs(spot1.lhs + 12) < mp.mpf(2) ** -100):
             failures.append("spot values L(0) = -4, L(-1) = -12")
     for d in (1, 3, 5):
         for chi in enumerate_characters(d):
@@ -267,9 +267,9 @@ def test_criterion_09_interpolation():
                     boundary = q * (1 + q) ** (n + 1) * gap
                     expected = (-1) ** n * chi_eulerian(n, chi, q) - boundary
                     report = verify_interpolation(n, chi, q, 128)
-                    with mp.workprec(report.bits + 64):
-                        measured = report.l_value - report.reference
-                        off = mp.fabs(report.l_value - cyc_embed(expected, report.bits + 32))
+                    with mp.workprec(128 + 64):
+                        measured = report.lhs - report.rhs
+                        off = mp.fabs(report.lhs - cyc_embed(expected, 128 + 32))
                         ok = off <= report.bound
                     corner_ok = not gap or expected == -q
                     if not (ok and corner_ok and report.passed == (not gap)):

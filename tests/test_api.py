@@ -1,9 +1,11 @@
 """The public API: ``qeuler.__all__`` is pinned, so growing or shrinking it is a visible change."""
 import importlib
+from fractions import Fraction
 
 import pytest
 
 import qeuler
+from qeuler.numerics import NumericCheck
 
 PUBLIC = [
     "CycElem", "DirichletCharacter", "EulerianPoly", "IntegrandSpec", "LValue", "PadicResidue",
@@ -25,3 +27,17 @@ def test_public_api_is_pinned():
     for gone in ("qeuler.polyq", "qeuler.series"):  # the integer rows and tuples replaced them
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(gone)
+
+
+def test_the_numeric_checks_return_one_record():
+    # the benchmark reads .passed of each check and .terms of the series checks
+    quad3 = qeuler.enumerate_characters(3)[1]
+    results = [qeuler.chi_eulerian_series_check(1, quad3, 2, 128), qeuler.kernel_series_check(1, quad3, 2, 128),
+               qeuler.verify_interpolation(1, quad3, 2, 128),
+               qeuler.mellin_term_check(Fraction(2), 1, Fraction(2), 128)]
+    assert all(type(r) is NumericCheck and r.passed for r in results)
+    assert all(isinstance(r.terms, int) and r.terms > 0 for r in results[:3])
+    assert results[3].terms is None  # a quadrature sums no series
+    for r in results:
+        assert r.bound > 0 and abs(r.lhs - r.rhs) <= r.bound
+    assert len(qeuler.__all__) == 39

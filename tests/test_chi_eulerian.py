@@ -255,3 +255,11 @@ class TestDistribution:
     def test_degenerate_sample(self):
         with pytest.raises(DegenerateSample):
             verify_distribution(0, QUAD3, [Fraction(-1)], "corrected")
+
+    @pytest.mark.parametrize("variant", ["corrected", "printed"])
+    def test_no_samples_is_refused(self, variant):
+        # zero samples prove nothing, so they must not read as a pass
+        with pytest.raises(ValueError, match="at least one q sample"):
+            verify_distribution(0, QUAD3, [], variant)
+        with pytest.raises(ValueError, match="at least one q sample"):
+            verify_distribution(2, MOD1, iter(()), variant)

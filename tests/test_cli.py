@@ -27,7 +27,7 @@ from qeuler.eulerian import eulerian_poly
 from qeuler.suites import SUITES
 from qeuler.tables import KINDS
 from qeuler.lfunction import l_eulerian
-from qeuler.padic_verify import MEASURES
+from qeuler.padic_verify import MAX_WALK, MEASURES
 from qeuler.report import exit_code
 from qeuler.serialize import (MAX_PLACE, _digits, _dyadic, _rounded, decimal_digits, parse_rational, parse_value,
                               render_l_value, render_value)
@@ -595,6 +595,37 @@ _ARGV = st.tuples(_COMMANDS, st.lists(st.sampled_from(sorted(_FLAGS)).flatmap(
     lambda flag: st.tuples(st.just(flag), st.sampled_from(_FLAGS[flag]) | _JUNK)), max_size=4))
 
 
+# Refused `verify suite` grids: every draw holds at least one case that its check
+# refuses, and no case that fails.  Each draw is (argv after "verify suite",
+# predicate on a row's params that says whether that case is refused).
+def _q_grids(name, bad, good, moduli):
+    """Grids of ``name`` whose q list holds a bad q; a case is refused iff its q is bad."""
+    bad_q = {Fraction(q) for q in bad}
+    return (st.tuples(st.lists(st.sampled_from(bad + good), min_size=1, max_size=3, unique=True)
+                      .filter(lambda qs: set(qs) & set(bad)),
+                      st.sampled_from(moduli), st.sampled_from(["0", "1"]))
+            .map(lambda t: (["--name", name, "--q=" + ",".join(t[0]), "--modulus", t[1], "--max-n", t[2]],
+                            lambda params: Fraction(params["q"]) in bad_q)))
+
+
+def _walk_refused(params):
+    return params["p"] ** min(params["k"], params["N"]) > MAX_WALK
+
+
+_REFUSED_GRIDS = st.one_of(
+    # the series and the L-series need q > 1 (modulus >= 3 keeps out the n = 0 fail)
+    *[_q_grids(name, ["1", "1/2", "0", "-3", "-1/2"], ["2", "7/2"], ["3", "5", "7"])
+      for name in ("eq12-series", "eq13-series", "interpolation")],
+    # q = -1 is a pole of the distribution identity
+    _q_grids("eq16-distribution", ["-1"], ["2", "3", "7/2"], ["1", "3", "5"]),
+    # walks past MAX_WALK values, alone or beside a prime whose walk fits
+    st.tuples(st.sampled_from([("3", "14", "15"), ("7", "8", None), ("3,7", "8", None),
+                               ("3,5", "10", "11"), ("7,3", "9", "9")]), st.sampled_from(["0", "1"]))
+    .map(lambda t: (["--name", "witt", "--p", t[0][0], "--precision", t[0][1], "--max-n", t[1]]
+                    + (["--levels", t[0][2]] if t[0][2] else []), _walk_refused)),
+)
+
+
 class TestExitCodeFuzz:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(_ARGV)
@@ -616,3 +647,21 @@ class TestExitCodeFuzz:
                     else map(json.loads, text.splitlines()))
             statuses = [SimpleNamespace(status=row["status"]) for row in rows]
             assert code == exit_code(statuses), (argv, code)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(_REFUSED_GRIDS)
+    def test_refused_grids_exit_3_with_a_report_per_case(self, drawn):
+        args, refused = drawn
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "suite", *args])
+        assert code == 3, args
+        assert out.getvalue() and err.getvalue() == "", args
+        rows = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert any(refused(r["params"]) for r in rows), args
+        for r in rows:
+            if refused(r["params"]):
+                assert r["status"] == "inconclusive" and r["metric"]["kind"] == "error", (args, r)
+                assert r["lhs"] == r["rhs"] == "", (args, r)
+            else:
+                assert r["status"] == "pass", (args, r)

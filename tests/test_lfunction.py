@@ -123,9 +123,9 @@ class TestInterpolation:
     def test_spot_values(self):
         r0 = verify_interpolation(0, QUAD3, 2, 128)
         r1 = verify_interpolation(1, QUAD3, 2, 128)
-        assert_close(r0.l_value, -4)
-        assert_close(r1.l_value, -12)
-        assert_close(r1.reference, -12)
+        assert_close(r0.lhs, -4)
+        assert_close(r1.lhs, -12)
+        assert_close(r1.rhs, -12)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_modulus_one_positive_n(self, n):
@@ -138,7 +138,7 @@ class TestInterpolation:
             report = verify_interpolation(0, MOD1, q, 128)
             assert not report.passed
             expected = chi_eulerian(0, MOD1, q).to_rational() - q * (1 + q)
-            assert_close(report.l_value, expected)
+            assert_close(report.lhs, expected)
 
     def test_complex_character(self):
         chi = enumerate_characters(5)[1]

@@ -1,11 +1,11 @@
 """Golden report streams: every suite at defaults, digested with elapsed_ms masked,
 and CLI outputs outside the suite grids, digested whole.
 
-The digests pin the exact bytes of each default `verify suite` stream apart
-from timing, and of L-values at complex s, truncated integrals with a
-character or under the -q and -q^-d measures, every table kind and character
-listings, so a refactor of the engines, the suites, the report writers or the
-CLI must leave them unchanged.  Regenerate a digest only for a deliberate change to a
+The digests pin the exact bytes of each default `verify suite` stream and of
+the numeric suites at 192 and 256 bits apart from timing, and of L-values at
+complex s, truncated integrals with a character or under the -q and -q^-d
+measures, every table kind and character listings, so a refactor of the
+engines, the suites, the report writers or the CLI must leave them unchanged.  Regenerate a digest only for a deliberate change to a
 report field, and say so where the change is recorded.
 """
 import hashlib
@@ -55,6 +55,23 @@ def test_default_stream_is_unchanged(capsys, args, fmt, code, digest):
     stream = capsys.readouterr().out
     assert stream
     assert hashlib.sha256(masked(stream, fmt).encode()).hexdigest() == digest
+
+
+# The numeric suites away from 128 bits, where each printed lhs, rhs, error and
+# bound is rounded at the case's bits: (argv after "verify suite --name", exit code, sha256).
+NUMERIC_STREAMS = [
+    ("interpolation --bits 192 --q 11/10,3", 1,
+     "94acdd9bc93626107c3e80a84afcf13610aec94d5e073e782a3c42b75d85fb1e"),
+    ("mellin-term --bits 192", 0, "4401513cf1c42d4dc91f6a4195d6e6f9efbe4701e018cbdb1209be737d44c871"),
+    ("eq12-series --bits 256", 0, "92043636d1d6006bd4aabaf0c693fd3b7fb03b1d4234d86984cc5be52953fb51"),
+    ("eq13-series --bits 256 --modulus 7", 0,
+     "a8897beec4c2a4be3133a392cc1015d6c1f2432b971817aae8158d9dbeb444b6"),
+]
+
+
+@pytest.mark.parametrize("args,code,digest", NUMERIC_STREAMS, ids=[a for a, _, _ in NUMERIC_STREAMS])
+def test_numeric_stream_at_other_bits_is_unchanged(capsys, args, code, digest):
+    test_default_stream_is_unchanged(capsys, args.split(), "json", code, digest)
 
 
 # (argv, expected exit code, sha256 of stdout); these outputs carry no timing
