@@ -61,6 +61,11 @@ def chi_eulerian(n: int, chi: DirichletCharacter, q: Scalar) -> CycElem:
     """A_n(chi, -q) in closed form from the Eulerian triangle (see the module docstring)."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    return chi_eulerian_values([n], chi, q)[0]
+
+
+def chi_eulerian_values(ns: Sequence[int], chi: DirichletCharacter, q: Scalar) -> list[CycElem]:
+    """A_n(chi, -q) for each n >= 0 in ``ns``, in order, from one pass of the triangle to max(ns)."""
     qf = Fraction(q)
     d, m = chi.modulus, chi.order
     if qf == 0 or qf == -1 or qf**d == -1:
@@ -68,21 +73,25 @@ def chi_eulerian(n: int, chi: DirichletCharacter, q: Scalar) -> CycElem:
     a, b = qf.numerator, qf.denominator
     ad, bd = a**d, b**d
     D = ad + bd
-    ad_pow, bd_pow = [(-ad) ** i for i in range(n + 1)], [bd**i for i in range(n + 1)]
-    # g_k = C(n,k) h_k d^k, so that I_l is the polynomial sum_k g_k x^{n-k} at x = D l
-    g = [1]
-    for k, row in enumerate(islice(_rows(), 1, n + 1), 1):
+    top = max(ns, default=0)
+    ad_pow, bd_pow = [(-ad) ** i for i in range(top + 1)], [bd**i for i in range(top + 1)]
+    # f_k = h_k d^k depends on q and d only; with g_k = C(n,k) f_k, I_l is sum_k g_k x^{n-k} at x = D l
+    f = [1]
+    for k, row in enumerate(islice(_rows(), 1, top + 1), 1):
         h = sum(c * ad_pow[i] * bd_pow[k - 1 - i] for i, c in enumerate(row))
-        g.append(comb(n, k) * (-1) ** k * bd * h * d**k)
-    buckets = [0] * m
-    for l, j in enumerate(chi.zeta_exponents()):
-        if j is None:
-            continue
-        x, acc = D * l, 0
-        for gk in g:
-            acc = acc * x + gk
-        buckets[j] += (-1) ** l * a ** (d - l + 1) * b**l * acc
-    return CycElem(m, buckets) * Fraction((-1) ** n * (a + b) ** (n + 1), b ** (n + 2) * D ** (n + 1))
+        f.append((-1) ** k * bd * h * d**k)
+    residues = [(l, j) for l, j in enumerate(chi.zeta_exponents()) if j is not None]
+    values = []
+    for n in ns:
+        g = [comb(n, k) * fk for k, fk in enumerate(f[: n + 1])]
+        buckets = [0] * m
+        for l, j in residues:
+            x, acc = D * l, 0
+            for gk in g:
+                acc = acc * x + gk
+            buckets[j] += (-1) ** l * a ** (d - l + 1) * b**l * acc
+        values.append(CycElem(m, buckets) * Fraction((-1) ** n * (a + b) ** (n + 1), b ** (n + 2) * D ** (n + 1)))
+    return values
 
 
 def series_reference(n: int, chi: DirichletCharacter, q: Scalar) -> CycElem:
@@ -186,9 +195,6 @@ class DistributionSample:
 
 @dataclass(frozen=True)
 class DistributionResult:
-    n: int
-    character: DirichletCharacter
-    variant: str
     samples: tuple[DistributionSample, ...]
     passed: bool
     ratio_is_q_squared: bool
@@ -240,4 +246,4 @@ def verify_distribution(n: int, chi: DirichletCharacter, q_samples: Sequence[Sca
         all_ok = all_ok and ok and genocchi_ok
     if not samples:
         raise ValueError("verify_distribution needs at least one q sample")
-    return DistributionResult(n, chi, variant, tuple(samples), all_ok, ratio_ok)
+    return DistributionResult(tuple(samples), all_ok, ratio_ok)

@@ -161,11 +161,11 @@ def _character(parser, args, default_modulus=3):
 
 
 def _joined_values(argv: list[str]) -> list[str]:
-    """argv with --s and --q joined to the token after them, as --s=<token>, so
-    that a value such as -1/2,1, which argparse would take for an option, parses."""
+    """argv with --s, --q and --measure joined to the token after them, as --s=<token>,
+    so that a value such as -1/2,1 or -q, which argparse would take for an option, parses."""
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in ("--s", "--q"):
+        if out and out[-1] in ("--s", "--q", "--measure"):
             out[-1] += "=" + token
         else:
             out.append(token)

@@ -208,12 +208,6 @@ def admissible_modulus(d: int, p: int) -> bool:
 
 @dataclass(frozen=True)
 class IntegralEquationReport:
-    equation: int
-    integrand: IntegrandSpec
-    shift: int
-    prime: int
-    q: Fraction
-    precision: int
     levels: tuple[int, ...]
     valuations: tuple[int, ...]
     lhs_last: int
@@ -247,9 +241,9 @@ def verify_integral_equation(eq: int, f: IntegrandSpec, n: int, p: int, q: Scala
         raise ValueError("shift must be >= 1")
     qf = Fraction(q)
     levels = tuple(sorted(N_list))
-    _check_setup(p, qf, levels, k)
     measure = "-q^-1" if eq == 8 else "-q"
     pk = p**k
+    integrals = _integrals([f, f.shifted(n)], p, qf, measure, levels, k)  # refuses a bad setup first
 
     sign = -1 if eq == 6 else 1
     rhs_exact = sum((Fraction((-1) ** (n - 1 - l)) * qf**l * f.exact_value(l) for l in range(n)),
@@ -259,7 +253,7 @@ def verify_integral_equation(eq: int, f: IntegrandSpec, n: int, p: int, q: Scala
     qn = embed_cyclotomic(qf**n, p, k)
     vals = []
     lhs_last = 0
-    for t_f, t_fn in zip(*_integrals([f, f.shifted(n)], p, qf, measure, levels, k)):
+    for t_f, t_fn in zip(*integrals):
         if eq == 8:
             lhs = (t_fn + qn * t_f) % pk
         else:
@@ -268,19 +262,15 @@ def verify_integral_equation(eq: int, f: IntegrandSpec, n: int, p: int, q: Scala
         lhs_last = lhs
     monotone = all(a <= b for a, b in zip(vals, vals[1:]))
     passed = bool(vals) and vals[-1] >= k and monotone
-    return IntegralEquationReport(eq, f, n, p, qf, k, levels, tuple(vals), lhs_last, rhs, passed)
+    return IntegralEquationReport(levels, tuple(vals), lhs_last, rhs, passed)
 
 
 @dataclass(frozen=True)
 class WittReport:
-    n: int
     prime: int
-    q: Fraction
     precision: int
-    level: int
     integral: PadicResidue
     reference: PadicResidue
-    variant: str
     ratio: int | None
     passed: bool
 
@@ -291,8 +281,7 @@ def verify_witt(n: int, p: int, q: Scalar, k: int, N: int) -> WittReport:
     integral = truncated_integral(monomial(n), p, qf, "-q^-1", N, k)
     ref_exact = Fraction((-1) ** n) / (1 + qf) ** n * witt_value(n, qf)
     reference = PadicResidue.from_rational(ref_exact, p, k)
-    return WittReport(n, p, qf, k, N, integral, reference, "n/a", None,
-                      integral.residue == reference.residue)
+    return WittReport(p, k, integral, reference, None, integral.residue == reference.residue)
 
 
 def verify_witt_chi(n: int, chi: DirichletCharacter, p: int, q: Scalar, k: int, N: int,
@@ -317,25 +306,18 @@ def verify_witt_chi(n: int, chi: DirichletCharacter, p: int, q: Scalar, k: int, 
     ratio = None
     if integral.is_unit():
         ratio = embed_cyclotomic(printed, p, k) * pow(integral.residue, -1, pk) % pk
-    return WittReport(n, p, qf, k, N, integral, reference, variant, ratio,
-                      integral.residue == reference.residue)
+    return WittReport(p, k, integral, reference, ratio, integral.residue == reference.residue)
 
 
 @dataclass(frozen=True)
 class Corollary4Report:
-    n: int
-    character: DirichletCharacter
-    prime: int
-    q: Fraction
     precision: int
-    levels: tuple[int, ...]
     sums: tuple[int, ...]
     candidate_plain: int      # 2 * S_A mod p^k
     candidate_scaled: int     # 2 q^2 * S_A mod p^k
     val_plain: tuple[int, ...]
     val_scaled: tuple[int, ...]
     converged_to: str | None  # "2*S_A" | "2*q^2*S_A" | None
-    distinguishable: bool = True
 
 
 def corollary4_min_precision(n: int, chi: DirichletCharacter, p: int, q: Scalar,
@@ -390,13 +372,12 @@ def corollary4_probe(n: int, chi: DirichletCharacter, p: int, q: Scalar, k: int,
         val_plain.append(valuation(total - cand_plain, p, k))
         val_scaled.append(valuation(total - cand_scaled, p, k))
     converged: str | None = None
-    distinguishable = cand_plain != cand_scaled
-    if levels and distinguishable:
+    if levels and cand_plain != cand_scaled:
         hit_plain = val_plain[-1] >= k
         hit_scaled = val_scaled[-1] >= k
         if hit_plain and not hit_scaled:
             converged = "2*S_A"
         elif hit_scaled and not hit_plain:
             converged = "2*q^2*S_A"
-    return Corollary4Report(n, chi, p, qf, k, levels, tuple(sums), cand_plain, cand_scaled,
-                            tuple(val_plain), tuple(val_scaled), converged, distinguishable)
+    return Corollary4Report(k, tuple(sums), cand_plain, cand_scaled,
+                            tuple(val_plain), tuple(val_scaled), converged)

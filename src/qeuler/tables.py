@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .characters import enumerate_characters
-from .chi_eulerian import chi_eulerian, weight_zero_euler_values
+from .chi_eulerian import chi_eulerian_values, weight_zero_euler_values
 from .eulerian import _rows
 from .lfunction import l_eulerian
 from .serialize import render_l_value, render_rational, render_value
@@ -45,14 +45,13 @@ def build_table(opts: TableOptions) -> tuple[list[str], list[dict]]:
         return header, rows
     if opts.kind == "chi-eulerian":
         header = ["n", "modulus", "char", "q", "value"]
+        # one A_n column per (chi, q), built only for a non-empty n range, so a pole q there stays no error
+        columns = [(chi, q, chi_eulerian_values(n_range, chi, q))
+                   for chi in _chars(opts) for q in opts.q_list] if n_range else []
         for n in n_range:
-            for chi in _chars(opts):
-                for q in opts.q_list:
-                    rows.append({
-                        "n": n, "modulus": opts.modulus, "char": chi.index,
-                        "q": render_rational(q),
-                        "value": render_value(chi_eulerian(n, chi, q)),
-                    })
+            for chi, q, values in columns:
+                rows.append({"n": n, "modulus": opts.modulus, "char": chi.index,
+                             "q": render_rational(q), "value": render_value(values[n])})
         return header, rows
     if opts.kind == "weight-zero-euler":
         header = ["n", "q", "x", "value"]

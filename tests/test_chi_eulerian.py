@@ -10,6 +10,7 @@ from qeuler.characters import enumerate_characters, principal_character
 from qeuler.chi_eulerian import (
     chi_eulerian,
     chi_eulerian_series_check,
+    chi_eulerian_values,
     kernel_series_check,
     series_reference,
     verify_distribution,
@@ -115,9 +116,19 @@ class TestClosedFormAgainstRecurrence:
     @staticmethod
     def assert_matches_recurrence(chi, q, max_n):
         table = kernel_recurrence(character_kernel(chi, q), q, max_n, chi.order)
-        for n, expected in enumerate(table):
-            value = chi_eulerian(n, chi, q)
-            assert (value.order, value.coeffs) == (expected.order, expected.coeffs), (chi.label, n)
+        column = chi_eulerian_values(range(max_n + 1), chi, q)
+        assert len(column) == len(table)
+        for n, (expected, from_column) in enumerate(zip(table, column)):
+            for value in (chi_eulerian(n, chi, q), from_column):
+                assert (value.order, value.coeffs) == (expected.order, expected.coeffs), (chi.label, n)
+
+    @pytest.mark.parametrize("d", [1, 7, 13])
+    def test_values_follow_the_given_order_of_n(self, d):
+        # one triangle pass serves unsorted and repeated n, each value in the place it was asked for
+        chi, q, ns = max(enumerate_characters(d), key=lambda c: c.order), Fraction(9, 4), [17, 0, 5, 17, 3, 0]
+        table = kernel_recurrence(character_kernel(chi, q), q, max(ns), chi.order)
+        values = chi_eulerian_values(ns, chi, q)
+        assert [(v.order, v.coeffs) for v in values] == [(table[n].order, table[n].coeffs) for n in ns]
 
     @pytest.mark.parametrize("q", ORACLE_Q, ids=str)
     @pytest.mark.parametrize("d", [1, 7, 9, 13, 15, 21])

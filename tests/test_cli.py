@@ -119,6 +119,15 @@ class TestBasicCommands:
         assert code == 0
         assert json.loads(out)["residue"] == 107
 
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_padic_integral_measure_spelled_apart(self, capsys, measure):
+        # every measure starts with "-", which argparse would take for an option
+        flags = ["padic", "integral", "--p", "5", "--q", "6", "--n", "1", "--levels", "6"]
+        spaced = run(capsys, *flags, "--measure", measure)
+        assert spaced[0] == 0
+        assert json.loads(spaced[1])["measure"] == measure
+        assert spaced == run(capsys, *flags, f"--measure={measure}")
+
     def test_padic_integral_deep_levels(self, capsys):
         # the period of x mod 5^3 divides 5^3, so every level from 3 on gives the same residue
         code, out = run(capsys, "padic", "integral", "--p", "5", "--q", "6", "--n", "1",
@@ -546,9 +555,9 @@ class TestTables:
         assert len(lines) == 1
         assert lines[0].startswith("s,")
 
-    def test_empty_weight_zero_range_ignores_the_pole(self, capsys):
-        code, out = run(capsys, "emit", "table", "--kind", "weight-zero-euler", "--max-n", "-1",
-                        "--q", "-1")
+    @pytest.mark.parametrize("kind,q", [("weight-zero-euler", "-1"), ("chi-eulerian", "0")])
+    def test_empty_weight_zero_range_ignores_the_pole(self, capsys, kind, q):
+        code, out = run(capsys, "emit", "table", "--kind", kind, "--max-n", "-1", "--q", q)
         assert code == 0
         assert json.loads(out) == []
 

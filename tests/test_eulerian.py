@@ -19,6 +19,7 @@ from qeuler.chi_eulerian import chi_eulerian
 from qeuler.cli import main
 from qeuler.errors import PoleAtMinusOne, PoleAtOne
 from qeuler.lfunction import l_eulerian
+from qeuler.tables import TableOptions, build_table
 from qeuler.eulerian import (
     eulerian_poly,
     eulerian_series_coeff,
@@ -151,6 +152,7 @@ class TestNoRowsKept:
             before = tracemalloc.get_traced_memory()[0]
             eulerian_poly(600)
             chi_eulerian(300, chi, q)
+            build_table(TableOptions("chi-eulerian", max_n=40, modulus=7, q_list=[q]))
             gc.collect()
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
@@ -162,6 +164,7 @@ class TestNoRowsKept:
         before = _module_container_sizes()
         eulerian_poly(640)
         chi_eulerian(320, character_by_index(5, 1), Fraction(3))
+        build_table(TableOptions("chi-eulerian", max_n=40, modulus=7, q_list=[Fraction(9, 4)]))
         l_eulerian(-3, character_by_index(7, 2), Fraction(2))
         assert main(["verify", "suite", "--name", "eq16-distribution", "--max-n", "6"]) == 0
         capsys.readouterr()
