@@ -19,9 +19,14 @@ triangle:
 
 summing by the zeta_m exponent of chi(l), with one reduction modulo Phi_m and
 no memo.  The linear recurrence from clearing the denominator is the exact
-test oracle (tests/test_chi_eulerian.py).  Since E~_{n,q}(x) = H_n(x; -1/q),
-the weight-zero families keep their own recurrences: the distribution check
-would otherwise compare one sum with itself.
+test oracle (tests/test_chi_eulerian.py).  h_k is one Horner pass in -a^d
+over row k.  Since E~_{n,q}(x) = H_n(x; -1/q), the weight-zero families keep
+their own recurrences: the distribution check would otherwise compare one sum
+with itself.  Each runs in integers and returns reduced Fractions: with
+q/(1+q) = B/C and x = u/v, e_n = E~_n (vC)^n and g_n = G~_n (vC)^{n-1} obey
+
+    e_n = (uC)^n - B sum_{k<n} C(n,k) e_k v^{n-k} C^{n-k-1},
+    g_n = n (uC)^{n-1} - B sum_{1<=k<n} C(n,k) g_k v^{n-k} C^{n-k-1}.
 
 Expanding geometrically yields q (1+q) sum_{m>=0} (-1)^m chi(m) q^{-m} e^{-m(1+q)t},
 the oracle ``kernel_series_check`` verifies numerically.  Dropping the m = 0
@@ -59,13 +64,13 @@ Scalar = Union[int, Fraction]
 
 def chi_eulerian(n: int, chi: DirichletCharacter, q: Scalar) -> CycElem:
     """A_n(chi, -q) in closed form from the Eulerian triangle (see the module docstring)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
     return chi_eulerian_values([n], chi, q)[0]
 
 
 def chi_eulerian_values(ns: Sequence[int], chi: DirichletCharacter, q: Scalar) -> list[CycElem]:
     """A_n(chi, -q) for each n >= 0 in ``ns``, in order, from one pass of the triangle to max(ns)."""
+    if any(n < 0 for n in ns):
+        raise ValueError("n must be >= 0")
     qf = Fraction(q)
     d, m = chi.modulus, chi.order
     if qf == 0 or qf == -1 or qf**d == -1:
@@ -74,11 +79,13 @@ def chi_eulerian_values(ns: Sequence[int], chi: DirichletCharacter, q: Scalar) -
     ad, bd = a**d, b**d
     D = ad + bd
     top = max(ns, default=0)
-    ad_pow, bd_pow = [(-ad) ** i for i in range(top + 1)], [bd**i for i in range(top + 1)]
+    bd_pow = [bd**i for i in range(top + 1)]
     # f_k = h_k d^k depends on q and d only; with g_k = C(n,k) f_k, I_l is sum_k g_k x^{n-k} at x = D l
     f = [1]
     for k, row in enumerate(islice(_rows(), 1, top + 1), 1):
-        h = sum(c * ad_pow[i] * bd_pow[k - 1 - i] for i, c in enumerate(row))
+        h = 0  # Horner in -a^d from the top coefficient <k,k-1>, which carries (b^d)^0
+        for j, c in enumerate(reversed(row)):
+            h = c * bd_pow[j] - h * ad
         f.append((-1) ** k * bd * h * d**k)
     residues = [(l, j) for l, j in enumerate(chi.zeta_exponents()) if j is not None]
     values = []
@@ -146,14 +153,16 @@ def kernel_series_check(n: int, chi: DirichletCharacter, q: Scalar, bits: int = 
 
 
 def weight_zero_euler_values(max_n: int, q: Scalar, x: Scalar) -> list[Fraction]:
-    """E~_0..E~_max_n at (q, x) from q sum_k C(n,k) E~_k + E~_n = (1+q) x^n."""
+    """E~_0..E~_max_n at (q, x) from q sum_k C(n,k) E~_k + E~_n = (1+q) x^n,
+    run on the integers e_n = E~_n (vC)^n (see the module docstring)."""
     qf, xf = Fraction(q), Fraction(x)
     if qf == -1:
         raise PoleAtMinusOne("weight-zero polynomials have a pole at q = -1")
-    c, out = qf / (1 + qf), []
+    B, C, u, v = qf.numerator, qf.numerator + qf.denominator, xf.numerator, xf.denominator
+    w, e = [v * (v * C) ** j for j in range(max_n)], []  # w_j = v^{j+1} C^j
     for n in range(max_n + 1):
-        out.append(xf**n - c * sum(comb(n, k) * e for k, e in enumerate(out)))
-    return out
+        e.append((u * C) ** n - B * sum(comb(n, k) * ek * w[n - k - 1] for k, ek in enumerate(e)))
+    return [Fraction(en, (v * C) ** n) for n, en in enumerate(e)]
 
 
 def weight_zero_euler(n: int, q: Scalar, x: Scalar) -> Fraction:
@@ -168,17 +177,18 @@ def weight_zero_genocchi(n_plus_1: int, q: Scalar, x: Scalar) -> Fraction:
         (1+q) G~_n = (1+q) n x^{n-1} - q sum_{k<n} C(n,k) G~_k,   G~_0 = 0.
 
     Never computed from E~; G~_{n+1} = (n+1) E~_n is what the distribution
-    check's Genocchi route tests.
+    check's Genocchi route tests.  Runs on the integers g_n = G~_n (vC)^{n-1}.
     """
     if n_plus_1 < 1:
         raise ValueError("index must be >= 1")
     qf, xf = Fraction(q), Fraction(x)
     if qf == -1:
         raise PoleAtMinusOne("weight-zero polynomials have a pole at q = -1")
-    c, out = qf / (1 + qf), [Fraction(0)]
+    B, C, u, v = qf.numerator, qf.numerator + qf.denominator, xf.numerator, xf.denominator
+    w, g = [v * (v * C) ** j for j in range(n_plus_1)], [0]  # w_j = v^{j+1} C^j
     for n in range(1, n_plus_1 + 1):
-        out.append(n * xf ** (n - 1) - c * sum(comb(n, k) * g for k, g in enumerate(out)))
-    return out[n_plus_1]
+        g.append(n * (u * C) ** (n - 1) - B * sum(comb(n, k) * gk * w[n - k - 1] for k, gk in enumerate(g)))
+    return Fraction(g[n_plus_1], (v * C) ** (n_plus_1 - 1))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Character-attached Eulerian values, weight-zero families, distribution identity."""
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, factorial, lcm
 from typing import Sequence
 
 import pytest
@@ -15,6 +15,7 @@ from qeuler.chi_eulerian import (
     series_reference,
     verify_distribution,
     weight_zero_euler,
+    weight_zero_euler_values,
     weight_zero_genocchi,
 )
 from qeuler.cyclotomic import CycElem
@@ -57,6 +58,31 @@ def character_kernel(chi, q: Fraction) -> list[CycElem]:
     return [((-1) ** l * (1 + q) * q ** (d - l + 1)) * chi(l) for l in range(d)]
 
 
+# q = (9/4)^-7 gives the recurrences large coprime numerators and denominators
+WEIGHT_ZERO_Q = (Fraction(0), Fraction(1), Fraction(2), Fraction(-3), Fraction(1, 5),
+                 Fraction(-7, 3), Fraction(-1, 2), Fraction(9, 4) ** -7)
+WEIGHT_ZERO_X = (Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 2), Fraction(5, 7), Fraction(-1, 2))
+WEIGHT_ZERO_GRID = [pytest.param(q, x, id=f"q={q},x={x}") for q in WEIGHT_ZERO_Q for x in WEIGHT_ZERO_X]
+
+
+def series_quotient(num: Sequence[Fraction], den: Sequence[Fraction]) -> list[Fraction]:
+    """Power-series coefficients of num/den, as many as ``num`` has, by long division."""
+    out: list[Fraction] = []
+    for n, c in enumerate(num):
+        out.append((c - sum(out[k] * den[n - k] for k in range(n))) / den[0])
+    return out
+
+
+def weight_zero_series(q: Fraction, x: Fraction, count: int, genocchi: bool) -> list[Fraction]:
+    """The first ``count`` coefficients of t^n/n! in (1+q) t^s e^{xt} / (q e^t + 1),
+    s = 1 for the Genocchi family and 0 for the Euler one, from the expanded
+    exponentials (ordinary coefficients x^n/n! and q/n!)."""
+    shift = int(genocchi)
+    num = [Fraction(0)] * shift + [(1 + q) * x**n / factorial(n) for n in range(count - shift)]
+    den = [1 + q] + [q / factorial(n) for n in range(1, count)]
+    return [factorial(n) * c for n, c in enumerate(series_quotient(num, den))]
+
+
 class TestChiEulerian:
     def test_spot_n0(self):
         assert chi_eulerian(0, QUAD3, 2) == -4
@@ -87,6 +113,11 @@ class TestChiEulerian:
     def test_negative_index(self):
         with pytest.raises(ValueError, match="n must be >= 0"):
             chi_eulerian(-1, QUAD3, 2)
+
+    @pytest.mark.parametrize("ns", [[-1, 2], [3, -2], [-5]])
+    def test_values_refuse_a_negative_index(self, ns):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            chi_eulerian_values(ns, QUAD3, 2)
 
     def test_character_linearity(self):
         # summing the recurrence over all chi mod 5 equals running it once
@@ -211,10 +242,31 @@ class TestWeightZeroFamilies:
         assert weight_zero_genocchi(2, 2, 0) == Fraction(-4, 3)
         assert weight_zero_genocchi(3, 1, 0) == 0
 
-    def test_genocchi_euler_relation(self):
-        for n1 in range(1, 7):
-            q, x = Fraction(7, 2), Fraction(1, 3)
-            assert weight_zero_genocchi(n1, q, x) == n1 * weight_zero_euler(n1 - 1, q, x)
+    @pytest.mark.parametrize("q,x", WEIGHT_ZERO_GRID)
+    def test_genocchi_euler_relation(self, q, x):
+        # two independent recurrences: G~_{n+1} = (n+1) E~_n
+        euler = weight_zero_euler_values(19, q, x)
+        for n1 in range(1, 21):
+            assert weight_zero_genocchi(n1, q, x) == n1 * euler[n1 - 1]
+
+    @pytest.mark.parametrize("q,x", WEIGHT_ZERO_GRID)
+    def test_euler_matches_generating_function(self, q, x):
+        values = weight_zero_euler_values(24, q, x)
+        assert all(type(v) is Fraction for v in values)
+        assert values == weight_zero_series(q, x, 25, genocchi=False)
+
+    @pytest.mark.parametrize("q,x", WEIGHT_ZERO_GRID)
+    def test_genocchi_matches_generating_function(self, q, x):
+        expected = weight_zero_series(q, x, 26, genocchi=True)
+        assert expected[0] == 0
+        for n1 in range(1, 26):
+            value = weight_zero_genocchi(n1, q, x)
+            assert type(value) is Fraction
+            assert value == expected[n1]
+
+    def test_empty_euler_range(self):
+        assert weight_zero_euler_values(-1, 2, 0) == []
+        assert weight_zero_euler_values(-1, Fraction(9, 4) ** -7, Fraction(5, 7)) == []
 
     def test_q_one_allowed(self):
         assert weight_zero_euler(2, 1, 0) == 0

@@ -507,9 +507,12 @@ class TestTables:
 
     def test_weight_zero_roundtrip(self, capsys):
         code, out = run(capsys, "emit", "table", "--kind", "weight-zero-euler",
-                        "--max-n", "4", "--q", "2,7/2", "--format", "json")
+                        "--max-n", "20", "--q", "2,7/2,-3,-7/3,-1/2,16384/4782969",
+                        "--format", "json")
         assert code == 0
-        for row in json.loads(out):
+        rows = json.loads(out)
+        assert len(rows) == 21 * 6
+        for row in rows:
             expected = weight_zero_euler(row["n"], parse_rational(row["q"]),
                                          parse_rational(row["x"]))
             assert parse_value(row["value"]) == expected
