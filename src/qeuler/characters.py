@@ -5,7 +5,8 @@ of the odd prime powers dividing d, each generated by its smallest primitive
 root.  A character is an exponent tuple against those generators; values live
 in Q(zeta_m) where m is the character's order, so equality and linear algebra
 over characters are exact.  Every character of order m reads its values from
-one shared table of the powers of zeta_m.
+one shared table of the powers of zeta_m, and the numeric series read them
+from one shared table of their embeddings.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 
-from .cyclotomic import CycElem
+from .cyclotomic import CycElem, cyc_embed
 from .errors import EvenModulus
 from .numtheory import crt_pair, factorize, phi, primitive_root
 
@@ -63,6 +64,12 @@ def unit_group(d: int) -> UnitGroupStructure:
 def _zeta_powers(m: int) -> tuple[CycElem, ...]:
     """zeta_m^j for j < m, each one reduction of x^j modulo Phi_m."""
     return tuple(CycElem(m, (0,) * j + (1,)) for j in range(m))
+
+
+@lru_cache(maxsize=64)
+def _zeta_embedded(m: int, bits: int) -> tuple:
+    """cyc_embed(zeta_m^j, bits) for j < m, shared by every character of order m."""
+    return tuple(cyc_embed(z, bits) for z in _zeta_powers(m))
 
 
 class DirichletCharacter:

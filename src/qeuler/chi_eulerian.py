@@ -152,9 +152,9 @@ def kernel_series_check(n: int, chi: DirichletCharacter, q: Scalar, bits: int = 
         return numeric_check(lhs, acc, bound, M)
 
 
-def weight_zero_euler_values(max_n: int, q: Scalar, x: Scalar) -> list[Fraction]:
-    """E~_0..E~_max_n at (q, x) from q sum_k C(n,k) E~_k + E~_n = (1+q) x^n,
-    run on the integers e_n = E~_n (vC)^n (see the module docstring)."""
+def _scaled_euler(max_n: int, q: Scalar, x: Scalar) -> tuple[list[int], int]:
+    """e_0..e_max_n = E~_n (vC)^n and vC, from q sum_k C(n,k) E~_k + E~_n = (1+q) x^n
+    (see the module docstring)."""
     qf, xf = Fraction(q), Fraction(x)
     if qf == -1:
         raise PoleAtMinusOne("weight-zero polynomials have a pole at q = -1")
@@ -162,13 +162,21 @@ def weight_zero_euler_values(max_n: int, q: Scalar, x: Scalar) -> list[Fraction]
     w, e = [v * (v * C) ** j for j in range(max_n)], []  # w_j = v^{j+1} C^j
     for n in range(max_n + 1):
         e.append((u * C) ** n - B * sum(comb(n, k) * ek * w[n - k - 1] for k, ek in enumerate(e)))
-    return [Fraction(en, (v * C) ** n) for n, en in enumerate(e)]
+    return e, v * C
+
+
+def weight_zero_euler_values(max_n: int, q: Scalar, x: Scalar) -> list[Fraction]:
+    """E~_0..E~_max_n at (q, x), one reduced Fraction each."""
+    e, vC = _scaled_euler(max_n, q, x)
+    return [Fraction(en, vC**n) for n, en in enumerate(e)]
 
 
 def weight_zero_euler(n: int, q: Scalar, x: Scalar) -> Fraction:
+    """E~_n at (q, x): one integer recurrence to n and one reduced Fraction."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return weight_zero_euler_values(n, q, x)[n]
+    e, vC = _scaled_euler(n, q, x)
+    return Fraction(e[n], vC**n)
 
 
 def weight_zero_genocchi(n_plus_1: int, q: Scalar, x: Scalar) -> Fraction:

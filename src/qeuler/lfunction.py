@@ -244,7 +244,8 @@ def mellin_term_check(s, m_index: int, q: Scalar, bits: int = 64) -> NumericChec
 
     The integral is evaluated by adaptive quadrature on [0, T] with T chosen
     so the integrand's exponential factor is below 2^-bits; agreement is
-    required within 2^(-bits/2).
+    required within 2^(-bits/2).  The exponent s - 1 is formed once, and at
+    real s it is an mpf, so t^(s-1) stays real.
     """
     qf = Fraction(q)
     if m_index < 1:
@@ -257,6 +258,7 @@ def mellin_term_check(s, m_index: int, q: Scalar, bits: int = 64) -> NumericChec
             raise DomainError("the term-wise identity needs Re(s) > 0")
         rate = m_index * to_mpf(1 + qf)
         T = (bits + 64) * mp.ln(2) / rate
-        integral = mp.quad(lambda t: mp.power(t, s_val - 1) * mp.exp(-rate * t), [0, T], maxdegree=12)
+        exponent = s_val - 1 if s_val.imag else s_val.real - 1
+        integral = mp.quad(lambda t: mp.power(t, exponent) * mp.exp(-rate * t), [0, T], maxdegree=12)
         lhs = integral / mp.gamma(s_val)
         return numeric_check(lhs, mp.power(rate, -s_val), mp.mpf(2) ** (-(bits // 2)))

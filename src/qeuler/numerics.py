@@ -9,17 +9,19 @@ states the rule and ``_add`` and ``_cmul`` apply it; the series loop does the
 same in straight-line integer code, since it rounds up to seven times per
 term.  It has one body for every term: the shape of each term picks how
 chi(m) * term(m) is formed, and both shapes share the rest, which skips the
-parts that are exactly zero.
+parts that are exactly zero.  chi comes from the shared zeta_m table at
+bits + 32 (``characters._zeta_embedded``), one embedding per power of zeta_m.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import log, log1p, log2
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp
 
-from .cyclotomic import cyc_embed
+from .characters import _zeta_embedded
 from .errors import ConvergenceDomain
 
 
@@ -78,17 +80,27 @@ def choose_truncation(growth: float, q: Fraction, eps_exp: int) -> tuple[int, "m
     drops under the target, which happens since the ratio tends to 1/q < 1
     and the leading term decays geometrically.  Raises ConvergenceDomain when
     64 doublings do not reach it: q is then too close to 1.
+
+    For growth >= 0 the bound is at least q^-(M+1), so a doubling with
+    (M+1) log2 q <= eps_exp - 1 cannot certify, even after rounding, and skips
+    ``tail_bound``.  log2 q is a float estimate padded above its rounding (by
+    log1p below q = 2), so the screen changes no M and no bound.
     """
-    if Fraction(q) <= 1:
+    qf = Fraction(q)
+    if qf <= 1:
         raise ValueError("tail bounds need q > 1")
+    # below 2^-1000, q - 1 is taken as 2^-1000, since log(1 + x) <= x
+    log2q = (log1p(max(float(qf - 1), 2.0**-1000)) / log(2) * (1 + 2**-40) if qf < 2
+             else log2(qf.numerator) - log2(qf.denominator) + 2**-40 * qf.numerator.bit_length())
     eps = mp.mpf(2) ** (-eps_exp)
     M = max(16, 2 * int(growth) + 2)
     for _ in range(64):
-        bound = tail_bound(M, growth, q)
-        if bound is not None and bound < eps:
-            return M, bound
+        if growth < 0 or (M + 1) * log2q > eps_exp - 1:
+            bound = tail_bound(M, growth, q)
+            if bound is not None and bound < eps:
+                return M, bound
         M *= 2
-    raise ConvergenceDomain(f"q = {Fraction(q)} is too close to 1: {M // 2} terms do not certify "
+    raise ConvergenceDomain(f"q = {qf} is too close to 1: {M // 2} terms do not certify "
                             f"the tail below 2^-{eps_exp}")
 
 
@@ -139,8 +151,10 @@ def alternating_character_sum(chi, q: Fraction, bits: int, M: int, term, start: 
     (re_man, re_exp, im_man, im_exp) for a complex one; ``start`` is 0 or 1.
     The series checks and the L-function differ only in ``term`` and ``start``.
 
-    Rounding contract.  chi is embedded at bits + 32, and (-1)^m chi(m) is
-    rounded to nearest at mp.prec once per class of m mod 2d.  Each term is
+    Rounding contract.  chi comes from the shared zeta_m table at bits + 32
+    (``characters._zeta_embedded``); each power of zeta_m is rounded to nearest
+    at mp.prec once per sum, and (-1)^m chi(m) is set once per class of m
+    mod 2d.  Each term is
     then ((-1)^m chi(m) * term(m)) * q^{-m} and is added to the accumulator,
     with q^{-m} built by repeated multiplication.  Every product and sum,
     complex ones included, is computed exactly in integers and rounded once at
@@ -158,12 +172,9 @@ def alternating_character_sum(chi, q: Fraction, bits: int, M: int, term, start: 
     if bits < 64:
         raise ValueError("bits must be >= 64")
     prec = mp.prec
-    d = max(chi.modulus, 1)
-    embedded = [None] * d
-    for a in range(d):
-        if chi(a):
-            z = cyc_embed(chi(a), bits + 32)
-            embedded[a] = (*_pair(z.real._mpf_, prec), *_pair(z.imag._mpf_, prec))
+    powers = [(*_pair(z.real._mpf_, prec), *_pair(z.imag._mpf_, prec))
+              for z in _zeta_embedded(chi.order, bits + 32)]
+    embedded = [None if j is None else powers[j] for j in chi.zeta_exponents()]
     signed = [(-c[0], c[1], -c[2], c[3]) if r % 2 and c else c
               for r, c in enumerate(embedded * 2)]  # by m mod 2d
     period = len(signed)

@@ -14,7 +14,8 @@ from qeuler.cyclotomic import cyc_embed
 from qeuler.errors import ConvergenceDomain, DomainError
 from qeuler.lfunction import (_accelerated, _chebyshev_weights, _inverse_powers, _partial_sum, _working_prec,
                               l_eulerian, mellin_term_check, verify_interpolation)
-from qeuler.numerics import _pair, _round, alternating_character_sum, choose_truncation, to_mpc, to_mpf
+from qeuler.numerics import (_pair, _round, alternating_character_sum, choose_truncation, numeric_check, to_mpc,
+                             to_mpf)
 from qeuler.numtheory import phi
 
 QUAD3 = enumerate_characters(3)[1]
@@ -174,6 +175,43 @@ class TestMellinTerm:
             mellin_term_check(0, 1, 2, 64)
         with pytest.raises(DomainError):
             mellin_term_check(Fraction(-1), 1, 2, 64)
+
+    # mp.quad evaluates at 20 bits above the working precision and rounds its sum once, so
+    # the real and the complex t^(s-1), which may round a node differently at that precision,
+    # still give the same integral.  At s = 1/3 and 1/2, t^(s-1) is singular at 0 and the
+    # quadrature runs to its top degree, about 1-2 s a case on each side, so those s take
+    # one (m, q) per bits; the other s take the whole grid.
+    @pytest.mark.parametrize("s,m,q,bits", [
+        pytest.param(s, m, q, bits, id=f"s{s}-m{m}-q{q}-{bits}bits".replace("/", "_"))
+        for s, m, q, bits in [
+            *[(s, m, q, bits) for s in (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(7))
+              for m in (1, 2, 3) for q in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(7, 2))
+              for bits in (64, 128, 192)],
+            *[(s, m, q, bits) for s in (Fraction(1, 3), Fraction(1, 2))
+              for m, q, bits in ((1, Fraction(0), 64), (2, Fraction(7, 2), 128), (3, Fraction(1, 2), 192))]]])
+    def test_real_integrand_is_the_complex_one_bit_for_bit(self, s, m, q, bits):
+        got, want = mellin_term_check(s, m, q, bits), complex_mellin_term_check(s, m, q, bits)
+        assert [mp.mpc(x)._mpc_ for x in (got.lhs, got.rhs, got.bound)] == \
+            [mp.mpc(x)._mpc_ for x in (want.lhs, want.rhs, want.bound)]
+        assert got.passed == want.passed
+
+    def test_complex_s_keeps_the_complex_integrand(self):
+        s = (Fraction(3, 2), Fraction(2))
+        got, want = mellin_term_check(s, 2, Fraction(1, 2), 128), complex_mellin_term_check(s, 2, Fraction(1, 2), 128)
+        assert got.passed and want.passed
+        assert (got.lhs._mpc_, got.rhs._mpc_) == (want.lhs._mpc_, want.rhs._mpc_)
+
+
+def complex_mellin_term_check(s, m_index, q, bits):
+    """``mellin_term_check`` with the complex integrand t^(s-1) e^(-m(1+q)t) at every s,
+    s - 1 formed on each call."""
+    qf = Fraction(q)
+    with mp.workprec(bits + 48):
+        s_val = to_mpc(s)
+        rate = m_index * to_mpf(1 + qf)
+        T = (bits + 64) * mp.ln(2) / rate
+        integral = mp.quad(lambda t: mp.power(t, s_val - 1) * mp.exp(-rate * t), [0, T], maxdegree=12)
+        return numeric_check(integral / mp.gamma(s_val), mp.power(rate, -s_val), mp.mpf(2) ** (-(bits // 2)))
 
 
 def mul_once(x, y):

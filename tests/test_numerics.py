@@ -1,14 +1,19 @@
 """The integer (mantissa, exponent) arithmetic of the alternating character
-series against mpmath's libmp: each operation formed exactly, then rounded once."""
+series against mpmath's libmp: each operation formed exactly, then rounded once.
+Also the series' shared zeta_m table against per-class embedding, and the
+screened truncation search against the unscreened one."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
 from mpmath.libmp import from_man_exp, mpc_mul, mpf_add, mpf_mul, mpf_neg, mpf_pos, mpf_pow_int, round_nearest
 
+from qeuler.characters import _zeta_embedded, enumerate_characters
+from qeuler.cli import main
+from qeuler.cyclotomic import cyc_embed
 from qeuler.errors import ConvergenceDomain, QEulerError
-from qeuler.numerics import _add, _cmul, _round, choose_truncation
+from qeuler.numerics import _add, _cmul, _round, choose_truncation, tail_bound
 
 precs = st.integers(64, 400)
 exps = st.integers(-2000, 2000)
@@ -150,3 +155,83 @@ class TestChooseTruncation:
             with pytest.raises(ConvergenceDomain, match="too close to 1") as info:
                 choose_truncation(0, Fraction(10**21 + 1, 10**21), 124)
         assert isinstance(info.value, QEulerError)
+
+
+def unscreened_truncation(growth, q, eps_exp):
+    """``choose_truncation``'s doubling search with ``tail_bound`` at every doubling:
+    (M, bound), or None where 64 doublings certify no tail."""
+    eps = mp.mpf(2) ** (-eps_exp)
+    M = max(16, 2 * int(growth) + 2)
+    for _ in range(64):
+        bound = tail_bound(M, growth, q)
+        if bound is not None and bound < eps:
+            return M, bound
+        M *= 2
+    return None
+
+
+NAMED_Q = [Fraction(2**40 + 1, 2**40), Fraction(13, 12), Fraction(2), Fraction(10**200 + 1, 7),
+           Fraction(10**21 + 1, 10**21), Fraction(3, 2), Fraction(7, 2), Fraction(11, 10),
+           Fraction(21, 20), Fraction(2**64 + 1, 2**64), Fraction(1001, 1000), Fraction(2**80)]
+growths = st.one_of(st.integers(0, 2**11), st.floats(0, 2**11).map(mp.mpf))
+qs = st.one_of(st.sampled_from(NAMED_Q),
+               st.builds(lambda a, b: Fraction(a + b, b), st.integers(1, 10**12), st.integers(1, 10**30)))
+
+
+@st.composite
+def screen_edges(draw):
+    """q = 2^k at growth 0 with eps_exp one to three below (M+1) k for a doubling M: the
+    first M that certifies, where (M+1) log2 q exceeds eps_exp by at most 3."""
+    k = draw(st.integers(1, 36))
+    M = 16 * 2 ** draw(st.integers(0, 5))
+    eps_exp = (M + 1) * k - draw(st.integers(1, 3))
+    assume(60 <= eps_exp <= 600)
+    return 0, Fraction(2**k), eps_exp
+
+
+class TestScreenedTruncation:
+    """The screen skips only doublings that ``tail_bound`` cannot certify."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.tuples(growths, qs, st.integers(60, 600)), screen_edges()))
+    @example((0, Fraction(2**40 + 1, 2**40), 600))
+    @example((2**11, Fraction(2**40 + 1, 2**40), 60))
+    @example((3, Fraction(13, 12), 124))
+    @example((0, Fraction(10**200 + 1, 7), 600))
+    @example((2**11, Fraction(10**200 + 1, 7), 60))
+    @example((0, Fraction(10**21 + 1, 10**21), 124))
+    @example((0, Fraction(2), 66))  # at M = 64, (M+1) log2 q is eps_exp - 1: the screen's edge
+    @example((0, Fraction(4), 131))  # and here 2 (M+1) is eps_exp - 1
+    @example((0, Fraction(2**20), 339))  # M = 16 certifies with (M+1) log2 q = eps_exp + 1
+    @example((0, Fraction(2**5), 324))  # and M = 64 likewise
+    def test_matches_the_unscreened_search(self, case):
+        growth, q, eps_exp = case
+        with mp.workprec(eps_exp + 68):  # the callers' bits + 64, with eps_exp = bits - 4
+            want = unscreened_truncation(growth, q, eps_exp)
+            if want is None:
+                with pytest.raises(ConvergenceDomain, match="too close to 1"):
+                    choose_truncation(growth, q, eps_exp)
+                return
+            M, bound = choose_truncation(growth, q, eps_exp)
+        assert (M, bound._mpf_) == (want[0], want[1]._mpf_)
+
+
+class TestSharedZetaTable:
+    @pytest.mark.parametrize("bits", [64, 128, 192, 320])
+    def test_table_entries_are_the_per_class_embeddings(self, bits):
+        for d in range(1, 22, 2):
+            for chi in enumerate_characters(d):
+                table = _zeta_embedded(chi.order, bits)
+                for a, j in enumerate(chi.zeta_exponents()):
+                    if j is not None:
+                        assert table[j]._mpc_ == cyc_embed(chi(a), bits)._mpc_
+
+    def test_a_repeated_suite_call_misses_no_entry(self, capsys):
+        argv = ["verify", "suite", "--name", "interpolation", "--modulus", "7", "--max-n", "2",
+                "--q", "2,7/2", "--bits", "96"]
+        assert main(argv) == 0
+        before = _zeta_embedded.cache_info()
+        assert main(argv) == 0
+        after = _zeta_embedded.cache_info()
+        capsys.readouterr()
+        assert after.misses == before.misses and after.hits > before.hits
