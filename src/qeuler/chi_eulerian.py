@@ -20,7 +20,8 @@ triangle:
 summing by the zeta_m exponent of chi(l), with one reduction modulo Phi_m and
 no memo.  The linear recurrence from clearing the denominator is the exact
 test oracle (tests/test_chi_eulerian.py).  h_k is one Horner pass in -a^d
-over row k.  Since E~_{n,q}(x) = H_n(x; -1/q), the weight-zero families keep
+over row k (``eulerian._frobenius_euler``, which the L-function's Boole
+route shares).  Since E~_{n,q}(x) = H_n(x; -1/q), the weight-zero families keep
 their own recurrences: the distribution check would otherwise compare one sum
 with itself.  Each runs in integers and returns reduced Fractions: with
 q/(1+q) = B/C and x = u/v, e_n = E~_n (vC)^n and g_n = G~_n (vC)^{n-1} obey
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import comb
 from typing import Sequence, Union
 
@@ -54,7 +54,7 @@ from mpmath import mp
 from .characters import DirichletCharacter
 from .cyclotomic import CycElem, cyc_embed
 from .errors import ConvergenceDomain, DegenerateSample, PoleAtMinusOne, PoleQ
-from .eulerian import _rows
+from .eulerian import _frobenius_euler
 from .numerics import (NumericCheck, _pair, _round, alternating_character_sum, choose_truncation,
                        numeric_check, to_mpf)
 from .qnumbers import q_number
@@ -78,15 +78,8 @@ def chi_eulerian_values(ns: Sequence[int], chi: DirichletCharacter, q: Scalar) -
     a, b = qf.numerator, qf.denominator
     ad, bd = a**d, b**d
     D = ad + bd
-    top = max(ns, default=0)
-    bd_pow = [bd**i for i in range(top + 1)]
     # f_k = h_k d^k depends on q and d only; with g_k = C(n,k) f_k, I_l is sum_k g_k x^{n-k} at x = D l
-    f = [1]
-    for k, row in enumerate(islice(_rows(), 1, top + 1), 1):
-        h = 0  # Horner in -a^d from the top coefficient <k,k-1>, which carries (b^d)^0
-        for j, c in enumerate(reversed(row)):
-            h = c * bd_pow[j] - h * ad
-        f.append((-1) ** k * bd * h * d**k)
+    f = [h * d**k for k, h in enumerate(_frobenius_euler(ad, bd, max(ns, default=0)))]
     residues = [(l, j) for l, j in enumerate(chi.zeta_exponents()) if j is not None]
     values = []
     for n in ns:

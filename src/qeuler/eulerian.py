@@ -55,6 +55,20 @@ def _rows():
         row = tuple([(k + 1) * ext[k] + (m - k) * ext[k - 1] for k in range(m)])
 
 
+def _frobenius_euler(A: int, B: int, top: int) -> list[int]:
+    """h_0..h_top with H_k(u) = A_k(u)/(u-1)^k = h_k / (A+B)^k at u = -A/B (B > 0): Carlitz's
+    Frobenius-Euler numbers, h_0 = 1 and h_k = (-1)^k B sum_i <k,i> (-A)^i B^{k-1-i},
+    each one Horner pass in -A over row k of the triangle."""
+    B_pow = [B**i for i in range(top + 1)]
+    h = [1]
+    for k, row in enumerate(islice(_rows(), 1, top + 1), 1):
+        acc = 0  # from the top coefficient <k,k-1>, which carries B^0
+        for j, c in enumerate(reversed(row)):
+            acc = c * B_pow[j] - acc * A
+        h.append((-1) ** k * B * acc)
+    return h
+
+
 def eulerian_poly(n: int) -> EulerianPoly:
     """A_n(t) from the integer triangle engine."""
     if n < 0:

@@ -104,14 +104,22 @@ class TestBasicCommands:
         assert json.loads(out)["method"] == "accelerated"
 
     def test_lfunction_eval_too_close_to_q_one(self, capsys):
-        # no partial sum certifies its tail at q - 1 = 10^-21: a message and exit 3 at Re s <= 0,
+        # no partial sum certifies its tail at q - 1 = 10^-21: the Boole route answers at Re s <= 0,
         # the accelerated route at Re s > 0
         q = "1000000000000000000001/1000000000000000000000"
-        assert main(["lfunction", "eval", "--s=-1/2,1", "--q", q]) == 3
-        assert "too close to 1" in capsys.readouterr().err
-        code, out = run(capsys, "lfunction", "eval", "--s", "1/2,1", "--q", q)
+        for s, method in (("-1/2,1", "boole"), ("1/2,1", "accelerated")):
+            code, out = run(capsys, "lfunction", "eval", f"--s={s}", "--q", q)
+            assert code == 0
+            assert json.loads(out)["method"] == method
+
+    def test_lfunction_eval_near_q_one_at_negative_real_part(self, capsys):
+        # the partial sum would take 262,144 terms here
+        code, out = run(capsys, "lfunction", "eval", "--s", "-7/2,7", "--modulus", "7", "--char", "1",
+                        "--q", "1001/1000", "--bits", "128")
         assert code == 0
-        assert json.loads(out)["method"] == "accelerated"
+        row = json.loads(out)
+        assert row["method"] == "boole"
+        assert row["terms"] < 5000
 
     def test_padic_integral(self, capsys):
         code, out = run(capsys, "padic", "integral", "--p", "5", "--q", "6", "--n", "1",

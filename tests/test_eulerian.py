@@ -113,6 +113,19 @@ class TestSeriesOracle:
         assert eulerian_poly(4).poly.coeffs == eulerian_poly(4).coeffs == (1, 11, 11, 1)
 
 
+class TestFrobeniusEuler:
+    @pytest.mark.parametrize("A,B", [(1, 1), (2, 1), (11, 10), (21**7, 20**7), (3**5, 1), (-8, 27)])
+    def test_numerators_are_the_series_coefficients(self, A, B):
+        # (1-u)/(e^t - u) = sum_k H_k(u) t^k/k!, and e^t - u = (1-u) + sum_{j>=1} t^j/j!, so by
+        # series division H_0 = 1 and H_k = -sum_{j=1..k} C(k,j) H_{k-j} / (1-u)
+        u = Fraction(-A, B)
+        H = [Fraction(1)]
+        for k in range(1, 41):
+            H.append(-sum(comb(k, j) * H[k - j] for j in range(1, k + 1)) / (1 - u))
+        h = eulerian._frobenius_euler(A, B, 40)
+        assert [Fraction(hk, (A + B) ** k) for k, hk in enumerate(h)] == H
+
+
 class TestWittValue:
     def test_n1_is_one(self):
         for q in (2, 3, Fraction(7, 3)):

@@ -1,13 +1,15 @@
 """Numeric Eulerian L-values, interpolation at negative integers, Mellin terms."""
 from fractions import Fraction
 from functools import reduce
-from math import comb
+from itertools import count
+from math import ceil, comb, floor, lgamma, log, log2
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 from mpmath.libmp import from_man_exp, mpf_add, mpf_mul, mpf_neg, mpf_pos, round_nearest
 
+from qeuler import lfunction
 from qeuler.characters import character_by_index, enumerate_characters, principal_character
 from qeuler.chi_eulerian import chi_eulerian, chi_eulerian_series_check, kernel_series_check
 from qeuler.cyclotomic import cyc_embed
@@ -104,7 +106,8 @@ class TestLEulerian:
 
     def test_q_too_close_to_one_for_a_partial_sum(self):
         # 64 doublings of M cannot certify the partial sum's tail at q - 1 = 10^-21; Re s > 0
-        # takes the q = 1 term limit instead, and Re s <= 0 is refused with a domain error
+        # takes the q = 1 term limit instead, and Re s <= 0 the Boole route, whose value lies
+        # next to the q = 1 continuation 2^{1-s} (2^{1-s} chi(2) - 1) L(s, chi)
         q = Fraction(10**21 + 1, 10**21)
         lv = l_eulerian(complex(0.5, 1), QUAD3, q, 128)
         assert lv.method == "accelerated"
@@ -112,8 +115,15 @@ class TestLEulerian:
         with mp.workprec(192):
             assert lv.tail_bound < mp.mpf(2) ** -124
             assert 0 < mp.fabs(lv.value - at_one.value) < mp.mpf(10) ** -19
-        with pytest.raises(ConvergenceDomain, match="too close to 1"):
-            l_eulerian(complex(-0.5, 1), QUAD3, q, 128)
+        lv = l_eulerian(complex(-0.5, 1), QUAD3, q, 128)
+        assert lv.method == "boole"
+        with mp.workprec(192):
+            s_val = mp.mpc(-0.5, 1)
+            two = mp.power(2, 1 - s_val)
+            values = [cyc_embed(QUAD3(a), 192) for a in range(3)]
+            continuation = two * (two * values[2] - 1) * mp.dirichlet(s_val, values)
+            assert lv.tail_bound < mp.mpf(2) ** -124
+            assert 0 < mp.fabs(lv.value - continuation) < mp.mpf(10) ** -19
 
 
 class TestInterpolation:
@@ -178,22 +188,31 @@ class TestMellinTerm:
 
     # mp.quad evaluates at 20 bits above the working precision and rounds its sum once, so
     # the real and the complex t^(s-1), which may round a node differently at that precision,
-    # still give the same integral.  At s = 1/3 and 1/2, t^(s-1) is singular at 0 and the
-    # quadrature runs to its top degree, about 1-2 s a case on each side, so those s take
-    # one (m, q) per bits; the other s take the whole grid.
+    # still give the same integral.  These s take the quadrature on [0, T], as the complex
+    # integrand does; Re s < 1 integrates its head term by term (the next test).
     @pytest.mark.parametrize("s,m,q,bits", [
         pytest.param(s, m, q, bits, id=f"s{s}-m{m}-q{q}-{bits}bits".replace("/", "_"))
-        for s, m, q, bits in [
-            *[(s, m, q, bits) for s in (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(7))
-              for m in (1, 2, 3) for q in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(7, 2))
-              for bits in (64, 128, 192)],
-            *[(s, m, q, bits) for s in (Fraction(1, 3), Fraction(1, 2))
-              for m, q, bits in ((1, Fraction(0), 64), (2, Fraction(7, 2), 128), (3, Fraction(1, 2), 192))]]])
+        for s in (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(7))
+        for m in (1, 2, 3) for q in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(7, 2))
+        for bits in (64, 128, 192)])
     def test_real_integrand_is_the_complex_one_bit_for_bit(self, s, m, q, bits):
         got, want = mellin_term_check(s, m, q, bits), complex_mellin_term_check(s, m, q, bits)
         assert [mp.mpc(x)._mpc_ for x in (got.lhs, got.rhs, got.bound)] == \
             [mp.mpc(x)._mpc_ for x in (want.lhs, want.rhs, want.bound)]
         assert got.passed == want.passed
+
+    # at 0 < s < 1, t^(s-1) is unbounded at 0, where the quadrature alone stopped at its top
+    # degree short of 2^(-bits/2); the series head brings it to within rounding
+    @pytest.mark.parametrize("s,m,q,bits", [
+        pytest.param(s, m, q, bits, id=f"s{s}-m{m}-q{q}-{bits}bits".replace("/", "_"))
+        for s in (Fraction(1, 3), Fraction(1, 2))
+        for m in (1, 2, 3) for q in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(7, 2))
+        for bits in (64, 128, 192)])
+    def test_singular_integrand_within_rounding(self, s, m, q, bits):
+        report = mellin_term_check(s, m, q, bits)
+        assert report.passed
+        with mp.workprec(bits + 64):
+            assert mp.fabs(report.lhs - report.rhs) <= mp.mpf(2) ** (8 - bits) * mp.fabs(report.rhs)
 
     def test_complex_s_keeps_the_complex_integrand(self):
         s = (Fraction(3, 2), Fraction(2))
@@ -343,12 +362,13 @@ class TestTermByTermOracle:
 
     @pytest.mark.parametrize("d,q,bits", ORACLE_GRID)
     def test_complex_s_within_relative_rounding(self, d, q, bits):
-        # Re s <= 0, where the partial sum is the engine
+        # Re s <= 0: the partial sum is the engine pinned here, and l_eulerian takes the route
+        # the documented rule names
         chi = largest_order_character(d)
         s = complex(-0.5, 3) if (d + bits) % 2 else complex(-2, 5)
         lv = l_eulerian(s, chi, q, bits)
-        assert lv.method == "partial-sum"
-        value = lv.value
+        assert (lv.method, lv.terms) == boole_route(s, chi, q, bits)
+        value = _partial_sum(s, chi, q, bits).value
         reference = oracle_l_value(s, chi, q, bits)
         with mp.workprec(bits + 96):
             assert mp.fabs(value - reference) <= mp.mpf(2) ** -(bits + 32) * mp.fabs(reference)
@@ -480,6 +500,99 @@ def chebyshev_route(s, chi, q, bits):
     if M is None or len(classes) * n < M:
         return "accelerated", len(classes) * n
     return "partial-sum", M
+
+
+def boole_route(s, chi, q, bits):
+    """(method, terms) that the documented rule picks at Re s <= 0, s not an integer, q > 1: for
+    each J the smallest K, by a plain scan up to the bound's turning point, whose bound with
+    every class at the smallest w in (d/(3w))^K and the largest in w^-sigma is below
+    2^(3-bits); the Boole route when the fewest terms dJ + phi K are below the partial sum's M."""
+    d = max(chi.modulus, 1)
+    classes = [a for a in range(1, d + 1) if chi(a % d)]
+    with mp.workprec(bits + 64):
+        s_val = to_mpc(s)
+        M = choose_truncation(-s_val.real, q, bits - 4)[0]
+    with mp.workprec(128):
+        qv, r = to_mpf(q), mp.mpf(3)
+        G = 1 + 1 / (mp.sin(mp.mpf(31) / 10) * (1 - r * 10 / 31))
+        scale = (2 * qv * mp.power(1 + qv, 1 - s_val.real) * mp.fabs(mp.gamma(1 - s_val)) * mp.exp(mp.pi * mp.fabs(s_val.imag))
+                 * G / mp.pi * sum(qv**-a for a in classes))
+        log2_scale, log2_q, sigma = float(mp.log(scale, 2)), float(mp.log(qv, 2)), float(s_val.real)
+    best = None
+    for J in count(1):
+        if d * J >= min(best or M, M):
+            break
+        lo, hi = d * J + classes[0], d * J + classes[-1]
+        for K in range(floor(-sigma) + 1, ceil(3 * lo / d - sigma) + 1):
+            log2_bound = (log2_scale - d * J * log2_q + lgamma(sigma + K) / log(2) + K * log2(d / (3 * lo))
+                          - sigma * log2(hi))
+            if log2_bound < 3 - bits:
+                best = min(best or M, d * J + len(classes) * K)
+                break
+    return ("boole", best) if best is not None and best < M else ("partial-sum", M)
+
+
+def max_order_characters(d):
+    chars = enumerate_characters(d)
+    top = max(c.order for c in chars)
+    return [c for c in chars if c.order == top]
+
+
+BOOLE_S = (complex(-0.5, 3), complex(-2, 5), complex(-3.5, 7), Fraction(-1, 3), Fraction(-5, 2))
+
+
+def lerch_l_value(s, chi, q, bits):
+    """L_E(s | chi) = q (1+q)^{1-s} sum_{a=1..d} chi(a) (-1/q)^a d^{-s} Phi((-1/q)^d, s, a/d) by
+    ``mp.lerchphi`` at the current precision, as in ``TestLerchRoute``."""
+    d = chi.modulus
+    s_val, z = to_mpc(s), -1 / to_mpf(q)
+    acc = mp.mpc(0)
+    for a in range(1, d + 1):
+        if chi(a % d):
+            acc += (cyc_embed(chi(a % d), mp.prec) * z**a * mp.power(d, -s_val)
+                    * mp.lerchphi(z**d, s_val, mp.mpf(a) / d))
+    return to_mpf(q) * mp.power(to_mpf(1 + q), 1 - s_val) * acc
+
+
+class TestBooleRoute:
+    """Re s <= 0 off the integers: a head and a Frobenius-Euler tail per class, against the
+    partial sum 64 bits finer and, at q = 1001/1000, Lerch transcendents."""
+
+    @pytest.mark.parametrize("chi,q,bits", [
+        pytest.param(chi, q, bits, id=f"{chi.label}-q{q.numerator}_{q.denominator}-{bits}bits")
+        for d in (1, 3, 5, 7, 9, 15) for chi in max_order_characters(d)
+        for q in (Fraction(21, 20), Fraction(11, 10), Fraction(2)) for bits in (64, 128, 256)])
+    def test_bound_covers_the_error(self, chi, q, bits, monkeypatch):
+        # the route runs at every point, also where the partial sum takes fewer terms: with no
+        # partial sum certified, the count to beat is phi MAX_CLASS_TERMS
+        def uncertified(*args):
+            raise ConvergenceDomain("no partial sum here")
+
+        for s in BOOLE_S:
+            reference = _partial_sum(s, chi, q, bits + 64).value
+            with monkeypatch.context() as patch:
+                patch.setattr(lfunction, "choose_truncation", uncertified)
+                lv = l_eulerian(s, chi, q, bits)
+            assert lv.method == "boole"
+            with mp.workprec(bits + 128):
+                assert lv.tail_bound < mp.mpf(2) ** (4 - bits)
+                rounding = mp.mpf(2) ** -(bits + 32) * mp.fabs(reference)
+                assert mp.fabs(lv.value - reference) <= lv.tail_bound + rounding, s
+
+    @pytest.mark.parametrize("d,s,bits", [(1, complex(-0.5, 3), 64), (3, Fraction(-1, 3), 128),
+                                          (7, complex(-3.5, 7), 128), (9, Fraction(-5, 2), 64),
+                                          (5, complex(-2, 5), 256)])
+    def test_near_q_one_matches_lerch_transcendents(self, d, s, bits):
+        # the partial sum would take 2^17 or more terms at q = 1001/1000
+        q = Fraction(1001, 1000)
+        chi = largest_order_character(d)
+        lv = l_eulerian(s, chi, q, bits)
+        assert lv.method == "boole"
+        with mp.workprec(bits + 32):
+            reference = lerch_l_value(s, chi, q, bits)
+            assert lv.tail_bound < mp.mpf(2) ** (4 - bits)
+            rounding = mp.mpf(2) ** -(bits + 32) * mp.fabs(reference)
+            assert mp.fabs(lv.value - reference) <= lv.tail_bound + rounding
 
 
 class TestAcceleratedRoute:
