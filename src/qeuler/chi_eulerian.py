@@ -55,8 +55,8 @@ from .characters import DirichletCharacter
 from .cyclotomic import CycElem, cyc_embed
 from .errors import ConvergenceDomain, DegenerateSample, PoleAtMinusOne, PoleQ
 from .eulerian import _frobenius_euler
-from .numerics import (NumericCheck, _pair, _round, alternating_character_sum, choose_truncation,
-                       numeric_check, to_mpf)
+from .numerics import (NumericCheck, _pair, _round, alternating_character_sum, choose_truncation, decay_index,
+                       integer_powers, numeric_check, to_mpf)
 from .qnumbers import q_number
 
 Scalar = Union[int, Fraction]
@@ -115,8 +115,7 @@ def chi_eulerian_series_check(n: int, chi: DirichletCharacter, q: Scalar, bits: 
         raise ConvergenceDomain("the alternating character series needs q > 1")
     with mp.workprec(bits + 64):
         M, tail = choose_truncation(n, qf, bits - 4)
-        prec = mp.prec
-        acc = alternating_character_sum(chi, qf, bits, M, lambda m: _round(m**n, 0, prec))
+        acc = alternating_character_sum(chi, qf, bits, M, integer_powers(n, M), decay=decay_index(n, qf))
         return numeric_check(cyc_embed(series_reference(n, chi, qf), bits + 32), acc,
                              tail + mp.mpf(2) ** (8 - bits), M)
 
@@ -138,7 +137,7 @@ def kernel_series_check(n: int, chi: DirichletCharacter, q: Scalar, bits: int = 
             man, exp = _round(-m * om, oe, prec)
             return _round(man**n, exp * n, prec)
 
-        acc = alternating_character_sum(chi, qf, bits, M, term, start=0)
+        acc = alternating_character_sum(chi, qf, bits, M, term, start=0, decay=decay_index(n, qf))
         acc *= to_mpf(qf * (1 + qf))
         lhs = cyc_embed(chi_eulerian(n, chi, qf), bits + 32)
         bound = to_mpf(qf * (1 + qf) ** (n + 1)) * tail_raw + mp.mpf(2) ** (8 - bits)

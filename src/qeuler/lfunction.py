@@ -49,7 +49,7 @@ from .cyclotomic import cyc_embed
 from .errors import ConvergenceDomain, DomainError
 from .eulerian import _frobenius_euler
 from .numerics import (NumericCheck, _cmul, _pair, _round, alternating_character_sum, choose_truncation,
-                       numeric_check, to_mpc, to_mpf)
+                       decay_index, integer_powers, numeric_check, to_mpc, to_mpf)
 from .numtheory import smallest_prime_factors
 
 Scalar = Union[int, Fraction]
@@ -77,9 +77,9 @@ def l_eulerian(s, chi: DirichletCharacter, q: Scalar, bits: int = 128) -> LValue
     else by the partial sum.  The first two bound the error below 2^(4-bits).
 
     Re s must lie in [-2^11, 2^30]; outside it ConvergenceDomain is raised before any sum.
-    Above 2^30 the integer accumulator would align the m = 1 and m = 2 terms, 2^-Re s
-    apart, in integers of more than 2^30 bits.  Below -2^11 the partial sum takes more
-    than 2 |Re s| terms, each the exact m^|Re s|, so its time grows as (Re s)^2.
+    Up to 2^30 the sum is tested to stay small in memory: the series loop does not align
+    a product 2^-Re s below it.  Below -2^11 the partial sum takes more than 2 |Re s|
+    terms, each the exact m^|Re s|, so its time grows as (Re s)^2.
     """
     qf = Fraction(q)
     with mp.workprec(bits + 64):
@@ -117,7 +117,7 @@ def _partial_sum(s, chi: DirichletCharacter, q: Fraction, bits: int) -> LValue:
         M, tail = choose_truncation(growth, q, bits - 4)
     with mp.workprec(_working_prec(s, M, q, bits)):
         s_val = to_mpc(s)
-        acc = alternating_character_sum(chi, q, bits, M, _inverse_powers(s_val, M))
+        acc = alternating_character_sum(chi, q, bits, M, _inverse_powers(s_val, M), decay=decay_index(growth, q))
         prefactor = to_mpf(q) * mp.power(to_mpf(1 + q), 1 - s_val)
         return LValue(+s_val, chi, q, bits, +(prefactor * acc), +(mp.fabs(prefactor) * tail), M,
                       "partial-sum")
@@ -331,18 +331,17 @@ def _inverse_powers(s, M: int):
     ``alternating_character_sum``: (man, exp) at real s, (re_man, re_exp,
     im_man, im_exp) otherwise.
 
-    At s = -n every m^n is the exact integer rounded once.  Otherwise one
-    ``mpc_pow`` per prime p <= M, kept for p <= M/2; a composite is the
-    product of its prime factors' powers, each product exact and rounded once,
-    at most log2(M) more roundings than ``mp.power``.  At real s every power
-    is real (imaginary part fzero), so only the real parts are multiplied.
+    At s = -n every m^n is the exact integer rounded once (``integer_powers``).
+    Otherwise one ``mpc_pow`` per prime p <= M, kept for p <= M/2; a composite is
+    the product of its prime factors' powers, each product exact and rounded
+    once, at most log2(M) more roundings than ``mp.power``.  At real s every
+    power is real (imaginary part fzero), so only the real parts are multiplied.
     """
     prec = mp.prec
     w = mpc_neg(s._mpc_)
     real = w[1] == fzero
     if real and s.real <= 0 and mp.isint(s.real):
-        n = int(-s.real)
-        return lambda m: _round(m**n, 0, prec)
+        return integer_powers(int(-s.real), M)
     spf = smallest_prime_factors(M)
     powers = {}
 

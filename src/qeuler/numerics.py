@@ -6,17 +6,17 @@ The series runs on signed integer (mantissa, exponent) pairs, value
 man * 2^exp, under one rule: every product, sum and power is formed exactly
 in Python integers and rounded once, to nearest with ties to even.  ``_round``
 states the rule and ``_add`` and ``_cmul`` apply it; the series loop does the
-same in straight-line integer code, since it rounds up to seven times per
-term.  It has one body for every term: the shape of each term picks how
-chi(m) * term(m) is formed, and both shapes share the rest, which skips the
-parts that are exactly zero.  chi comes from the shared zeta_m table at
-bits + 32 (``characters._zeta_embedded``), one embedding per power of zeta_m.
+same inline, in one body for every term shape, and skips what cannot change its
+rounded sum: exact zero parts, a product more than 2 prec + 2 bits below it and,
+once the terms decay (``decay_index``), every term after one whose product is
+under a sixteenth of its ulp, so it returns the sum to the certified M bit for
+bit.  chi comes from the shared zeta_m table at bits + 32, one per zeta_m power.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log, log1p, log2
+from math import ceil, log, log1p, log2
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp
@@ -143,96 +143,128 @@ def _pair(x: tuple, prec: int) -> tuple[int, int]:
     return _round(-man if sign else man, exp, prec)
 
 
-def alternating_character_sum(chi, q: Fraction, bits: int, M: int, term, start: int = 1):
+def alternating_character_sum(chi, q: Fraction, bits: int, M: int, term, start: int = 1, decay: int | None = None):
     """Partial sum sum_{m=start}^{M} (-1)^m chi(m) term(m) q^{-m} at the current precision.
 
-    ``term(m)`` returns its value as signed integer (mantissa, exponent)
-    pairs, value = man * 2^exp: a pair (man, exp) for a real term, or
-    (re_man, re_exp, im_man, im_exp) for a complex one; ``start`` is 0 or 1.
-    The series checks and the L-function differ only in ``term`` and ``start``.
+    ``term(m)`` returns signed integer (mantissa, exponent) pairs, value =
+    man * 2^exp: (man, exp) for a real term, (re_man, re_exp, im_man, im_exp)
+    for a complex one; ``start`` is 0 or 1.  ``decay``, if given, is an m from
+    which |term(m)| q^-m does not grow and, if chi is real, no complex term
+    follows a real one (``decay_index``).
 
     Rounding contract.  chi comes from the shared zeta_m table at bits + 32
-    (``characters._zeta_embedded``); each power of zeta_m is rounded to nearest
-    at mp.prec once per sum, and (-1)^m chi(m) is set once per class of m
-    mod 2d.  Each term is
-    then ((-1)^m chi(m) * term(m)) * q^{-m} and is added to the accumulator,
-    with q^{-m} built by repeated multiplication.  Every product and sum,
-    complex ones included, is computed exactly in integers and rounded once at
-    mp.prec, so the sum is bit for bit that of the term-by-term oracle in
-    tests/test_lfunction.py, which evaluates the same expression in mpmath's
-    numbers and rounds each exact product once.  The loop has one body, which
-    rounds and adds inline, as ``_round`` and ``_add`` do.  The shape of each
-    term picks how chi(m) * term(m) is formed: a real term takes
-    Re chi(m) * term(m) and Im chi(m) * term(m), each rounded once, and a
-    complex one calls ``_cmul``.  Both parts then go through the same product
-    with q^{-m} and add.  Terms with chi(m) = 0 are skipped, and so is each
-    part that is exactly zero: a rounded sum depends only on the value, so
-    adding an exact zero would leave the accumulator's value unchanged.
+    (``characters._zeta_embedded``), each power of zeta_m rounded at mp.prec
+    once per sum; (-1)^m chi(m) is set once per class of m mod 2d.  Each
+    ((-1)^m chi(m) * term(m)) * q^{-m}, q^{-m} by repeated multiplication, is
+    added to the accumulator.  Every product and sum, complex ones included, is
+    formed exactly in integers and rounded once at mp.prec, inline, so the sum
+    is bit for bit the term-by-term mpc oracle's (tests/test_lfunction.py).  A
+    rounded sum depends only on the value, so exact zero parts of chi(m) and of
+    products are skipped: a real chi(m) times a complex term takes two products.
+
+    Adding x with |x| under a quarter ulp of A != 0 leaves A as it is (A + x is
+    nearer A than half the gap to either neighbour), so two more skips change
+    no bit.  A product more than 2 prec + 2 bits below a nonzero accumulator is
+    not added, and no alignment shifts further.  From m = decay on, at every
+    64th m, the loop stops once four times the current product's |re| + |im| is
+    under a quarter ulp of each accumulator that a later product can reach (a
+    zero one, the real one or the imaginary one unless chi and the term are
+    real, blocks it).  By the decay a part of a later product is at most this
+    m's |chi| |term| q^-m, up to relative errors (2^-(bits+31) for chi, 2^-prec
+    for each of the under 2M roundings of q^-m and 2 log2 M + 2n + 4 of every
+    caller's term) below a factor 2 for M < 2^(prec-8): the sum is the sum to M.
     """
     if bits < 64:
         raise ValueError("bits must be >= 64")
     prec = mp.prec
+    far = 2 * prec + 2
     powers = [(*_pair(z.real._mpf_, prec), *_pair(z.imag._mpf_, prec))
               for z in _zeta_embedded(chi.order, bits + 32)]
     embedded = [None if j is None else powers[j] for j in chi.zeta_exponents()]
     signed = [(-c[0], c[1], -c[2], c[3]) if r % 2 and c else c
               for r, c in enumerate(embedded * 2)]  # by m mod 2d
     period = len(signed)
+    real_chi = not any(c[2] for c in embedded if c)  # a real term then adds nothing to im
     qm, qe = _pair(to_mpf(1 / Fraction(q))._mpf_, prec)
-    wm, we = 1, 0  # q^-m
-    for _ in range(start):
-        wm, we = _round(wm * qm, we + qe, prec)
+    wm, we = (qm, qe) if start else (1, 0)  # q^-m
     rm = re = im = ie = 0
+    check = M + 1 if decay is None else -(-max(decay, 1) // 64) * 64  # the next stop test
     for m in range(start, M + 1):
         c = signed[m % period]
         if c is not None:
             v = term(m)
+            xm, xe, ym, ye = c
             if len(v) == 2:
                 tm, te = v
-                xm, xe, ym, ye = c
-                pm, pe = xm * tm, xe + te
-                um, ue = ym * tm, ye + te
+                pm, pe, um, ue = xm * tm, xe + te, ym * tm, ye + te
+            elif not ym:  # real chi(m)
+                pm, pe, um, ue = xm * v[0], xe + v[1], xm * v[2], xe + v[3]
+            elif not xm:  # imaginary chi(m)
+                pm, pe, um, ue = -ym * v[2], ye + v[3], ym * v[0], ye + v[1]
+            else:  # x t - y s and x s + y t, each aligned exactly
+                tm, te, sm, se = v
+                pm, pe, bm, be = xm * tm, xe + te, ym * sm, ye + se
+                pm, pe = ((pm << (pe - be)) - bm, be) if pe > be else (pm - (bm << (be - pe)), pe)
+                um, ue, bm, be = xm * sm, xe + se, ym * tm, ye + te
+                um, ue = ((um << (ue - be)) + bm, be) if ue > be else (um + (bm << (be - ue)), ue)
+            if pm:
                 if (n := pm.bit_length() - prec) > 0:
                     t = pm >> (n - 1)
                     pm = (t >> 1) + 1 if t & 1 and (t & 2 or pm != t << (n - 1)) else t >> 1
                     pe += n
-                if (n := um.bit_length() - prec) > 0:
-                    t = um >> (n - 1)
-                    um = (t >> 1) + 1 if t & 1 and (t & 2 or um != t << (n - 1)) else t >> 1
-                    ue += n
-            else:
-                pm, pe, um, ue = _cmul(c, v, prec)
-            if pm:
                 pm, pe = pm * wm, pe + we
                 if (n := pm.bit_length() - prec) > 0:
                     t = pm >> (n - 1)
                     pm = (t >> 1) + 1 if t & 1 and (t & 2 or pm != t << (n - 1)) else t >> 1
                     pe += n
-                if re > pe:
-                    rm, re = (rm << (re - pe)) + pm, pe
-                else:
+                if re <= pe:
                     rm += pm << (pe - re)
+                elif re - pe <= far or not rm:
+                    rm, re = (rm << (re - pe)) + pm, pe
                 if (n := rm.bit_length() - prec) > 0:
                     t = rm >> (n - 1)
                     rm = (t >> 1) + 1 if t & 1 and (t & 2 or rm != t << (n - 1)) else t >> 1
                     re += n
             if um:
+                if (n := um.bit_length() - prec) > 0:
+                    t = um >> (n - 1)
+                    um = (t >> 1) + 1 if t & 1 and (t & 2 or um != t << (n - 1)) else t >> 1
+                    ue += n
                 um, ue = um * wm, ue + we
                 if (n := um.bit_length() - prec) > 0:
                     t = um >> (n - 1)
                     um = (t >> 1) + 1 if t & 1 and (t & 2 or um != t << (n - 1)) else t >> 1
                     ue += n
-                if ie > ue:
-                    im, ie = (im << (ie - ue)) + um, ue
-                else:
+                if ie <= ue:
                     im += um << (ue - ie)
+                elif ie - ue <= far or not im:
+                    im, ie = (im << (ie - ue)) + um, ue
                 if (n := im.bit_length() - prec) > 0:
                     t = im >> (n - 1)
                     im = (t >> 1) + 1 if t & 1 and (t & 2 or im != t << (n - 1)) else t >> 1
                     ie += n
+            if m >= check and (pm or um):
+                top = max(pe + pm.bit_length() if pm else ue, ue + um.bit_length() if um else pe) + prec + 4
+                if (rm and re + rm.bit_length() >= top
+                        and (ie + im.bit_length() >= top if im else real_chi and len(v) == 2)):
+                    break
+                check += 64
         wm, we = wm * qm, we + qe
         if (n := wm.bit_length() - prec) > 0:
             t = wm >> (n - 1)
             wm = (t >> 1) + 1 if t & 1 and (t & 2 or wm != t << (n - 1)) else t >> 1
             we += n
     return mp.make_mpc((from_man_exp(rm, re), from_man_exp(im, ie)))
+
+
+def decay_index(growth, q: Fraction) -> int:
+    """ceil(growth / ln q) + 1 (ln q a float from below), from which m^growth q^-m does not grow."""
+    ln_q = (log1p(float(q - 1)) * (1 - 2**-40) if q < 2
+            else log(q.numerator) - log(q.denominator) - 2**-40 * q.numerator.bit_length())
+    return ceil(float(growth) / ln_q) + 1
+
+
+def integer_powers(n: int, M: int):
+    """m -> m^n for 0 <= m <= M as pairs rounded at mp.prec: the exact (m**n, 0) when M^n fits."""
+    prec = mp.prec
+    return (lambda m: (m**n, 0)) if (M**n).bit_length() <= prec else (lambda m: _round(m**n, 0, prec))

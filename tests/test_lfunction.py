@@ -1,4 +1,6 @@
 """Numeric Eulerian L-values, interpolation at negative integers, Mellin terms."""
+import sys
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from itertools import count
@@ -16,8 +18,8 @@ from qeuler.cyclotomic import cyc_embed
 from qeuler.errors import ConvergenceDomain, DomainError
 from qeuler.lfunction import (_accelerated, _chebyshev_weights, _inverse_powers, _partial_sum, _working_prec,
                               l_eulerian, mellin_term_check, verify_interpolation)
-from qeuler.numerics import (_pair, _round, alternating_character_sum, choose_truncation, numeric_check, to_mpc,
-                             to_mpf)
+from qeuler.numerics import (_pair, _round, alternating_character_sum, choose_truncation, decay_index,
+                             integer_powers, numeric_check, to_mpc, to_mpf)
 from qeuler.numtheory import phi
 
 QUAD3 = enumerate_characters(3)[1]
@@ -94,8 +96,8 @@ class TestLEulerian:
     @pytest.mark.parametrize("s", [2**30 + 1, Fraction(-2**22 - 1, 2**11), (Fraction(10**300), Fraction(1)),
                                    -10**300])
     def test_real_part_outside_the_summed_range_is_refused(self, s):
-        # past 2^30 the accumulator would align terms 2^-Re s apart; below -2^11 the partial
-        # sum would take more than 2^12 terms of exact m^|Re s|; either is refused before any sum
+        # 2^30 is the tested end of the range; below -2^11 the partial sum would take more
+        # than 2^12 terms of exact m^|Re s|; either is refused before any sum
         with pytest.raises(ConvergenceDomain, match=r"^s = .* -2\^11 <= Re s <= 2\^30$"):
             l_eulerian(s, QUAD3, 2, 128)
 
@@ -103,6 +105,25 @@ class TestLEulerian:
         lv = l_eulerian(10**6, QUAD3, 2, 128)
         assert (lv.method, lv.terms) == ("accelerated", 2)
         assert l_eulerian(-2**9, QUAD3, 2, 64).method == "partial-sum"
+
+    @pytest.mark.parametrize("s", [10**9, (10**9, 1), 2**30])
+    def test_huge_real_parts_take_little_memory(self, s):
+        # the m = 2 term lies 2^-Re s below the m = 1 term, and the sum does not add a product
+        # more than 2 prec + 2 bits below it, so no integer is shifted by Re s bits (tracemalloc's
+        # peak was 657 MB at s = 10^9); the sum is still bit for bit the mpc loop's
+        chi, q = largest_order_character(7), Fraction(2)
+        tracemalloc.start()
+        try:
+            l_eulerian(s, chi, q, 128)
+            with mp.workprec(192):
+                s_val = to_mpc(s)
+                got = alternating_character_sum(chi, q, 128, 64, _inverse_powers(s_val, 64))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 22
+        with mp.workprec(192):
+            assert got._mpc_ == term_by_term(chi, q, 128, 64, multiplicative_powers(s_val))._mpc_
 
     def test_q_too_close_to_one_for_a_partial_sum(self):
         # 64 doublings of M cannot certify the partial sum's tail at q - 1 = 10^-21; Re s > 0
@@ -398,8 +419,8 @@ TERM_SHAPES = ("m^n", "(-m(1+q))^n", "m^n + i(-m(1+q))^k", "m^-s")
 
 
 @st.composite
-def kernel_cases(draw):
-    """chi of odd modulus <= 15, q = a/b in (1, 4], 64-320 bits, M <= 200, start, and a term
+def kernel_cases(draw, max_m=200):
+    """chi of odd modulus <= 15, q = a/b in (1, 4], 64-320 bits, M <= max_m, start, and a term
     shape with its exponents n, k <= 12 and s."""
     b = draw(st.integers(1, 60))
     q = Fraction(draw(st.integers(b + 1, 4 * b)), b)
@@ -407,7 +428,7 @@ def kernel_cases(draw):
     shape = draw(st.sampled_from(TERM_SHAPES))
     start = 1 if shape == "m^-s" else draw(st.sampled_from((0, 1)))
     s = complex(draw(st.integers(-8, 8)) / 2, draw(st.integers(1, 40)) * draw(st.sampled_from((-1, 1))))
-    return (chi, q, draw(st.integers(64, 320)), draw(st.integers(1, 200)), start, shape,
+    return (chi, q, draw(st.integers(64, 320)), draw(st.integers(1, max_m)), start, shape,
             draw(st.integers(0, 12)), draw(st.integers(0, 12)), s)
 
 
@@ -463,11 +484,94 @@ def test_kernel_matches_term_by_term(case):
     assert got._mpc_ == want._mpc_
 
 
+def shape_term(shape, q, M, n, k, s):
+    """term(m) for 0 <= m <= M in a ``TERM_SHAPES`` shape, formed as the kernel's callers form it,
+    and its decay index."""
+    prec = mp.prec
+    om, oe = _pair(to_mpf(1 + q)._mpf_, prec)
+
+    def kernel_pair(m, e):  # (-m(1+q))^e
+        man, exp = _round(-m * om, oe, prec)
+        return _round(man**e, exp * e, prec)
+
+    if shape == "m^-s":
+        s_val = to_mpc(s)
+        return _inverse_powers(s_val, M), decay_index(max(0, -s_val.real), q)
+    if shape == "m^n":
+        return integer_powers(n, M), decay_index(n, q)
+    if shape == "(-m(1+q))^n":
+        return (lambda m: kernel_pair(m, n)), decay_index(n, q)
+    power = integer_powers(n, M)  # |term|^2 is a sum of two squares, each falling past its index
+    return (lambda m: (*power(m), *kernel_pair(m, k))), decay_index(max(n, k), q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_cases(max_m=2000))
+# cancellation: at n = 30, q = 2 the terms reach 2^120 and the sum is about 2^55, so the stop
+# waits for terms below the smaller sum's ulp, at m = 384 (320 for the quadratic character)
+@example((MOD1, Fraction(2), 64, 2000, 1, "m^n", 30, 0, 0j))
+@example((QUAD3, Fraction(2), 64, 2000, 0, "m^n", 30, 0, 0j))
+# complex terms and an order-12 character: the stop comes at m = 256
+@example((largest_order_character(13), Fraction(2), 128, 2000, 1, "m^-s", 0, 0, complex(-4, 3)))
+def test_the_stop_at_the_decay_index_is_bit_for_bit(case):
+    """The sum that stops once no remaining term can change it is the sum to M."""
+    chi, q, bits, M, start, shape, n, k, s = case
+    with mp.workprec(bits + 64):
+        term, decay = shape_term(shape, q, M, n, k, s)
+        stopped = alternating_character_sum(chi, q, bits, M, term, start, decay)
+        full = alternating_character_sum(chi, q, bits, M, term, start)
+    assert stopped._mpc_ == full._mpc_
+
+
+def pair_value(v):
+    """A term's (man, exp) pairs as an exact mpf or mpc."""
+    parts = [mp.make_mpf(from_man_exp(*v[i:i + 2])) for i in range(0, len(v), 2)]
+    return mp.mpc(*parts) if len(parts) == 2 else parts[0]
+
+
+def cancelled_head(m):
+    """1 at m >= 2, and at m = 1 twice sum_{2<=j<=64} (-1)^j 2^-j, so at q = 2 the sum to 64 is 0."""
+    if m > 1:
+        return (1, 0)
+    return (2 * sum((-1) ** j << (64 - j) for j in range(2, 65)), -64)
+
+
+@pytest.mark.parametrize("chi,q,decay,term,part", [
+    # real chi, real terms below the index and complex ones from it on, whose imaginary parts
+    # are 0 until m = 150: at m = 128 the real sum is ready to stop and the imaginary one is 0
+    pytest.param(QUAD3, Fraction(4), 64, lambda m: (1, 0) if m < 64 else (1, 0, int(m >= 150), 0), "imag",
+                 id="zero-imaginary-part"),
+    # exact cancellation: the real sum is 0 at m = 64, and the terms after it make the sum
+    pytest.param(MOD1, Fraction(2), 2, cancelled_head, "real", id="cancelled-to-zero"),
+    # the real parts 2^300 q^-1 and 2^302 q^-2 cancel, and real parts come back at m = 150; the
+    # zero real sum keeps the exponent of 2^298 meanwhile, far above the terms
+    pytest.param(MOD1, Fraction(4), 3, lambda m: (4**m << 298, 0, 0, 0) if m < 3 else (int(m >= 150), 0, 1, 0),
+                 "real", id="cancelled-far-above"),
+])
+def test_a_zero_accumulator_blocks_the_stop(chi, q, decay, term, part):
+    bits, M = 64, 200
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return term(m)
+
+    with mp.workprec(bits + 64):
+        stopped = alternating_character_sum(chi, q, bits, M, counted, 1, decay)
+        full = alternating_character_sum(chi, q, bits, M, term)
+        want = term_by_term(chi, q, bits, M, lambda m: pair_value(term(m)))
+    assert max(calls) > 128
+    assert stopped._mpc_ == full._mpc_ == want._mpc_
+    assert getattr(stopped, part)
+
+
+@pytest.mark.parametrize("decay", [None, decay_index(2, Fraction(3, 2))], ids=["to-M", "decay-index"])
 @pytest.mark.parametrize("mixed", [False, True], ids=["real", "mixed-shapes"])
-def test_each_term_is_computed_once(mixed):
+def test_each_term_is_computed_once(mixed, decay):
     # the loop checks each term's shape as it comes, so no term is computed twice, and
-    # real and complex terms may alternate within one sum
-    chi, q, bits, M = largest_order_character(7), Fraction(3, 2), 128, 60
+    # real and complex terms may alternate within one sum; with the decay index of m^2 q^-m
+    # the loop evaluates the terms up to its stop, past a multiple of 64, and no further
+    chi, q, bits, M = largest_order_character(7), Fraction(3, 2), 128, 600
     calls = []
 
     def pair(m):
@@ -475,10 +579,35 @@ def test_each_term_is_computed_once(mixed):
         return (m**2, 0, -m, 0) if mixed and m % 3 == 0 else (m**2, 0)
 
     with mp.workprec(bits + 64):
-        got = alternating_character_sum(chi, q, bits, M, pair)
+        got = alternating_character_sum(chi, q, bits, M, pair, decay=decay)
         want = term_by_term(chi, q, bits, M, lambda m: mp.mpc(m**2, -m) if mixed and m % 3 == 0 else mp.mpf(m**2))
-    assert calls == [m for m in range(1, M + 1) if chi(m % 7)]
+    stop = M if decay is None else calls[-1]
+    assert calls == [m for m in range(1, stop + 1) if chi(m % 7)]
+    assert decay is None or stop < M and stop % 64 in (0, 1)  # chi(64 k) = 0 when 7 | k
     assert got._mpc_ == want._mpc_
+
+
+@pytest.mark.parametrize("chi", [enumerate_characters(7)[0], largest_order_character(7)], ids=["principal", "order-6"])
+def test_the_stop_shortens_the_interpolation_and_series_sums(chi, monkeypatch):
+    # at modulus 7, q = 21/20, 256 bits and n = 7 both sums run to M = 8,192 and certify
+    # that M, but no term past m = 5,632 can change the sum, so fewer are evaluated
+    q, bits, n = Fraction(21, 20), 256, 7
+    M = choose_truncation(n, q, bits - 4)[0]
+    calls = []
+
+    def counted(chi, q, bits, M, term, start=1, decay=None):
+        def each(m):
+            calls.append(m)
+            return term(m)
+        return alternating_character_sum(chi, q, bits, M, each, start, decay)
+
+    monkeypatch.setattr(lfunction, "alternating_character_sum", counted)
+    monkeypatch.setattr(sys.modules["qeuler.chi_eulerian"], "alternating_character_sum", counted)
+    for check in (verify_interpolation, chi_eulerian_series_check):
+        calls.clear()
+        result = check(n, chi, q, bits)
+        assert result.passed and result.terms == M == 8192
+        assert len(set(calls)) == len(calls) < 0.75 * M
 
 
 def chebyshev_route(s, chi, q, bits):
