@@ -20,24 +20,21 @@ and
 The boundary term is zero except at n = 0 for modulus 1, where
 L_E(0 | chi_1) = q^2 - q(1+q) = -q.
 
-Three routes sum the series: ``_partial_sum`` to the M that
-``choose_truncation`` certifies; for Re s > 0, ``_accelerated``,
-Chebyshev-weighted residue classes (also at q = 1); and for Re s <= 0 off the
-negative integers, ``_boole``, a head to m = dJ plus a Boole summation tail per
-residue class whose coefficients are Carlitz's Frobenius-Euler numbers
-H_k(-q^d) from the Eulerian triangle, under a Hankel integral bound.  Either
-of the last two runs where it takes fewer terms than the partial sum, which
-near q = 1 needs about bits / log2 q; the Boole route needs O(bits + |s|) per
-class.  At s = -n the partial sum always runs, so the closed form
-A_n(chi, -q), which the Boole tail becomes at J = 0, is checked against an
-independent sum.
+Two routes sum the series: ``_partial_sum`` to the M that ``choose_truncation`` certifies,
+and ``_boole``, a head to m = dJ plus a Boole tail per residue class with Carlitz's
+Frobenius-Euler numbers H_k(-q^d) from the Eulerian triangle.  The Boole route runs at Re s > 0
+(q >= 1) and at Re s <= 0 off the negative integers (q > 1) where it costs less than the partial
+sum, which near q = 1 takes about bits / log2 q terms, and alone where none certifies its tail.
+At s = -n the partial sum always runs, so the closed form A_n(chi, -q), which the Boole tail
+becomes at J = 0, is checked against an independent sum.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count
-from math import ceil, floor, lgamma, log, log2
+from functools import reduce
+from itertools import count
+from math import ceil, floor, inf, lgamma, log, log2
 from typing import Union
 
 from mpmath import mp
@@ -54,7 +51,7 @@ from .numtheory import smallest_prime_factors
 
 Scalar = Union[int, Fraction]
 
-MAX_CLASS_TERMS = 4096  # q = 1 is refused past this: the weights of n terms take O(n^2) bits
+MAX_IM_AT_ONE = 2**12  # |Im s| summed where no partial sum certifies its tail, as at q = 1
 _R, _R_OUTER = 3, Fraction(31, 10)  # radii r < r' < pi of the Boole remainder bound
 
 
@@ -67,45 +64,33 @@ class LValue:
     value: object
     tail_bound: object
     terms: int
-    method: str  # "partial-sum", "accelerated" or "boole"
+    method: str  # "partial-sum" or "boole"
 
 
 def l_eulerian(s, chi: DirichletCharacter, q: Scalar, bits: int = 128) -> LValue:
-    """L_E(s | chi) within ``tail_bound``: by ``_accelerated`` when Re s > 0, or by ``_boole``
-    (q > 1) when Re s <= 0 and s is not an integer, if that takes fewer terms than
-    ``_partial_sum`` or no partial sum certifies its tail (q = 1, or q - 1 = 10^-21);
-    else by the partial sum.  The first two bound the error below 2^(4-bits).
-
-    Re s must lie in [-2^11, 2^30]; outside it ConvergenceDomain is raised before any sum.
-    Up to 2^30 the sum is tested to stay small in memory: the series loop does not align
-    a product 2^-Re s below it.  Below -2^11 the partial sum takes more than 2 |Re s|
-    terms, each the exact m^|Re s|, so its time grows as (Re s)^2.
-    """
+    """L_E(s | chi) within ``tail_bound``: by ``_boole`` at Re s > 0 (q >= 1), or at Re s <= 0
+    off the integers (q > 1), where it costs fewer terms than ``_partial_sum`` or no partial sum
+    certifies its tail (q = 1, or q - 1 = 10^-21); else by the partial sum.  ConvergenceDomain
+    is raised before any sum below Re s = -2^11, where the partial sum takes over 2 |Re s|
+    terms, each the exact m^|Re s|, and above |Im s| = MAX_IM_AT_ONE where no M certifies."""
     qf = Fraction(q)
     with mp.workprec(bits + 64):
         s_val = to_mpc(s)
-        if not -2**11 <= s_val.real <= 2**30:
-            raise ConvergenceDomain(f"s = {mp.nstr(s_val, 8)}: the L-series is summed only at "
-                                    "-2^11 <= Re s <= 2^30")
-        if s_val.real > 0 and qf >= 1 and (lv := _accelerated(s, chi, qf, bits)):
-            return lv
-        if qf <= 1:
-            raise ConvergenceDomain(f"the L-series needs q > 1, or q = 1 with Re s > 0 and at most "
-                                    f"{MAX_CLASS_TERMS} terms per residue class")
-        if s_val.real <= 0 and not mp.isint(s_val) and (lv := _boole(s, chi, qf, bits)):
-            return lv
-        return _partial_sum(s, chi, qf, bits)
+        if s_val.real < -2**11:
+            raise ConvergenceDomain(f"s = {mp.nstr(s_val, 8)}: the L-series is summed only at Re s >= -2^11")
+        if qf < 1 or qf == 1 and s_val.real <= 0:
+            raise ConvergenceDomain("the L-series needs q > 1, or q = 1 with Re s > 0")
+        return ((s_val.real > 0 or not mp.isint(s_val)) and _boole(s, chi, qf, bits)) or _partial_sum(s, chi, qf, bits)
 
 
 def _working_prec(s, M: int, q: Fraction, bits: int) -> int:
-    """Working precision for a route that sums m^{-s} for m <= M times (1+q)^{1-s}.
-
-    The phases Im s log m and Im s log(1+q) come out with an absolute error of about
-    |Im s| log max(M, 1+q) 2^-prec.  Below 2^32 that takes at most 32 of the 64 guard
-    bits, and the precision stays bits + 64; past it, each further bit adds one.
-    """
+    """Working precision for a route that sums m^{-s} for m <= M times (1+q)^{1-s}.  The exponents
+    s log m and s log(1+q) come out with an absolute error of about |s| log max(M, 1+q) 2^-prec,
+    the relative error of m^-s and (1+q)^{1-s} (their phases at large |Im s|, moduli at large
+    Re s).  Below 2^32 that takes at most 32 of the 64 guard bits of bits + 64; past it, each
+    further bit adds one."""
     with mp.workprec(64):
-        loss = mp.fabs(to_mpc(s).imag) * mp.log(to_mpf(max(M, 1 + q)))
+        loss = mp.fabs(to_mpc(s)) * mp.log(to_mpf(max(M, 1 + q)))
     _, man, exp, bc = loss._mpf_  # man * 2^exp < 2^(exp+bc)
     return bits + 64 + (max(0, exp + bc - 32) if man else 0)
 
@@ -123,67 +108,10 @@ def _partial_sum(s, chi: DirichletCharacter, q: Fraction, bits: int) -> LValue:
                       "partial-sum")
 
 
-def _accelerated(s, chi: DirichletCharacter, q: Fraction, bits: int) -> LValue | None:
-    """The series by residue classes with Chebyshev weights; None past the term limit.
-
-    As d is odd, (-1)^{a+dj} = (-1)^a (-1)^j, and by the Mellin transform the
-    class terms r^j (a+dj)^{-s}, r = q^{-d}, are the moments on [0, r] of a
-    measure of total variation Gamma(sigma) a^{-sigma} / |Gamma(s)|, sigma = Re s > 0.
-    Algorithm 1 of Cohen, Rodriguez Villegas and Zagier with P_n(x) = T_n(1 - 2x/r)
-    then leaves at most that over P_n(-1) = T_n(1 + 2 q^d) per class.  n is the
-    smallest count with bound = |prefactor| sum_a q^{-a} a^{-sigma} (Gamma(sigma)
-    / (|Gamma(s)| T_n(1 + 2 q^d)) + n 2^-(bits+30)) < 2^(4-bits), over a with
-    chi(a) != 0, evaluated at 64 bits and doubled.  Its last term covers
-    rounding: chi is rounded at bits + 32, and a class adds n terms of modulus
-    <= q^{-a} a^{-sigma} with under d n + 64 roundings at bits + 64.  The limit
-    is phi(d) n < M, the partial sum's count, and MAX_CLASS_TERMS at q = 1 or
-    where no M certifies the partial sum's tail.  The sum runs at ``_working_prec``.
-    """
-    s_val = to_mpc(s)
-    d = max(chi.modulus, 1)
-    classes = [a for a in range(1, d + 1) if chi(a % d)]
-    limit = MAX_CLASS_TERMS
-    if q > 1:
-        try:
-            limit = (choose_truncation(0, q, bits - 4)[0] - 1) // len(classes)
-        except ConvergenceDomain:  # no partial sum certifies its tail this close to q = 1
-            pass
-    prefactor = to_mpf(q) * mp.power(to_mpf(1 + q), 1 - s_val)
-    with mp.workprec(64):
-        mass = 2 * mp.fabs(prefactor) * mp.fsum(to_mpf(q) ** -a * mp.mpf(a) ** -s_val.real for a in classes)
-        ratio = mp.gamma(s_val.real) / mp.fabs(mp.gamma(s_val))
-        z = 1 + 2 * to_mpf(q) ** d
-        eps, unit = mp.mpf(2) ** (4 - bits), mp.mpf(2) ** -(bits + 30)
-        t_prev, t = mp.mpf(1), z  # T_{n-1}(z), T_n(z)
-        for n in range(1, limit + 1):
-            bound = mass * (ratio / t + n * unit)
-            if bound < eps:
-                break
-            t_prev, t = t, 2 * z * t - t_prev
-        else:
-            return None
-    with mp.workprec(_working_prec(s, d * n, q, bits)):
-        if mp.prec > bits + 64:  # s_val and prefactor were formed at bits + 64
-            s_val = to_mpc(s)
-            prefactor = to_mpf(q) * mp.power(to_mpf(1 + q), 1 - s_val)
-        prec = mp.prec
-        weights = _chebyshev_weights(n, q, d)
-        power = _inverse_powers(s_val, d * n)
-
-        def damped(m):
-            wm, we = weights[(m - 1) // d]
-            t = power(m)
-            if len(t) == 2:
-                return _round(t[0] * wm, t[1] + we, prec)
-            return (*_round(t[0] * wm, t[1] + we, prec), *_round(t[2] * wm, t[3] + we, prec))
-
-        acc = alternating_character_sum(chi, q, bits, d * n, damped)
-        return LValue(+s_val, chi, q, bits, +(prefactor * acc), +bound, len(classes) * n, "accelerated")
-
-
 def _boole(s, chi: DirichletCharacter, q: Fraction, bits: int) -> LValue | None:
-    """The series as a head to m = dJ and a Frobenius-Euler tail per residue class (q > 1,
-    Re s <= 0, s not an integer); None unless it takes fewer terms than ``_partial_sum``.
+    """The series as a head to m = dJ and a Frobenius-Euler tail per residue class, for Re s > 0 at
+    q >= 1 and Re s <= 0 off the integers at q > 1; None unless it costs less than ``_partial_sum``.
+    Where no partial sum certifies its tail, |Im s| > ``MAX_IM_AT_ONE`` is a ConvergenceDomain.
 
     With d odd, z = -q^{-d}, u = 1/z and w = a + dJ, class a's terms from j = J on are
     (-1)^w chi(w) q^{-w} sum_{i>=0} z^i (w + di)^{-s}.  Since 1/(1 - z e^t) =
@@ -193,55 +121,56 @@ def _boole(s, chi: DirichletCharacter, q: Fraction, bits: int) -> LValue | None:
 
         sum_{i>=0} z^i (w + di)^{-s} = u/(u-1) w^{-s} sum_{k<K} H_k(u) C(-s,k) (d/w)^k + R_K(w).
 
-    So the value is one ``alternating_character_sum`` to m = d(J+1), each term past dJ
-    times that polynomial in 1/w.  Bound: by Hankel's integral (w + dx)^{-s} =
-    Gamma(1-s)/(2 pi i) int_H e^{(w+dx)t} t^{s-1} dt, R_K(w) is the same integral of
-    e^{wt} t^{s-1} g_K(dt), g_K(tau) = 1/(1 - z e^tau) less its Taylor polynomial of degree
-    < K.  For Re s + K > 0 the contour folds onto both sides of t < 0, where |t^{s-1}| <=
-    |t|^{sigma-1} e^{pi |Im s|}, sigma = Re s.  On |tau| = r' in [pi/2, pi),
-    |1 + q^{-d} e^tau| >= sin r', so the Taylor coefficients are at most r'^{-k} / sin r'.
-    By Cauchy's formula on |tau| = r' for |tau| <= r, and beyond it by |1/(1 - z e^tau)| <= 1
-    plus the polynomial's sum_{k<K} (|tau|/r')^k / sin r' <= (|tau|/r)^K / (sin r' (1 - r/r')),
-    |g_K(tau)| <= G (|tau|/r)^K on tau <= 0, G = 1 + 1/(sin r' (1 - r/r')), r = 3,
-    r' = 31/10.  Hence
+    So the value is one ``alternating_character_sum`` to m = d(J+1), each term past dJ times
+    that polynomial in 1/w, or at K = 0 the head alone.  By Hankel's integral for (w + dx)^{-s},
+    R_K(w) = Gamma(1-s)/(2 pi i) int_H e^{wt} t^{s-1} g_K(dt) dt, g_K(tau) = 1/(1 - z e^tau) less
+    its Taylor polynomial of degree < K.  For sigma + K > 0, sigma = Re s, the contour folds onto
+    t < 0 and, as Gamma(1-s) sin(pi s)/pi = 1/Gamma(s), R_K(w) = int_0^inf e^{-wt} t^{s-1}
+    g_K(-dt) dt / Gamma(s).  On |tau| = r' in [pi/2, pi), |1 + q^{-d} e^tau| >= sin r', so by
+    Cauchy's formula for |tau| <= r, and beyond it by |1/(1 - z e^tau)| <= 1 plus the Taylor
+    polynomial's sum_{k<K} (|tau|/r')^k / sin r' <= (|tau|/r)^K / (sin r' (1 - r/r')),
+    |g_K(tau)| <= G (|tau|/r)^K on tau <= 0, G = 1 + 1/(sin r' (1 - r/r')), r = 3, r' = 31/10.
+    Hence, for every s, the positive integers included,
 
-        |R_K(w)| <= G |Gamma(1-s)| e^{pi |Im s|} Gamma(sigma + K) (d/(r w))^K w^{-sigma} / pi,
+        |R_K(w)| <= G Gamma(sigma + K) (d/(r w))^K w^{-sigma} / |Gamma(s)|.
 
-    and ``tail_bound`` is |prefactor| sum_a q^{-w} times that, over a with chi(a) != 0,
-    evaluated at 64 bits and doubled.  J and K come from a float search on the bound with
-    every class taken at the smallest w in (d/(rw))^K and the largest in w^{-sigma}: for
-    each J the smallest K that puts it below 2^(3-bits), then the pair with the fewest
-    terms dJ + phi K, phi the number of classes.  The route is taken when that count is
-    below M, the partial sum's, or below phi MAX_CLASS_TERMS where no M certifies the
-    partial sum's tail.  The coefficients are fixed point at 2^-prec, each polynomial is
-    one integer Horner pass in w, and the sum runs at ``_working_prec``.
+    ``tail_bound`` is |prefactor| sum_a q^{-w} times that, over a with chi(a) != 0, plus the
+    rounding term |prefactor| T (N + phi (p + K)) e 2^-P: N roundings of terms at most T, the
+    largest of the moduli q^-m m^-sigma, m <= N (q^-x x^-sigma is log-concave), a tail
+    polynomial at most p = sum_k |c_k| w^-k with K floors of 2^-P, and e = 3N + |s| log
+    max(N, 1+q) + 64 units of 2^-P, P the working precision, for each term's relative error and
+    the additions (N products for q^-m, s log m, log2 N prime-power products, chi, which is
+    embedded at P too).  Both terms are formed at 64 + 2 log2 |s| bits, past the size of
+    log Gamma(s), and doubled.
     """
-    s_val = to_mpc(s)
-    d = max(chi.modulus, 1)
+    s_val, d = to_mpc(s), max(chi.modulus, 1)
     classes = [a for a in range(1, d + 1) if chi(a % d)]
     try:
-        limit = choose_truncation(-s_val.real, q, bits - 4)[0]
+        limit = choose_truncation(max(mp.mpf(0), -s_val.real), q, bits - 4)[0] * len(classes) / d if q > 1 else inf
     except ConvergenceDomain:  # no partial sum certifies its tail this close to q = 1
-        limit = MAX_CLASS_TERMS * len(classes)
-    with mp.workprec(64):
-        sigma, qv, r_outer = s_val.real, to_mpf(q), to_mpf(_R_OUTER)
-        G = 1 + 1 / (mp.sin(r_outer) * (1 - _R / r_outer))
-        # twice |prefactor| G |Gamma(1-s)| e^{pi |Im s|} / pi
-        scale = (2 * qv * mp.power(1 + qv, 1 - sigma) * G / mp.pi
-                 * mp.exp(mp.loggamma(1 - s_val).real + mp.pi * mp.fabs(s_val.imag)))
-        plan = _boole_plan(float(mp.log(scale * mp.fsum(qv**-a for a in classes), 2)), float(mp.log(qv, 2)),
-                           float(sigma), d, classes, bits, limit)
-        if plan is None:
-            return None
-        J, K = plan
-        bound = scale * mp.gamma(sigma + K) * mp.fsum(
-            qv ** -(a + d * J) * (mp.mpf(d) / (_R * (a + d * J))) ** K * mp.mpf(a + d * J) ** -sigma for a in classes)
-    head = d * J
-    with mp.workprec(_working_prec(s, head + d, q, bits)):
-        s_val = to_mpc(s)
-        prec = mp.prec
-        power = _inverse_powers(s_val, head + d)
-        coefficients = _boole_coefficients(s_val, q, d, K, prec)
+        limit = inf
+    if limit == inf and mp.fabs(s_val.imag) > MAX_IM_AT_ONE:
+        raise ConvergenceDomain(f"s = {mp.nstr(s_val, 8)}: where no partial sum certifies its tail (q = 1, "
+                                f"or q this close to 1) the L-series is summed only at |Im s| <= {MAX_IM_AT_ONE}")
+    bound_prec = 64 + 2 * max(0, mp.mag(s_val))
+    with mp.workprec(bound_prec):
+        s_val, qv, r_outer = to_mpc(s), to_mpf(q), to_mpf(_R_OUTER)
+        sigma, abs_s = s_val.real, mp.fabs(s_val)
+        sigma_f = min(float(sigma), 2.0**1000)  # the plan's sigma: past 2^1000, J = 1 and K = 0 certify
+        K0 = max(0, floor(-sigma_f) + 1)
+        modulus = 2 * qv * mp.power(1 + qv, 1 - sigma)  # twice |prefactor|
+        scale = modulus * (1 + 1 / (mp.sin(r_outer) * (1 - _R / r_outer)))  # times G
+        lg_s = mp.loggamma(s_val).real
+        log2_scale = mp.log(scale * mp.fsum(qv**-a for a in classes), 2) + (mp.loggamma(sigma + K0) - lg_s) / mp.ln2
+        plan = _boole_plan(float(log2_scale), sigma_f, q, d, classes, bits, limit, 300 if s_val.imag else 100)
+    if plan is None:
+        return None
+    (J, K), phi = plan, len(classes)
+    head, top = d * J, d * J + (d if K else 0)
+    with mp.workprec(_working_prec(s, top, q, bits)):
+        s_val, prec = to_mpc(s), mp.prec
+        power = _inverse_powers(s_val, top)
+        coefficients = _boole_coefficients(s_val, q, d, K, prec) if K else []
 
         def term(m):
             t = power(m)
@@ -256,25 +185,61 @@ def _boole(s, chi: DirichletCharacter, q: Fraction, bits: int) -> LValue | None:
                 return _round(t[0] * f[0], t[1] + f[1], prec)
             return _cmul(t, (*f, *_pair(mpf_div(from_man_exp(im, -prec), mk, prec, round_nearest), prec)), prec)
 
-        acc = alternating_character_sum(chi, q, bits, head + d, term)
-        prefactor = to_mpf(q) * mp.power(to_mpf(1 + q), 1 - s_val)
-        return LValue(+s_val, chi, q, bits, +(prefactor * acc), +bound, head + len(classes) * K, "boole")
+        acc = alternating_character_sum(chi, q, prec - 32, top, term)  # chi at prec
+        value = +(to_mpf(q) * mp.power(to_mpf(1 + q), 1 - s_val) * acc)
+        s_val = +s_val
+    horner = reduce(lambda h, c: h * (head + classes[0]) + abs(c[0]) + abs(c[1]), coefficients, 0)
+    with mp.workprec(bound_prec):
+        ws, log_q = [mp.mpf(a + head) for a in classes], mp.log(qv)
+        truncation = mp.exp(mp.loggamma(sigma + K) - lg_s) * mp.fsum(qv**-w * (d / (_R * w))**K * w**-sigma for w in ws)
+        x = 1 if sigma >= 0 else top if -sigma >= top * log_q else max(1, -sigma / log_q)
+        largest = qv**-x * mp.power(x, -sigma)
+        polynomial = mp.ldexp(mp.mpf(horner) / ws[0] ** (K - 1), -prec) if K else 0
+        rounding = largest * (top + phi * (polynomial + K)) * (3 * top + abs_s * mp.log(max(top, 1 + qv)) + 64)
+        bound = scale * truncation + modulus * rounding * mp.mpf(2) ** -prec
+    return LValue(s_val, chi, q, bits, value, bound, head + phi * K, "boole")
 
 
-def _boole_plan(log2_scale: float, log2_q: float, sigma: float, d: int, classes: list, bits: int,
-                limit: int) -> tuple[int, int] | None:
-    """(J, K) with the fewest terms dJ + phi K below ``limit`` whose bound, with every class at the
-    smallest w = dJ + a in (d/(rw))^K and the largest in w^-sigma, is below 2^(3-bits), for
-    sigma + K > 0.
+def _boole_plan(log2_scale: float, sigma: float, q: Fraction, d: int, classes: list, bits: int, limit,
+                per_term: int) -> tuple[int, int] | None:
+    """(J, K) of the least cost(J, K) below ``limit`` whose bound, every class at the smallest
+    w = dJ + a in (d/(rw))^K, and in w^-sigma at the smallest w when sigma > 0 and the largest
+    otherwise, is below 2^(3-bits), for sigma + K > 0; log2_scale holds Gamma(sigma + K0) /
+    |Gamma(s)|, K0 the smallest K.  For fixed J the bound falls with K while sigma + K < r w/d,
+    so the smallest K is found by walking down from the previous J's, or from that turning point.
 
-    For fixed J the bound falls with K while sigma + K < r w/d, so the smallest K is found
-    by walking down from the previous J's, or from that turning point."""
-    target, phi, best, K0 = 3 - bits, len(classes), None, floor(-sigma) + 1
+    The cost is in series terms of T integer operations (arithmetic and comparisons per term,
+    counted with sys.settrace: 92-113 at real s, 224-331 at complex s over characters mod 1, 5
+    and 7, so T = 100 and 300), on integers of at most 2P bits, P the working precision, that
+    cost about their dispatch: so an operation on n- and n'-digit integers (30-bit digits)
+    counts 1 plus its digit products n n', or n when linear, over (P/30)^2, a P-bit product's.
+    The sum evaluates phi J head terms and, at K > 0, phi tail terms, each with K Horner steps of
+    4 linear operations on P + k log2 w bits; rows 1..K-1 of ``eulerian._frobenius_euler``, k + 1
+    entries of 9 operations each (3 in ``eulerian._rows`` on <k,i> < k!, then c B^j, acc A and
+    acc - c B^j, acc < k! max(A, B)^k); and K coefficients (``_boole_coefficients``) of about 20
+    operations, 4 of them products of P bits by log2 k! + k log2 D bits (h_k, D^k).  The route
+    runs when that is below the partial sum's phi M / d, or where no M certifies.
+    """
+    target, phi, best, K0 = 3 - bits, len(classes), None, max(0, floor(-sigma) + 1)
+    log2_q = log2(q.numerator) - log2(q.denominator)
+    a, b, D = (x.bit_length() / 30 for x in (q.numerator**d, q.denominator**d, q.numerator**d + q.denominator**d))
+    F, base, prefix = (bits + 64) / 30, lgamma(sigma + K0), [0.0]  # digits of P; prefix[K] for h_k, c_k, k < K
+
+    def cost(J, K):
+        while len(prefix) <= K:
+            k = len(prefix) - 1
+            c = lgamma(k + 1) / log(2) / 30  # digits of <k,i> < k!
+            acc = (k + 1) * c + (a + b) * k * (k + 1) / 2  # digits of row k's Horner accumulators
+            work = 3 * (k + 1) * c + c * (k + 1 + b * k * (k + 1) / 2) + (1 + max(1, a)) * acc
+            prefix.append(prefix[-1] + (9 * (k + 1) if k else 0) + 20 + (work + 4 * F * (c + k * D)) / F**2)
+        horner = 4 * K + 4 * K * (F + (K - 1) * log2(d * J + d) / 60) / F**2
+        return phi * (J + 1) + (prefix[K] + phi * horner) / per_term if K else phi * J
+
     for J in count(1):
-        if d * J >= (best[0] if best else limit):
+        if phi * J >= (best[0] if best else limit):
             break
         lo, hi = d * J + classes[0], d * J + classes[-1]
-        rest = log2_scale - d * J * log2_q - sigma * log2(hi)
+        rest = log2_scale - d * J * log2_q - sigma * log2(lo if sigma > 0 else hi) - base / log(2)
 
         def f(K):
             return rest + lgamma(sigma + K) / log(2) + K * log2(d / (_R * lo))
@@ -285,8 +250,9 @@ def _boole_plan(log2_scale: float, log2_q: float, sigma: float, d: int, classes:
                 continue
         while K > K0 and f(K - 1) < target:
             K -= 1
-        if best is None or d * J + phi * K < best[0]:
-            best = (d * J + phi * K, J, K)
+        price = cost(J, K)
+        if best is None or price < best[0]:
+            best = (price, J, K)
     return best[1:] if best and best[0] < limit else None
 
 
@@ -306,24 +272,6 @@ def _boole_coefficients(s_val, q: Fraction, d: int, K: int, F: int) -> list[tupl
         cr, ci = (cr * xr - ci * y) * d // step, (cr * y + ci * xr) * d // step
         Dk *= D
     return out
-
-
-def _chebyshev_weights(n: int, q: Fraction, d: int) -> list:
-    """lambda_k = sum_{i>k} |C_i| / sum_i |C_i| (k < n) as (man, exp) pairs, T_n(1 - 2 q^d x) = sum C_i x^i.
-
-    sum_j (-1)^j b_j = sum_{k<n} (-1)^k lambda_k b_k + remainder for moments on [0, q^{-d}].
-    The c_i of T_n(1 - 2y) alternate in sign, with c_0 = 1 and |c_{i+1}/c_i| =
-    2 (n+i)(n-i) / ((2i+1)(i+1)); for q = u/v each |C_i| v^{dn} is an integer.
-    """
-    ud, vd = q.numerator ** d, q.denominator ** d
-    c, g = 1, vd**n  # |c_i| and u^{di} v^{d(n-i)}
-    scaled = []
-    for i in range(n + 1):
-        scaled.append(c * g)
-        c = c * 2 * (n + i) * (n - i) // ((2 * i + 1) * (i + 1))
-        g = g * ud // vd
-    total, tails = from_int(sum(scaled)), reversed(list(accumulate(reversed(scaled[1:]))))
-    return [_pair(mpf_div(from_int(tail), total, mp.prec, round_nearest), mp.prec) for tail in tails]
 
 
 def _inverse_powers(s, M: int):

@@ -96,18 +96,20 @@ class TestBasicCommands:
         assert render_l_value(l_eulerian(nearest_double, chi, Fraction(2), 128)) != want
 
     def test_lfunction_eval_at_q_one(self, capsys):
-        # q = 1 converges only for Re s > 0, where the accelerated route sums it
+        # q = 1 is summed only for Re s > 0 and |Im s| <= 4096, by the Boole route
         assert main(["lfunction", "eval", "--s", "0", "--q", "1"]) == 3
         assert "Re s > 0" in capsys.readouterr().err
         code, out = run(capsys, "lfunction", "eval", "--s", "1/2,14", "--q", "1")
         assert code == 0
-        assert json.loads(out)["method"] == "accelerated"
+        assert json.loads(out)["method"] == "boole"
+        assert main(["lfunction", "eval", "--s", "1/2,10000", "--q", "1"]) == 3
+        assert "|Im s| <= 4096" in capsys.readouterr().err
 
     def test_lfunction_eval_too_close_to_q_one(self, capsys):
-        # no partial sum certifies its tail at q - 1 = 10^-21: the Boole route answers at Re s <= 0,
-        # the accelerated route at Re s > 0
+        # no partial sum certifies its tail at q - 1 = 10^-21: the Boole route answers on both
+        # sides of Re s = 0
         q = "1000000000000000000001/1000000000000000000000"
-        for s, method in (("-1/2,1", "boole"), ("1/2,1", "accelerated")):
+        for s, method in (("-1/2,1", "boole"), ("1/2,1", "boole")):
             code, out = run(capsys, "lfunction", "eval", f"--s={s}", "--q", q)
             assert code == 0
             assert json.loads(out)["method"] == method
@@ -202,14 +204,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("s", ["1e12", "1e300", "1e300,1", "-1e300"])
     def test_huge_real_part_of_s_is_a_precision_failure(self, s):
-        # outside -2^11 <= Re s <= 2^30 l_eulerian refuses s before summing: exit 3, one line
+        # below Re s = -2^11 l_eulerian refuses s before summing; a huge Re s is summed, but its
+        # value, about 3^-Re s, has its certified place far past MAX_PLACE: exit 3, one line
         env = dict(os.environ, PYTHONPATH=str(Path(qeuler.__file__).resolve().parents[1]))
         done = subprocess.run([sys.executable, "-m", "qeuler.cli", "lfunction", "eval", f"--s={s}"],
                               capture_output=True, text=True, env=env, timeout=15)
         assert done.returncode == 3, done.stderr
         assert done.stdout == ""
         assert len(done.stderr.splitlines()) == 1
-        assert done.stderr.startswith("error: s = ")
+        if s.startswith("-"):
+            assert done.stderr.startswith("error: s = ")
+        else:
+            assert re.fullmatch(rf"error: the L-value's certified decimal place 10\^-\d+ lies past "
+                                rf"10\^-{MAX_PLACE}: too far out to print\n", done.stderr)
 
     def test_usage_error_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -349,7 +356,7 @@ class TestLongIntegers:
         done = _cli_process("lfunction", "eval", "--s", "1e9", timeout=60)
         assert done.returncode == 3 and done.stdout == ""
         assert done.stderr.splitlines() == [
-            f"error: the L-value's certified decimal place 10^-477121256 lies past 10^-{MAX_PLACE}: "
+            f"error: the L-value's certified decimal place 10^-477121303 lies past 10^-{MAX_PLACE}: "
             "too far out to print"]
 
     @pytest.mark.parametrize("k", [0, 1, 2, 17, 4299, 4300, 4301, 20000])
@@ -603,7 +610,7 @@ _FLAGS = {
     "--variant": ["printed", "corrected", "other"],
     "--format": ["json", "csv", "xml"],
     "--measure": list(MEASURES) + ["q"],
-    "--s": ["0", "2", "-1", "1/2,14", "2,-3", "abc", "1e400", "1,2,3", "1e300", "-1e300"],
+    "--s": ["0", "2", "-1", "1/2,14", "2,-3", "abc", "1e400", "1,2,3", "1e300", "-1e300", "3,40", "1/4,1", "1e12"],
 }
 _COMMANDS = st.one_of(
     st.sampled_from([["eulerian", "classical"], ["eulerian", "chi"], ["chars", "list"],

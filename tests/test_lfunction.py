@@ -3,21 +3,21 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
-from itertools import count
-from math import ceil, comb, floor, lgamma, log, log2
+from itertools import accumulate, count
+from math import ceil, comb, floor, inf, lgamma, log, log2
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
-from mpmath.libmp import from_man_exp, mpf_add, mpf_mul, mpf_neg, mpf_pos, round_nearest
+from mpmath.libmp import from_int, from_man_exp, mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_pos, round_nearest
 
 from qeuler import lfunction
 from qeuler.characters import character_by_index, enumerate_characters, principal_character
 from qeuler.chi_eulerian import chi_eulerian, chi_eulerian_series_check, kernel_series_check
 from qeuler.cyclotomic import cyc_embed
 from qeuler.errors import ConvergenceDomain, DomainError
-from qeuler.lfunction import (_accelerated, _chebyshev_weights, _inverse_powers, _partial_sum, _working_prec,
-                              l_eulerian, mellin_term_check, verify_interpolation)
+from qeuler.lfunction import (_boole_coefficients, _inverse_powers, _partial_sum, _working_prec, l_eulerian,
+                              mellin_term_check, verify_interpolation)
 from qeuler.numerics import (_pair, _round, alternating_character_sum, choose_truncation, decay_index,
                              integer_powers, numeric_check, to_mpc, to_mpf)
 from qeuler.numtheory import phi
@@ -89,32 +89,33 @@ class TestLEulerian:
             l_eulerian(complex(-0.5, 2), QUAD3, 1, 128)
         with pytest.raises(ConvergenceDomain, match="q > 1"):
             l_eulerian(Fraction(1, 2), QUAD3, Fraction(9, 10), 128)
-        # 1/|Gamma(1/2 + 10^4 i)| ~ e^{5000 pi} would need more than 4096 terms per class
-        with pytest.raises(ConvergenceDomain, match="4096 terms"):
+        # 1/|Gamma(1/2 + 10^4 i)| ~ e^{5000 pi}: outside the domain where no partial sum certifies
+        with pytest.raises(ConvergenceDomain, match=r"\|Im s\| <= 4096$"):
             l_eulerian(complex(0.5, 1e4), QUAD3, 1, 128)
 
-    @pytest.mark.parametrize("s", [2**30 + 1, Fraction(-2**22 - 1, 2**11), (Fraction(10**300), Fraction(1)),
-                                   -10**300])
+    @pytest.mark.parametrize("s", [Fraction(-2**22 - 1, 2**11), -10**300])
     def test_real_part_outside_the_summed_range_is_refused(self, s):
-        # 2^30 is the tested end of the range; below -2^11 the partial sum would take more
-        # than 2^12 terms of exact m^|Re s|; either is refused before any sum
-        with pytest.raises(ConvergenceDomain, match=r"^s = .* -2\^11 <= Re s <= 2\^30$"):
+        # below -2^11 the partial sum would take more than 2^12 terms of exact m^|Re s|; it is
+        # refused before any sum
+        with pytest.raises(ConvergenceDomain, match=r"^s = .* Re s >= -2\^11$"):
             l_eulerian(s, QUAD3, 2, 128)
 
     def test_large_real_parts_inside_the_range_are_summed(self):
         lv = l_eulerian(10**6, QUAD3, 2, 128)
-        assert (lv.method, lv.terms) == ("accelerated", 2)
+        assert (lv.method, lv.terms) == ("boole", 3)
         assert l_eulerian(-2**9, QUAD3, 2, 64).method == "partial-sum"
 
-    @pytest.mark.parametrize("s", [10**9, (10**9, 1), 2**30])
+    @pytest.mark.parametrize("s", [10**9, (10**9, 1), 2**30, 2**30 + 1, 10**12, 10**18, 10**100, (10**12, 1),
+                                   (Fraction(10**300), Fraction(1))])
     def test_huge_real_parts_take_little_memory(self, s):
         # the m = 2 term lies 2^-Re s below the m = 1 term, and the sum does not add a product
         # more than 2 prec + 2 bits below it, so no integer is shifted by Re s bits (tracemalloc's
-        # peak was 657 MB at s = 10^9); the sum is still bit for bit the mpc loop's
+        # peak was 657 MB at s = 10^9); the sum is still bit for bit the mpc loop's, and the value
+        # is the head m <= 7 by mp.power with the log2 |s| bits that the exponents take
         chi, q = largest_order_character(7), Fraction(2)
         tracemalloc.start()
         try:
-            l_eulerian(s, chi, q, 128)
+            lv = l_eulerian(s, chi, q, 128)
             with mp.workprec(192):
                 s_val = to_mpc(s)
                 got = alternating_character_sum(chi, q, 128, 64, _inverse_powers(s_val, 64))
@@ -122,16 +123,23 @@ class TestLEulerian:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 22
+        assert (lv.method, lv.terms) == ("boole", 7)
         with mp.workprec(192):
             assert got._mpc_ == term_by_term(chi, q, 128, 64, multiplicative_powers(s_val))._mpc_
+        with mp.workprec(256 + 2 * mp.mag(to_mpc(s))):
+            s_val = to_mpc(s)
+            head = sum((-1) ** m * cyc_embed(chi(m), mp.prec) * to_mpf(q) ** -m * mp.power(m, -s_val)
+                       for m in range(1, 8))
+            reference = to_mpf(q) * mp.power(to_mpf(1 + q), 1 - s_val) * head
+            assert mp.fabs(lv.value - reference) <= lv.tail_bound
 
     def test_q_too_close_to_one_for_a_partial_sum(self):
-        # 64 doublings of M cannot certify the partial sum's tail at q - 1 = 10^-21; Re s > 0
-        # takes the q = 1 term limit instead, and Re s <= 0 the Boole route, whose value lies
-        # next to the q = 1 continuation 2^{1-s} (2^{1-s} chi(2) - 1) L(s, chi)
+        # 64 doublings of M cannot certify the partial sum's tail at q - 1 = 10^-21; the Boole
+        # route sums it on both sides of Re s = 0, and at Re s <= 0 its value lies next to the
+        # q = 1 continuation 2^{1-s} (2^{1-s} chi(2) - 1) L(s, chi)
         q = Fraction(10**21 + 1, 10**21)
         lv = l_eulerian(complex(0.5, 1), QUAD3, q, 128)
-        assert lv.method == "accelerated"
+        assert lv.method == "boole"
         at_one = l_eulerian(complex(0.5, 1), QUAD3, 1, 128)
         with mp.workprec(192):
             assert lv.tail_bound < mp.mpf(2) ** -124
@@ -330,6 +338,9 @@ def largest_order_character(d):
     return max(enumerate_characters(d), key=lambda c: c.order)
 
 
+# ORACLE_GRID points where the partial sum costs fewer terms at Re s > 0: q = 2 at moduli 5-15,
+# mostly at s = 1/2+14i, where 1/|Gamma(s)| ~ 2^31 lengthens the Boole tail
+PARTIAL_SUM_CORNERS = 9
 ORACLE_GRID = [pytest.param(d, q, bits, id=f"mod{d}-q{q.numerator}_{q.denominator}-{bits}bits")
                for d in (1, 3, 5, 7, 9, 15)
                for q in (Fraction(2), Fraction(7, 2), Fraction(11, 10), Fraction(21, 20))
@@ -396,21 +407,33 @@ class TestTermByTermOracle:
 
 
     @pytest.mark.parametrize("d,q,bits", ORACLE_GRID)
-    def test_complex_s_is_bit_identical(self, d, q, bits):
-        # the partial sum at Re s <= 0 and the Chebyshev-damped class sums at Re s > 0
+    def test_complex_s_is_bit_identical(self, d, q, bits, monkeypatch):
+        # the partial sum at Re s <= 0, and at Re s > 0 the Boole head and (K > 0) tail, each tail
+        # term m^-s times its polynomial in 1/m, rounded once from the exact Horner value
         chi = largest_order_character(d)
         s = complex(-0.5, 3) if (d + bits) % 2 else complex(-2, 5)
         reference = oracle_l_value(s, chi, q, bits, multiplicative_powers)
         assert _partial_sum(s, chi, q, bits).value._mpc_ == reference._mpc_
         s = complex(2, -3) if (d + bits) % 2 else complex(0.5, 14)
-        with mp.workprec(bits + 64):
-            s_val = to_mpc(s)
-            lv = _accelerated(s_val, chi, q, bits)
-            classes = sum(1 for a in range(1, d + 1) if chi(a % d))
-            n = lv.terms // classes
-            weights = [mp.make_mpf(from_man_exp(*w)) for w in _chebyshev_weights(n, q, d)]
+        plans, plan = [], lfunction._boole_plan
+        monkeypatch.setattr(lfunction, "_boole_plan", lambda *args: plans.append(plan(*args)) or plans[-1])
+        monkeypatch.setattr(lfunction, "choose_truncation", uncertified)
+        lv = l_eulerian(s, chi, q, bits)
+        (J, K), head = plans[-1], d * plans[-1][0]
+        assert lv.method == "boole"
+        with mp.workprec(_working_prec(s, head + d if K else head, q, bits)):
+            s_val, prec = to_mpc(s), mp.prec
             power = multiplicative_powers(s_val)
-            acc = term_by_term(chi, q, bits, d * n, lambda m: power(m) * weights[(m - 1) // d])
+            coefficients = _boole_coefficients(s_val, q, d, K, prec) if K else []
+
+            def term(m):
+                if m <= head:
+                    return power(m)
+                re, im = (sum(c[i] * m ** (K - 1 - k) for k, c in enumerate(coefficients)) for i in (0, 1))
+                f = [mpf_div(from_man_exp(x, -prec), from_int(m ** (K - 1)), prec, round_nearest) for x in (re, im)]
+                return mul_once(power(m), mp.make_mpc(tuple(f)))
+
+            acc = term_by_term(chi, q, prec - 32, head + d if K else head, term)  # chi at prec
             reference = +(to_mpf(q) * mp.power(to_mpf(1 + q), 1 - s_val) * acc)
         assert lv.value._mpc_ == reference._mpc_
 
@@ -610,55 +633,128 @@ def test_the_stop_shortens_the_interpolation_and_series_sums(chi, monkeypatch):
         assert len(set(calls)) == len(calls) < 0.75 * M
 
 
-def chebyshev_route(s, chi, q, bits):
-    """(method, terms) that the documented rule picks, with T_n(z) = cosh(n arccosh z)."""
+def chebyshev_weights(n, q, d):
+    """lambda_k = sum_{i>k} |C_i| / sum_i |C_i| (k < n) as (man, exp) pairs, T_n(1 - 2 q^d x) = sum C_i x^i.
+
+    sum_j (-1)^j b_j = sum_{k<n} (-1)^k lambda_k b_k + remainder for moments on [0, q^{-d}].
+    The c_i of T_n(1 - 2y) alternate in sign, with c_0 = 1 and |c_{i+1}/c_i| =
+    2 (n+i)(n-i) / ((2i+1)(i+1)); for q = u/v each |C_i| v^{dn} is an integer.
+    """
+    ud, vd = q.numerator ** d, q.denominator ** d
+    c, g = 1, vd**n  # |c_i| and u^{di} v^{d(n-i)}
+    scaled = []
+    for i in range(n + 1):
+        scaled.append(c * g)
+        c = c * 2 * (n + i) * (n - i) // ((2 * i + 1) * (i + 1))
+        g = g * ud // vd
+    total, tails = from_int(sum(scaled)), reversed(list(accumulate(reversed(scaled[1:]))))
+    return [_pair(mpf_div(from_int(tail), total, mp.prec, round_nearest), mp.prec) for tail in tails]
+
+
+def chebyshev_l_value(s, chi, q, bits):
+    """(value, bound, terms) of L_E(s | chi) at Re s > 0, q >= 1, by residue classes with
+    Chebyshev weights: the oracle of the Boole route at Re s > 0.
+
+    As d is odd, (-1)^{a+dj} = (-1)^a (-1)^j, and by the Mellin transform the class terms
+    r^j (a+dj)^{-s}, r = q^{-d}, are the moments on [0, r] of a measure of total variation
+    Gamma(sigma) a^{-sigma} / |Gamma(s)|, sigma = Re s > 0.  Algorithm 1 of Cohen, Rodriguez
+    Villegas and Zagier (Exp. Math. 9, 2000) with P_n(x) = T_n(1 - 2x/r) then leaves at most
+    that over P_n(-1) = T_n(1 + 2 q^d) per class.  n is the smallest count with bound =
+    |prefactor| sum_a q^{-a} a^{-sigma} (Gamma(sigma) / (|Gamma(s)| T_n(1 + 2 q^d))
+    + n 2^-(bits+30)) < 2^(4-bits), over a with chi(a) != 0, evaluated at 64 bits and
+    doubled; its last term covers the rounding of chi at bits + 32 and of the n terms per
+    class at the working precision.
+    """
     d = max(chi.modulus, 1)
     classes = [a for a in range(1, d + 1) if chi(a % d)]
     with mp.workprec(bits + 64):
         s_val = to_mpc(s)
-        scale = mp.fabs(to_mpf(q) * mp.power(to_mpf(1 + q), 1 - s_val))
-    with mp.workprec(128):
-        sigma = s_val.real
-        mass = 2 * scale * sum(to_mpf(q) ** -a * mp.mpf(a) ** -sigma for a in classes)
-        ratio = mp.gamma(sigma) / mp.fabs(mp.gamma(s_val))
-        growth = mp.acosh(1 + 2 * to_mpf(q) ** d)
-        n = 1
-        while mass * (ratio / mp.cosh(n * growth) + n * mp.mpf(2) ** -(bits + 30)) >= mp.mpf(2) ** (4 - bits):
-            n += 1
-    M = choose_truncation(0, q, bits - 4)[0] if q > 1 else None
-    if M is None or len(classes) * n < M:
-        return "accelerated", len(classes) * n
-    return "partial-sum", M
+        prefactor = to_mpf(q) * mp.power(to_mpf(1 + q), 1 - s_val)
+    with mp.workprec(64):
+        mass = 2 * mp.fabs(prefactor) * mp.fsum(to_mpf(q) ** -a * mp.mpf(a) ** -s_val.real for a in classes)
+        ratio = mp.gamma(s_val.real) / mp.fabs(mp.gamma(s_val))
+        z = 1 + 2 * to_mpf(q) ** d
+        eps, unit = mp.mpf(2) ** (4 - bits), mp.mpf(2) ** -(bits + 30)
+        t_prev, t, n = mp.mpf(1), z, 1  # T_{n-1}(z), T_n(z)
+        while (bound := mass * (ratio / t + n * unit)) >= eps:
+            t_prev, t, n = t, 2 * z * t - t_prev, n + 1
+    with mp.workprec(_working_prec(s, d * n, q, bits)):
+        s_val = to_mpc(s)
+        prefactor = to_mpf(q) * mp.power(to_mpf(1 + q), 1 - s_val)
+        prec = mp.prec
+        weights = chebyshev_weights(n, q, d)
+        power = _inverse_powers(s_val, d * n)
+
+        def damped(m):
+            wm, we = weights[(m - 1) // d]
+            t = power(m)
+            if len(t) == 2:
+                return _round(t[0] * wm, t[1] + we, prec)
+            return (*_round(t[0] * wm, t[1] + we, prec), *_round(t[2] * wm, t[3] + we, prec))
+
+        acc = alternating_character_sum(chi, q, bits, d * n, damped)
+        return +(prefactor * acc), +bound, len(classes) * n
+
+
+def boole_cost(q, d, phi, prec, per_term, J, K):
+    """The cost in series terms that ``lfunction._boole_plan`` documents: phi J head terms, and
+    at K > 0 phi tail terms, their Horner steps, the triangle's rows 1..K-1 and K coefficients,
+    in integer operations over per_term, an operation on n- and n'-digit integers costing
+    1 + n n' / (P/30)^2 (n / (P/30)^2 when linear)."""
+    if not K:
+        return phi * J
+    a, b, D = (x.bit_length() / 30 for x in (q.numerator**d, q.denominator**d, q.numerator**d + q.denominator**d))
+    F = prec / 30
+    ops = 0
+    for k in range(K):
+        c = lgamma(k + 1) / log(2) / 30
+        if k:
+            accumulators = (k + 1) * c + (a + b) * k * (k + 1) / 2
+            ops += 9 * (k + 1) + (3 * (k + 1) * c + c * (k + 1 + b * k * (k + 1) / 2)
+                                  + (1 + max(1, a)) * accumulators) / F**2
+        ops += 20 + 4 * F * (c + k * D) / F**2
+    horner = sum(4 + 4 * (F + k * log2(d * J + d) / 30) / F**2 for k in range(K))
+    return phi * (J + 1) + (ops + phi * horner) / per_term
 
 
 def boole_route(s, chi, q, bits):
-    """(method, terms) that the documented rule picks at Re s <= 0, s not an integer, q > 1: for
-    each J the smallest K, by a plain scan up to the bound's turning point, whose bound with
-    every class at the smallest w in (d/(3w))^K and the largest in w^-sigma is below
-    2^(3-bits); the Boole route when the fewest terms dJ + phi K are below the partial sum's M."""
+    """(method, terms) that the documented rule picks at Re s > 0 (q >= 1) or Re s <= 0 off the
+    integers (q > 1): for each J the smallest K, by a plain scan up to the bound's turning point,
+    whose bound G Gamma(sigma+K) (d/(3w))^K w^-sigma / |Gamma(s)| times |prefactor| sum_a q^-w,
+    every class at the smallest w in (d/(3w))^K and in w^-sigma at the smallest w when sigma > 0
+    and the largest otherwise, is below 2^(3-bits); the Boole route when the least
+    ``boole_cost`` is below the partial sum's phi M / d terms, or no partial sum certifies its
+    tail."""
     d = max(chi.modulus, 1)
     classes = [a for a in range(1, d + 1) if chi(a % d)]
+    phi = len(classes)
     with mp.workprec(bits + 64):
         s_val = to_mpc(s)
-        M = choose_truncation(-s_val.real, q, bits - 4)[0]
+        try:
+            M = choose_truncation(max(mp.mpf(0), -s_val.real), q, bits - 4)[0] if q > 1 else None
+        except ConvergenceDomain:
+            M = None
     with mp.workprec(128):
         qv, r = to_mpf(q), mp.mpf(3)
         G = 1 + 1 / (mp.sin(mp.mpf(31) / 10) * (1 - r * 10 / 31))
-        scale = (2 * qv * mp.power(1 + qv, 1 - s_val.real) * mp.fabs(mp.gamma(1 - s_val)) * mp.exp(mp.pi * mp.fabs(s_val.imag))
-                 * G / mp.pi * sum(qv**-a for a in classes))
-        log2_scale, log2_q, sigma = float(mp.log(scale, 2)), float(mp.log(qv, 2)), float(s_val.real)
+        log2_scale = (mp.log(2 * qv * mp.power(1 + qv, 1 - s_val.real) * G * sum(qv**-a for a in classes), 2)
+                      - mp.loggamma(s_val).real / mp.ln2)
+        log2_scale, log2_q, sigma = float(log2_scale), float(mp.log(qv, 2)), float(s_val.real)
+    limit = phi * M / d if M else inf
     best = None
     for J in count(1):
-        if d * J >= min(best or M, M):
+        if phi * J >= min(best[0] if best else limit, limit):
             break
         lo, hi = d * J + classes[0], d * J + classes[-1]
-        for K in range(floor(-sigma) + 1, ceil(3 * lo / d - sigma) + 1):
+        for K in range(max(0, floor(-sigma) + 1), max(0, ceil(3 * lo / d - sigma)) + 1):
             log2_bound = (log2_scale - d * J * log2_q + lgamma(sigma + K) / log(2) + K * log2(d / (3 * lo))
-                          - sigma * log2(hi))
+                          - sigma * log2(lo if sigma > 0 else hi))
             if log2_bound < 3 - bits:
-                best = min(best or M, d * J + len(classes) * K)
+                cost = boole_cost(q, d, phi, bits + 64, 300 if s_val.imag else 100, J, K)
+                if best is None or cost < best[0]:
+                    best = (cost, d * J + phi * K)
                 break
-    return ("boole", best) if best is not None and best < M else ("partial-sum", M)
+    return ("boole", best[1]) if best is not None and best[0] < limit else ("partial-sum", M)
 
 
 def max_order_characters(d):
@@ -683,6 +779,11 @@ def lerch_l_value(s, chi, q, bits):
     return to_mpf(q) * mp.power(to_mpf(1 + q), 1 - s_val) * acc
 
 
+def uncertified(*args):
+    """``choose_truncation`` where no partial sum certifies its tail."""
+    raise ConvergenceDomain("no partial sum here")
+
+
 class TestBooleRoute:
     """Re s <= 0 off the integers: a head and a Frobenius-Euler tail per class, against the
     partial sum 64 bits finer and, at q = 1001/1000, Lerch transcendents."""
@@ -693,10 +794,7 @@ class TestBooleRoute:
         for q in (Fraction(21, 20), Fraction(11, 10), Fraction(2)) for bits in (64, 128, 256)])
     def test_bound_covers_the_error(self, chi, q, bits, monkeypatch):
         # the route runs at every point, also where the partial sum takes fewer terms: with no
-        # partial sum certified, the count to beat is phi MAX_CLASS_TERMS
-        def uncertified(*args):
-            raise ConvergenceDomain("no partial sum here")
-
+        # partial sum certified, the route has no cost to beat
         for s in BOOLE_S:
             reference = _partial_sum(s, chi, q, bits + 64).value
             with monkeypatch.context() as patch:
@@ -725,37 +823,40 @@ class TestBooleRoute:
 
 
 class TestAcceleratedRoute:
-    """Re s > 0: the Chebyshev-weighted class sums against the partial sum 64 bits finer."""
+    """Re s > 0: the Boole route against the partial sum 64 bits finer and the Chebyshev-weighted
+    class sums, and at q = 1 against Dirichlet L-values."""
 
     @pytest.mark.parametrize("s", [complex(0.5, 14), complex(2, -3)], ids=["s=1/2+14i", "s=2-3i"])
     @pytest.mark.parametrize("d,q,bits", ORACLE_GRID)
     def test_bound_covers_the_error(self, d, q, bits, s):
         chi = largest_order_character(d)
         lv = l_eulerian(s, chi, q, bits)
-        assert (lv.method, lv.terms) == chebyshev_route(s, chi, q, bits)
+        assert (lv.method, lv.terms) == boole_route(s, chi, q, bits)
         reference = _partial_sum(s, chi, q, bits + 64).value
+        chebyshev, chebyshev_bound, _ = chebyshev_l_value(s, chi, q, bits)
         with mp.workprec(bits + 128):
             assert lv.tail_bound < mp.mpf(2) ** (4 - bits)
             rounding = mp.mpf(2) ** -(bits + 32) * mp.fabs(reference)
             assert mp.fabs(lv.value - reference) <= lv.tail_bound + rounding
+            assert mp.fabs(lv.value - chebyshev) <= lv.tail_bound + chebyshev_bound
 
     def test_the_accelerated_route_is_the_one_taken_on_the_grid(self):
-        # one corner, mod 7 at q = 2 and 64 bits, needs 6 * 11 Chebyshev terms
-        # at s = 1/2+14i against the partial sum's 64
-        routes = [chebyshev_route(s, largest_order_character(d), q, bits)[0]
+        # the Boole route runs on all but PARTIAL_SUM_CORNERS points of the grid, where the
+        # partial sum costs fewer terms
+        routes = [boole_route(s, largest_order_character(d), q, bits)[0]
                   for d, q, bits in (p.values for p in ORACLE_GRID)
                   for s in (complex(0.5, 14), complex(2, -3))]
-        assert routes.count("partial-sum") == 1
+        assert routes.count("partial-sum") == PARTIAL_SUM_CORNERS
 
     @pytest.mark.parametrize("s", [Fraction(1, 2), complex(0.5, 14), complex(2, 3), complex(1.5, -5),
-                                   complex(0.25, 1)])
+                                   complex(0.25, 1), 2, complex(3, 40)])
     @pytest.mark.parametrize("d", [1, 3, 7])
     @pytest.mark.parametrize("bits", [128, 256])
     def test_q_one_is_a_dirichlet_l_value(self, d, s, bits):
         # sum (-1)^m chi(m) m^-s = (2^{1-s} chi(2) - 1) L(s, chi), and the prefactor is 2^{1-s}
         chi = largest_order_character(d)
         lv = l_eulerian(s, chi, 1, bits)
-        assert lv.method == "accelerated"
+        assert lv.method == "boole"
         with mp.workprec(bits + 64):
             s_val = to_mpc(s)
             values = [cyc_embed(chi(a), bits + 64) for a in range(d)]
@@ -780,11 +881,34 @@ class TestAcceleratedRoute:
             assert all((-1) ** i * c > 0 for i, c in enumerate(cur))
             magnitudes = [abs(c) * q ** (d * i) for i, c in enumerate(cur)]
             with mp.workprec(200):
-                got = [mp.make_mpf(from_man_exp(*w)) for w in _chebyshev_weights(n, q, d)]
+                got = [mp.make_mpf(from_man_exp(*w)) for w in chebyshev_weights(n, q, d)]
             with mp.workprec(400):
                 for k, w in enumerate(got):
                     exact = to_mpf(sum(magnitudes[k + 1:]) / sum(magnitudes))
                     assert mp.fabs(w - exact) <= mp.mpf(2) ** -200 * exact  # rounded once
+
+    def test_the_head_alone_takes_no_triangle(self, monkeypatch):
+        # at s = 10^6 the head m <= 3 leaves a tail below q^-3 4^-s: K = 0, and h_k is not formed
+        def no_triangle(*args):
+            raise AssertionError("the triangle was formed")
+
+        monkeypatch.setattr(lfunction, "_frobenius_euler", no_triangle)
+        lv = l_eulerian(10**6, QUAD3, 2, 128)
+        assert (lv.method, lv.terms) == ("boole", 3)
+
+    def test_modulus_15_at_s_2(self, monkeypatch):
+        # with no partial sum to beat and the triangle left unpriced, the head alone certified
+        # here, K = 0, and h_k for k < 0 was asked for
+        chi = largest_order_character(15)
+        reference = _partial_sum(2, chi, Fraction(2), 192).value
+        chebyshev, chebyshev_bound, _ = chebyshev_l_value(2, chi, Fraction(2), 128)
+        monkeypatch.setattr(lfunction, "choose_truncation", uncertified)
+        lv = l_eulerian(2, chi, 2, 128)
+        assert lv.method == "boole"
+        with mp.workprec(256):
+            rounding = mp.mpf(2) ** -160 * mp.fabs(reference)
+            assert mp.fabs(lv.value - reference) <= lv.tail_bound + rounding
+            assert mp.fabs(lv.value - chebyshev) <= lv.tail_bound + chebyshev_bound
 
 
 def bernoulli_numbers(n):

@@ -77,9 +77,9 @@ def test_numeric_stream_at_other_bits_is_unchanged(capsys, args, code, digest):
 # (argv, expected exit code, sha256 of stdout); these outputs carry no timing
 OUTPUTS = [
     ("lfunction eval --s 1/2,14 --modulus 3 --char 1 --q 2", 0,
-     "b3b34c6bdd1ad3cee3e4c83af86dd0ebb006f395e2edead2beb661caad92baa4"),
+     "04954057a3db6e3668b3fa41a1435f39f49cee5f0af150d92202e9d58fa20ad4"),
     ("lfunction eval --s 2,-3 --modulus 5 --char 1 --q 11/10 --bits 96", 0,
-     "0f81724d8ddde9b3bf075a353a05570ceca2e236b7a1718685a8780a79d70370"),
+     "126ec09413cb1617ab787c788eb4d151944261a97bb7163e2d06f3821eecd6b1"),
     ("padic integral --modulus 5 --char 1 --p 5 --q 6 --n 2 --precision 3 --levels 3,4,5", 0,
      "0980bcad00b966fb25594158b206d62324fbefe53d6e304b0660c44d748bbdc1"),
     ("padic integral --measure=-q --p 5 --q 11 --n 3 --precision 3 --levels 4,5", 0,
@@ -110,7 +110,7 @@ def test_other_output_is_unchanged(capsys, argv, code, digest):
 
 
 # The two L-values above as the partial sum printed them, before the accelerated
-# route: (argv, value_re, value_im, tail_bound).
+# routes (Chebyshev weights, now the Boole tail): (argv, value_re, value_im, tail_bound).
 PARTIAL_SUM_OUTPUTS = [
     ("lfunction eval --s 1/2,14 --modulus 3 --char 1 --q 2",
      "0.96314363764847122518001671872610037352290023", "0.53557709110412067722397348878409999207222275",
@@ -125,7 +125,7 @@ PARTIAL_SUM_OUTPUTS = [
 def test_accelerated_value_agrees_with_the_partial_sum_output(capsys, argv, old_re, old_im, old_bound):
     assert main(argv.split()) == 0
     row = json.loads(capsys.readouterr().out)
-    assert row["method"] == "accelerated"
+    assert row["method"] == "boole"
     with mp.workprec(256):
         # both bounds, plus one unit in the last printed digit of each string
         slack = mp.mpf(row["tail_bound"]) + mp.mpf(old_bound) + 2 * mp.mpf(10) ** -(len(old_re) - 2)
