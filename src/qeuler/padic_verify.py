@@ -10,13 +10,14 @@ checks report per-level residual valuations so the empirical convergence
 (valuation growing with N) is auditable, never assumed.
 
 The residues of f(eta) have period P = lcm(p^k, d), so each sum is taken in
-closed form over one period, in O(P + N log p) operations.  Once P divides
-p^N, T_N no longer depends on N, so valuations that do not decrease across
-levels above that one are no extra evidence.
+closed form over one period, summed in blocks of L = lcm(p^ceil(k/2), d)
+values with one first-order p-adic Taylor step per block, in
+O(L + P/L + N log p) operations.  Once P divides p^N, T_N no longer depends
+on N, so valuations that do not decrease across levels above that one are no
+extra evidence.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
@@ -79,7 +80,9 @@ def shifted_monomial(offset: Scalar, degree: int) -> IntegrandSpec:
 
 
 MEASURES = ("-q", "-q^-1", "-q^-d")
-MAX_WALK = 2**22  # the most values of f that one truncated sum walks
+# the longest stretch min(lcm(p^k, d), p^N) of values of f that one truncated
+# sum covers; it bounds the period, not the values walked, which are about 2 sqrt of it
+MAX_WALK = 2**22
 
 
 def measure_weight(measure: str, q: Fraction, d: int = 1) -> Fraction:
@@ -109,54 +112,86 @@ def _check_setup(p: int, q: Fraction, levels: Sequence[int], k: int) -> None:
         raise BadCongruence(f"q = {q} is not congruent to 1 mod {p}")
 
 
-def _values(spec: IntegrandSpec, p: int, k: int):
-    """(the residues of f(eta) mod p^k for eta = 0, 1, ..., one at a time; their period).
+def _chi_residues(spec: IntegrandSpec, p: int, k: int) -> list[int]:
+    """chi(t) mod p^k for t < d, embedded once per integrand; [1] without a character."""
+    chi = spec.character
+    return [1] if chi is None else [embed_cyclotomic(chi(t), p, k) for t in range(chi.modulus)]
 
-    (x+shift+offset)^degree mod p^k has period p^k in eta and a character
-    factor period d, so the product has period lcm(p^k, d).
+
+def _base(spec: IntegrandSpec, p: int, k: int) -> int:
+    """offset + shift mod p^k, so that f(eta) = chi(eta + shift) (base + eta)^degree."""
+    offset = embed_cyclotomic(spec.offset, p, k) if spec.offset else 0
+    return (offset + spec.shift) % p**k
+
+
+def _weighted_sums(spec: IntegrandSpec, chi_res: list[int], w: int, counts: Sequence[int],
+                   p: int, k: int) -> list[int]:
+    """sum_{eta < count} w^eta f(eta)  (mod p^k) for each count, f = ``spec``.
+
+    ``chi_res`` is ``_chi_residues(spec, p, k)``.  f has period P = lcm(p^k, d)
+    mod p^k.  With count = a P + r the sum is S_P (1 + x + ... + x^(a-1)) +
+    x^a S_r, x = w^P, S_r the sum of the first r terms; the geometric factor is
+    built by doubling on the bits of a, so 1 - x need not be a unit mod p^k.
+
+    S_r is summed in blocks of L = lcm(p^ceil(k/2), d) values.  p^k divides L^2
+    and d divides L, so with eta = b + L s and A = offset + shift + b,
+    f(eta) = chi(b + shift) (A^n + n A^(n-1) L s) (mod p^k).  For r = T L + r',
+
+        S_r = B0 G0(T) + L B1 G1(T) + y^T (B0(r') + L T B1(r')),   y = w^L,
+
+    where B0(m), B1(m) sum w^b chi(b + shift) A^n and w^b chi(b + shift) n A^(n-1)
+    over b < m (B0 = B0(L), B1 = B1(L)), and G0(T), G1(T) sum y^s and s y^s over
+    s < T.  One pass over b < L and one over s < P/L serve every count, in
+    O(L + P/L) steps with no division.  A period min(P, largest count) of more
+    than ``MAX_WALK`` values raises ``DomainError`` before any step.
     """
     pk = p**k
-    offset_res = embed_cyclotomic(spec.offset, p, k) if spec.offset else 0
-    powers = (pow((offset_res + t) % pk, spec.degree, pk) for t in itertools.count(spec.shift))
-    chi = spec.character
-    if chi is None:
-        return powers, pk
-    d = chi.modulus
-    chi_res = [embed_cyclotomic(chi(a), p, k) for a in range(d)]
-    return (v * chi_res[t % d] % pk for t, v in enumerate(powers, spec.shift)), lcm(pk, d)
-
-
-def _weighted_sums(values, period: int, w: int, counts: Sequence[int], pk: int) -> list[int]:
-    """sum_{eta < count} w^eta v(eta mod period)  (mod pk), for each count.
-
-    ``values`` yields v(0), v(1), ...  With count = a P + r, P = period, the sum
-    is S_P (1 + x + ... + x^(a-1)) + x^a S_r, x = w^P, S_r the sum of the first
-    r terms.  One pass over at most P values keeps only S_P and the S_r some
-    count needs.  The geometric factor is built by doubling on the bits of a,
-    so 1 - x need not be a unit mod pk.  A walk of more than ``MAX_WALK``
-    values raises ``DomainError`` before any value is made.
-    """
+    d = len(chi_res)
+    period, block = lcm(pk, d), lcm(p ** ((k + 1) // 2), d)
     stop = min(period, max(counts, default=0))
     if stop > MAX_WALK:
         raise DomainError(f"a truncated sum would walk {stop} values, more than the {MAX_WALK} allowed")
-    wanted = {count % period for count in counts}
-    partial = {}  # S_r for r in wanted, and S_stop
-    total, x = 0, 1  # S_eta and w^eta in the loop; S_stop and w^stop after it
-    for eta, v in zip(range(stop), values):
-        if eta in wanted:
-            partial[eta] = total
-        total = (total + x * v) % pk
-        x = x * w % pk
-    partial[stop] = total
+    n, shift, c = spec.degree, spec.shift, _base(spec, p, k)
+    heads = {count % period % block for count in counts}
+    prefix = {}  # (B0(r'), B1(r')) for r' in heads
+    b0 = b1 = 0
+    wb = 1  # w^b
+    for b in range(min(block, stop)):
+        if b in heads:
+            prefix[b] = b0, b1
+        u = wb * chi_res[(b + shift) % d]
+        if u:
+            base = c + b  # A
+            lower = pow(base, n - 1, pk) if n else 0  # A^(n-1), unused at n = 0
+            b0 = (b0 + u * (lower * base if n else 1)) % pk
+            b1 = (b1 + u * n * lower) % pk
+        wb = wb * w % pk
+    prefix[min(block, stop)] = b0, b1
+    y = pow(w, block, pk)
+    tails = {count % period // block for count in counts}
+    blocks = {}  # (G0(T), G1(T), y^T) for T in tails
+    g0 = g1 = 0
+    ys = 1  # y^s
+    for s in range(stop // block):
+        if s in tails:
+            blocks[s] = g0, g1, ys
+        g0, g1, ys = (g0 + ys) % pk, (g1 + s * ys) % pk, ys * y % pk
+    blocks[stop // block] = g0, g1, ys
+    # S_P and x = y^(P/L) matter only to counts of at least P, when stop = P
+    total, x = (b0 * g0 + block * b1 * g1) % pk, ys
     sums = []
     for count in counts:
         a, r = divmod(count, period)
+        t, head = divmod(r, block)
+        h0, h1 = prefix[head]
+        t0, t1, yt = blocks[t]
+        partial = b0 * t0 + block * b1 * t1 + yt * (h0 + block * t * h1)
         geometric, xa = 0, 1  # sum_{j < m} x^j and x^m for m = the leading bits of a
         for bit in bin(a)[2:]:
             geometric, xa = geometric * (1 + xa) % pk, xa * xa % pk
             if bit == "1":
                 geometric, xa = (geometric + xa) % pk, xa * x % pk
-        sums.append((total * geometric + xa * partial[r]) % pk)
+        sums.append((total * geometric + xa * partial) % pk)
     return sums
 
 
@@ -164,8 +199,7 @@ def _integrals(specs: Sequence[IntegrandSpec], p: int, q: Scalar, measure: str,
                levels: Sequence[int], k: int) -> list[list[int]]:
     """T_N mod p^k of each integrand at each level N.
 
-    One pass over each integrand's values, up to the deepest level, serves
-    every level.
+    One blocked sum per integrand, up to the deepest level, serves every level.
     """
     qf = Fraction(q)
     _check_setup(p, qf, levels, k)
@@ -180,7 +214,7 @@ def _integrals(specs: Sequence[IntegrandSpec], p: int, q: Scalar, measure: str,
             raise NonUnitNormalizer(f"[p^N]_Q is not a unit for measure {measure!r}")
         inv_norms.append(pow(normalizer, -1, pk))
     return [[total * inv % pk for total, inv in
-             zip(_weighted_sums(*_values(s, p, k), w_res, counts, pk), inv_norms)]
+             zip(_weighted_sums(s, _chi_residues(s, p, k), w_res, counts, p, k), inv_norms)]
             for s in specs]
 
 
@@ -364,9 +398,10 @@ def corollary4_probe(n: int, chi: DirichletCharacter, p: int, q: Scalar, k: int,
     sums = []
     val_plain = []
     val_scaled = []
-    values, period = _values(spec, p, k)
-    first = next(values)  # the x = 0 term has weight 1 and is not part of U_N
-    for total in _weighted_sums(itertools.chain([first], values), period, w_res, [p**N for N in levels], pk):
+    chi_res = _chi_residues(spec, p, k)
+    # f(0) = chi(shift) (offset + shift)^n has weight 1 and is not part of U_N
+    first = chi_res[spec.shift % len(chi_res)] * pow(_base(spec, p, k), n, pk) % pk
+    for total in _weighted_sums(spec, chi_res, w_res, [p**N for N in levels], p, k):
         total = (total - first) % pk
         sums.append(total)
         val_plain.append(valuation(total - cand_plain, p, k))

@@ -138,6 +138,14 @@ class TestBasicCommands:
         assert json.loads(spaced[1])["measure"] == measure
         assert spaced == run(capsys, *flags, f"--measure={measure}")
 
+    def test_padic_integral_modulus_prime_to_p(self, capsys):
+        # d = 3 is prime to p = 5, so the period is lcm(25, 3) = 75 and each
+        # block of the sum spans lcm(5, 3) = 15 values, not a power of p
+        code, out = run(capsys, "padic", "integral", "--p", "5", "--q", "6", "--n", "2",
+                        "--modulus", "3", "--char", "1", "--precision", "2", "--levels", "2")
+        assert code == 0
+        assert json.loads(out)["residue"] == 11
+
     def test_padic_integral_deep_levels(self, capsys):
         # the period of x mod 5^3 divides 5^3, so every level from 3 on gives the same residue
         code, out = run(capsys, "padic", "integral", "--p", "5", "--q", "6", "--n", "1",

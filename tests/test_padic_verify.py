@@ -1,17 +1,21 @@
 """Truncated fermionic integrals: spot values, integral equations, Witt checks."""
 import tracemalloc
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qeuler.characters import enumerate_characters, principal_character
 from qeuler.errors import BadCongruence, ParityMismatch
-from qeuler.padic import PadicResidue, valuation
+from qeuler.padic import PadicResidue, embed_cyclotomic, valuation
 from qeuler.padic_verify import (
+    IntegrandSpec,
+    _chi_residues,
     _weighted_sums,
     admissible_modulus,
     chi_monomial,
+    corollary4_min_precision,
     corollary4_probe,
     monomial,
     shifted_monomial,
@@ -222,6 +226,12 @@ class TestWitt:
             for n in range(7):
                 assert verify_witt(n, p, q, k, k + 3).passed
 
+    @pytest.mark.parametrize("n", range(9))
+    def test_deep_precision(self, n):
+        # the period 3^13 = 1,594,323 is still under MAX_WALK; the sum takes
+        # blocks of 3^7 values
+        assert verify_witt(n, 3, 4, 13, 14).passed
+
 
 class TestWittChi:
     def test_modulus_one_reduces_to_witt(self):
@@ -310,6 +320,15 @@ class TestCorollary4Probe:
         gap = Fraction(5, 7)  # (q-1)/(1+q)
         assert PadicResidue.from_rational(gap, 5, 3).residue == 90
 
+    @pytest.mark.parametrize("d,index,n", [(1, 0, 1), (1, 0, 3), (5, 0, 1), (5, 1, 2),
+                                            (5, 2, 3), (5, 3, 2)])
+    def test_precision_nine(self, d, index, n):
+        # at q = 1 + 5^8 the two candidates first differ mod 5^9; the period
+        # of the sum at k = 9 is 1,953,125 values
+        chi, q = enumerate_characters(d)[index], 1 + 5**8
+        assert corollary4_min_precision(n, chi, 5, q) == 9
+        assert corollary4_probe(n, chi, 5, q, 9, [12]).converged_to == "2*S_A"
+
     def test_insufficient_levels_inconclusive(self):
         report = corollary4_probe(0, QUAD3, 3, 4, 1, [1])
         assert report.converged_to is None
@@ -390,24 +409,42 @@ def _loop_weighted_sum(table: list[int], w: int, count: int, pk: int) -> int:
     return total
 
 
+# moduli prime to p, or with a factor prime to p, that carry characters embeddable mod p^k
+_OTHER_MODULI = {3: (5, 7, 15, 21), 5: (3, 13, 15), 7: (3, 9, 21)}
+_SUM_SETUPS = [(p, k, d) for p in (3, 5, 7) for k in range(1, 7)
+               for d in (1, p, p * p, *_OTHER_MODULI[p]) if lcm(p**k, d) <= 1500]
+
+
 @st.composite
 def _weighted_sum_cases(draw):
-    p, k = draw(st.sampled_from([(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3), (7, 2)]))
-    pk = p**k
-    table = draw(st.lists(st.one_of(st.just(0), st.integers(0, pk - 1)), min_size=1, max_size=40))
+    p, k, d = draw(st.sampled_from(_SUM_SETUPS))
+    pk, period = p**k, lcm(p**k, d)
+    chi = None
+    if d > 1 or draw(st.booleans()):
+        chi = draw(st.sampled_from([c for c in enumerate_characters(d) if (p - 1) % c.order == 0]))
+    # an offset whose denominator p does not divide
+    offset = draw(st.just(Fraction(0)) | st.builds(
+        Fraction, st.integers(-30, 30), st.sampled_from([m for m in (1, 2, 4, 11, 13) if m % p])))
+    spec = IntegrandSpec(draw(st.integers(0, 9)), chi, offset, draw(st.integers(0, 40)))
     # w = 0 and w = 1 (mod p) make 1 - w^P a non-unit
     w = draw(st.one_of(st.integers(0, pk - 1), st.builds(lambda j: p * j % pk, st.integers(0, pk)),
                        st.builds(lambda j: (1 + p * j) % pk, st.integers(0, pk))))
-    period = len(table)
-    count = st.one_of(st.just(0), st.integers(0, period - 1), st.integers(0, 9 * period + 7))
-    counts = draw(st.lists(count, min_size=1, max_size=4))
-    return table, w, counts, pk
+    whole = st.integers(1, 3).map(lambda a: a * period)
+    count = st.one_of(st.just(0), st.integers(0, period - 1), whole,
+                      st.integers(1, 3 * period).filter(lambda c: c % period))
+    counts = draw(st.lists(count, min_size=1, max_size=3))
+    return spec, p, k, w, counts
 
 
 class TestClosedFormSum:
     @settings(max_examples=400, deadline=None)
     @given(_weighted_sum_cases())
     def test_matches_term_by_term_loop(self, case):
-        table, w, counts, pk = case
-        assert (_weighted_sums(iter(table), len(table), w, counts, pk)
+        # at every k from 1 to 6, odd and even, blocks of lcm(p^ceil(k/2), d)
+        # values against f(eta) from the spec's exact values, embedded one by one
+        spec, p, k, w, counts = case
+        pk = p**k
+        d = 1 if spec.character is None else spec.character.modulus
+        table = [embed_cyclotomic(spec.exact_value(eta), p, k) for eta in range(lcm(pk, d))]
+        assert (_weighted_sums(spec, _chi_residues(spec, p, k), w, counts, p, k)
                 == [_loop_weighted_sum(table, w, count, pk) for count in counts])
