@@ -26,7 +26,9 @@ Frobenius-Euler numbers H_k(-q^d) from the Eulerian triangle.  The Boole route r
 (q >= 1) and at Re s <= 0 off the negative integers (q > 1) where it costs less than the partial
 sum, which near q = 1 takes about bits / log2 q terms, and alone where none certifies its tail.
 At s = -n the partial sum always runs, so the closed form A_n(chi, -q), which the Boole tail
-becomes at J = 0, is checked against an independent sum.
+becomes at J = 0, is checked against an independent sum.  Both read M from the plan that
+``choose_truncation`` keeps per (growth, q, target, precision).  At real s the Mellin term
+check's integrand runs on raw libmp values.
 """
 from __future__ import annotations
 
@@ -38,7 +40,8 @@ from math import ceil, floor, inf, lgamma, log, log2
 from typing import Union
 
 from mpmath import mp
-from mpmath.libmp import from_int, from_man_exp, fzero, mpc_neg, mpc_pow, mpf_div, round_nearest
+from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_neg, mpc_pow, mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_pow,
+                          round_nearest)
 
 from .characters import DirichletCharacter
 from .chi_eulerian import chi_eulerian
@@ -338,7 +341,10 @@ def mellin_term_check(s, m_index: int, q: Scalar, bits: int = 64) -> NumericChec
     The integral is evaluated by adaptive quadrature on [0, T] with T chosen
     so the integrand's exponential factor is below 2^-bits; agreement is
     required within 2^(-bits/2).  The exponent s - 1 is formed once, and at
-    real s it is an mpf, so t^(s-1) stays real.  For Re s < 1, where t^{s-1}
+    real s it is an mpf, so t^(s-1) stays real; there the integrand is
+    mpf_mul(mpf_pow(t, s-1), mpf_exp(-rate t)) on raw libmp values, each step
+    rounded to nearest at the precision quad raises to, which gives the bits of
+    mp.power(t, s-1) * mp.exp(-rate * t).  For Re s < 1, where t^{s-1}
     is unbounded at 0, the quadrature starts at eps = 2^-e, the first power of 2
     with rate eps <= 1, and [0, eps] is integrated term by term from the series of
     e^{-rate t}: sum_k (-rate)^k eps^{k+s} / (k! (k+s)), summed until a term
@@ -356,9 +362,15 @@ def mellin_term_check(s, m_index: int, q: Scalar, bits: int = 64) -> NumericChec
         rate = m_index * to_mpf(1 + qf)
         T = (bits + 64) * mp.ln(2) / rate
         exponent = s_val - 1 if s_val.imag else s_val.real - 1
+        e, neg_rate = (None if s_val.imag else exponent._mpf_), mpf_neg(rate._mpf_)
 
         def integrand(t):
-            return mp.power(t, exponent) * mp.exp(-rate * t)
+            if e is None:
+                return mp.power(t, exponent) * mp.exp(-rate * t)
+            prec, x = mp.prec, t._mpf_  # quad's raised precision
+            return mp.make_mpf(mpf_mul(mpf_pow(x, e, prec, round_nearest),
+                                       mpf_exp(mpf_mul(neg_rate, x, prec, round_nearest), prec, round_nearest),
+                                       prec, round_nearest))
 
         if s_val.real >= 1:
             integral = mp.quad(integrand, [0, T], maxdegree=12)

@@ -11,11 +11,13 @@ rounded sum: exact zero parts, a product more than 2 prec + 2 bits below it and,
 once the terms decay (``decay_index``), every term after one whose product is
 under a sixteenth of its ulp, so it returns the sum to the certified M bit for
 bit.  chi comes from the shared zeta_m table at bits + 32, one per zeta_m power.
+``choose_truncation`` searches each plan once per (growth, q, target, mp.prec).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, log, log1p, log2
 
 from mpmath import mp
@@ -85,8 +87,17 @@ def choose_truncation(growth: float, q: Fraction, eps_exp: int) -> tuple[int, "m
     (M+1) log2 q <= eps_exp - 1 cannot certify, even after rounding, and skips
     ``tail_bound``.  log2 q is a float estimate padded above its rounding (by
     log1p below q = 2), so the screen changes no M and no bound.
+
+    Each plan is searched once per (growth, q, eps_exp, mp.prec), since
+    ``tail_bound`` rounds at mp.prec, and kept in a bounded cache; an int and
+    an mpf growth of equal value share it.  ConvergenceDomain is not cached.
     """
-    qf = Fraction(q)
+    return _truncation_plan(growth, Fraction(q), eps_exp, mp.prec)
+
+
+@lru_cache(maxsize=1024)
+def _truncation_plan(growth, qf: Fraction, eps_exp: int, prec: int) -> tuple[int, "mp.mpf"]:
+    """``choose_truncation``'s search at mp.prec, which the caller passes as ``prec``."""
     if qf <= 1:
         raise ValueError("tail bounds need q > 1")
     # below 2^-1000, q - 1 is taken as 2^-1000, since log(1 + x) <= x
@@ -96,7 +107,7 @@ def choose_truncation(growth: float, q: Fraction, eps_exp: int) -> tuple[int, "m
     M = max(16, 2 * int(growth) + 2)
     for _ in range(64):
         if growth < 0 or (M + 1) * log2q > eps_exp - 1:
-            bound = tail_bound(M, growth, q)
+            bound = tail_bound(M, growth, qf)
             if bound is not None and bound < eps:
                 return M, bound
         M *= 2

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from .cyclotomic import CycElem
@@ -63,8 +64,9 @@ def valuation(x: int, prime: int, precision: int) -> int:
     return v
 
 
+@lru_cache(maxsize=256)
 def padic_unit_root(prime: int, precision: int, order: int) -> int:
-    """Canonical residue of multiplicative order ``order`` mod p^precision.
+    """Canonical residue of multiplicative order ``order`` mod p^precision (memoized).
 
     Requires order | p-1.  With g the smallest primitive root mod p and
     r = g^((p-1)/order), the Teichmueller lift r^(p^(precision-1)) is the unique

@@ -113,7 +113,7 @@ def _check_setup(p: int, q: Fraction, levels: Sequence[int], k: int) -> None:
 
 
 def _chi_residues(spec: IntegrandSpec, p: int, k: int) -> list[int]:
-    """chi(t) mod p^k for t < d, embedded once per integrand; [1] without a character."""
+    """chi(t) mod p^k for t < d, which depends only on the integrand's character; [1] without one."""
     chi = spec.character
     return [1] if chi is None else [embed_cyclotomic(chi(t), p, k) for t in range(chi.modulus)]
 
@@ -199,7 +199,8 @@ def _integrals(specs: Sequence[IntegrandSpec], p: int, q: Scalar, measure: str,
                levels: Sequence[int], k: int) -> list[list[int]]:
     """T_N mod p^k of each integrand at each level N.
 
-    One blocked sum per integrand, up to the deepest level, serves every level.
+    One blocked sum per integrand, up to the deepest level, serves every level,
+    and each distinct character is embedded once.
     """
     qf = Fraction(q)
     _check_setup(p, qf, levels, k)
@@ -213,8 +214,9 @@ def _integrals(specs: Sequence[IntegrandSpec], p: int, q: Scalar, measure: str,
         if normalizer % p == 0:
             raise NonUnitNormalizer(f"[p^N]_Q is not a unit for measure {measure!r}")
         inv_norms.append(pow(normalizer, -1, pk))
+    residues = {chi: _chi_residues(s, p, k) for chi, s in {s.character: s for s in specs}.items()}
     return [[total * inv % pk for total, inv in
-             zip(_weighted_sums(s, _chi_residues(s, p, k), w_res, counts, p, k), inv_norms)]
+             zip(_weighted_sums(s, residues[s.character], w_res, counts, p, k), inv_norms)]
             for s in specs]
 
 

@@ -230,6 +230,29 @@ class TestMellinTerm:
             [mp.mpc(x)._mpc_ for x in (want.lhs, want.rhs, want.bound)]
         assert got.passed == want.passed
 
+    # at real s the integrand runs on raw libmp values; at every node, at the precision mp.quad
+    # raises to, it must give the bits of the mpf expression
+    @pytest.mark.parametrize("s,q,bits", [
+        pytest.param(s, q, bits, id=f"s{s}-q{q}-{bits}bits".replace("/", "_"))
+        for s in (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(7))
+        for q in (Fraction(0), Fraction(1, 2), Fraction(2)) for bits in (64, 128, 192)])
+    def test_raw_integrand_is_the_mpf_expression_node_for_node(self, monkeypatch, s, q, bits):
+        quad, precs = mp.quad, []
+        with mp.workprec(bits + 48):
+            exponent, rate = to_mpf(s) - 1, 2 * to_mpf(1 + q)  # both exact
+
+        def checked_quad(f, *args, **kwargs):
+            def checked(t):
+                precs.append(mp.prec)
+                got = f(t)
+                assert got._mpf_ == (mp.power(t, exponent) * mp.exp(-rate * t))._mpf_
+                return got
+            return quad(checked, *args, **kwargs)
+
+        monkeypatch.setattr(mp, "quad", checked_quad)
+        assert mellin_term_check(s, 2, q, bits).passed
+        assert len(precs) > 100 and min(precs) > bits + 48
+
     # at 0 < s < 1, t^(s-1) is unbounded at 0, where the quadrature alone stopped at its top
     # degree short of 2^(-bits/2); the series head brings it to within rounding
     @pytest.mark.parametrize("s,m,q,bits", [

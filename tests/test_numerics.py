@@ -1,7 +1,8 @@
 """The integer (mantissa, exponent) arithmetic of the alternating character
 series against mpmath's libmp: each operation formed exactly, then rounded once.
-Also the series' shared zeta_m table against per-class embedding, and the
-screened truncation search against the unscreened one."""
+Also the series' shared zeta_m table against per-class embedding, the
+screened truncation search against the unscreened one, and the cached
+truncation plans against the uncached search."""
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from qeuler.characters import _zeta_embedded, enumerate_characters
 from qeuler.cli import main
 from qeuler.cyclotomic import cyc_embed
 from qeuler.errors import ConvergenceDomain, QEulerError
-from qeuler.numerics import _add, _cmul, _round, choose_truncation, tail_bound
+from qeuler.numerics import _add, _cmul, _round, _truncation_plan, choose_truncation, tail_bound
 
 precs = st.integers(64, 400)
 exps = st.integers(-2000, 2000)
@@ -214,6 +215,56 @@ class TestScreenedTruncation:
                 return
             M, bound = choose_truncation(growth, q, eps_exp)
         assert (M, bound._mpf_) == (want[0], want[1]._mpf_)
+
+
+class TestTruncationPlanCache:
+    """One plan per (growth, q, eps_exp, mp.prec), the uncached search's to the bit."""
+
+    @staticmethod
+    def uncached(growth, q, eps_exp):
+        return _truncation_plan.__wrapped__(growth, Fraction(q), eps_exp, mp.prec)
+
+    @pytest.mark.parametrize("growth,q", [(0, Fraction(3)), (4, Fraction(5, 2)), (30, Fraction(11, 10)),
+                                          (mp.mpf(81) / 2, Fraction(7, 2)), (2**11, Fraction(21, 20))])
+    def test_a_cached_plan_is_the_search_at_the_calls_precision(self, growth, q):
+        _truncation_plan.cache_clear()
+        bounds = {}
+        # one target at two precisions, a second target, and a repeat that reads the cache
+        for prec, eps_exp in [(192, 124), (320, 124), (320, 252), (192, 124)]:
+            with mp.workprec(prec):
+                M, bound = choose_truncation(growth, q, eps_exp)
+                want, plain = self.uncached(growth, q, eps_exp), unscreened_truncation(growth, q, eps_exp)
+                assert (M, bound._mpf_) == (want[0], want[1]._mpf_) == (plain[0], plain[1]._mpf_)
+                bounds[prec, eps_exp] = bound._mpf_
+        assert bounds[192, 124] != bounds[320, 124]  # the bound is rounded at the call's precision
+        assert _truncation_plan.cache_info()[:2] == (1, 3)  # hits, misses
+
+    def test_int_and_mpf_growth_share_a_plan(self):
+        _truncation_plan.cache_clear()
+        with mp.workprec(192):
+            by_int = choose_truncation(5, Fraction(3, 2), 124)
+            by_mpf = choose_truncation(mp.mpf(5), Fraction(3, 2), 124)
+            want = self.uncached(mp.mpf(5), Fraction(3, 2), 124)
+        assert (by_int[0], by_int[1]._mpf_) == (by_mpf[0], by_mpf[1]._mpf_) == (want[0], want[1]._mpf_)
+        assert _truncation_plan.cache_info()[:2] == (1, 1)
+
+    def test_a_domain_error_is_raised_on_every_call(self):
+        _truncation_plan.cache_clear()
+        with mp.workprec(192):
+            for _ in range(3):
+                with pytest.raises(ConvergenceDomain, match="too close to 1"):
+                    choose_truncation(0, Fraction(10**21 + 1, 10**21), 124)
+        assert _truncation_plan.cache_info()[:2] == (0, 3) and _truncation_plan.cache_info().currsize == 0
+
+    def test_a_series_grid_searches_once_per_n_q_and_bits(self, capsys):
+        # six characters mod 7, n = 0..3, q = 2 and 7/2, at 96 and 128 bits
+        _truncation_plan.cache_clear()
+        for bits in ("96", "128"):
+            assert main(["verify", "suite", "--name", "eq13-series", "--modulus", "7", "--max-n", "3",
+                         "--q", "2,7/2", "--bits", bits]) == 0
+        capsys.readouterr()
+        hits, misses = _truncation_plan.cache_info()[:2]
+        assert misses == 4 * 2 * 2 and hits + misses == 6 * misses
 
 
 class TestSharedZetaTable:

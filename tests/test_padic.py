@@ -4,10 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qeuler import numtheory
+from qeuler.characters import enumerate_characters
 from qeuler.cyclotomic import CycElem
 from qeuler.errors import CharacterOrderUnsupported, NonCoprimeDenominator
 from qeuler.numtheory import divisors, is_prime, primitive_root
 from qeuler.padic import PadicResidue, embed_cyclotomic, padic_unit_root, valuation
+from qeuler.padic_verify import corollary4_probe
 
 primes = st.sampled_from([3, 5, 7])
 precisions = st.integers(1, 8)
@@ -132,6 +135,16 @@ class TestUnitRoots:
         assert pow(root, m, pk) == 1
         for e in range(1, m):
             assert pow(root, e, pk) != 1
+
+    def test_the_primitive_root_search_runs_once_per_root(self, monkeypatch):
+        # every probe embeds chi's values; the root behind them is searched for once
+        chi = enumerate_characters(7)[3]  # quadratic, built before counting
+        padic_unit_root.cache_clear()
+        calls, order = [], numtheory.multiplicative_order
+        monkeypatch.setattr(numtheory, "multiplicative_order", lambda a, n: calls.append((a, n)) or order(a, n))
+        reports = {corollary4_probe(2, chi, 7, 8, 4, [2, 3]) for _ in range(50)}
+        assert len(reports) == 1
+        assert calls == [(2, 7), (3, 7)]  # the smallest primitive root mod 7 is 3
 
     def test_unsupported_order(self):
         with pytest.raises(CharacterOrderUnsupported):

@@ -6,10 +6,12 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qeuler import padic_verify
 from qeuler.characters import enumerate_characters, principal_character
 from qeuler.errors import BadCongruence, ParityMismatch
 from qeuler.padic import PadicResidue, embed_cyclotomic, valuation
 from qeuler.padic_verify import (
+    IntegralEquationReport,
     IntegrandSpec,
     _chi_residues,
     _weighted_sums,
@@ -118,6 +120,17 @@ class TestIntegralEquations:
     def test_chi_integrand(self):
         report = verify_integral_equation(5, chi_monomial(QUAD3, 1), 3, 3, 4, 2, [1, 2, 3, 4, 5])
         assert report.passed
+
+    def test_chi_is_embedded_once_for_f_and_its_shift(self, monkeypatch):
+        # chi's 7 values, shared by f and f.shifted(n), then the weight, the right side and q^n
+        chi, calls, embed = enumerate_characters(7)[3], [], padic_verify.embed_cyclotomic
+        monkeypatch.setattr(padic_verify, "embed_cyclotomic", lambda *a: calls.append(a) or embed(*a))
+        f = chi_monomial(chi, 2)
+        report = verify_integral_equation(4, f, 2, 7, 8, 3, [2, 3])
+        assert len(calls) == 7 + 3
+        assert report == IntegralEquationReport((2, 3), (2, 3), 72, 72, True)
+        assert truncated_integrals([f, f.shifted(2)], 7, 8, "-q", 3, 3) == \
+            [truncated_integral(g, 7, 8, "-q", 3, 3) for g in (f, f.shifted(2))]
 
     @pytest.mark.parametrize("eq,f,n,p,q,k", [
         (4, monomial(2), 2, 5, 6, 4),

@@ -62,6 +62,7 @@ def test_default_stream_is_unchanged(capsys, args, fmt, code, digest):
 NUMERIC_STREAMS = [
     ("interpolation --bits 192 --q 11/10,3", 1,
      "94acdd9bc93626107c3e80a84afcf13610aec94d5e073e782a3c42b75d85fb1e"),
+    ("mellin-term --bits 64", 0, "fa4db0d2ceec85ba8d6c7d8898c699644d312243e941bba4ad5baf860fed4239"),
     ("mellin-term --bits 192", 0, "4401513cf1c42d4dc91f6a4195d6e6f9efbe4701e018cbdb1209be737d44c871"),
     ("eq12-series --bits 256", 0, "92043636d1d6006bd4aabaf0c693fd3b7fb03b1d4234d86984cc5be52953fb51"),
     ("eq13-series --bits 256 --modulus 7", 0,
