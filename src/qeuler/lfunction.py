@@ -22,7 +22,7 @@ L_E(0 | chi_1) = q^2 - q(1+q) = -q.
 
 Two routes sum the series: ``_partial_sum`` to the M that ``choose_truncation`` certifies,
 and ``_boole``, a head to m = dJ plus a Boole tail per residue class with Carlitz's
-Frobenius-Euler numbers H_k(-q^d) from the Eulerian triangle.  The Boole route runs at Re s > 0
+Frobenius-Euler numbers H_k(-q^d) from an Euler-Seidel array.  The Boole route runs at Re s > 0
 (q >= 1) and at Re s <= 0 off the negative integers (q > 1) where it costs less than the partial
 sum, which near q = 1 takes about bits / log2 q terms, and alone where none certifies its tail.
 At s = -n the partial sum always runs, so the closed form A_n(chi, -q), which the Boole tail
@@ -119,7 +119,7 @@ def _boole(s, chi: DirichletCharacter, q: Fraction, bits: int) -> LValue | None:
     With d odd, z = -q^{-d}, u = 1/z and w = a + dJ, class a's terms from j = J on are
     (-1)^w chi(w) q^{-w} sum_{i>=0} z^i (w + di)^{-s}.  Since 1/(1 - z e^t) =
     u/(u-1) sum_k H_k(u) t^k/k!, with Carlitz's Frobenius-Euler numbers H_k(u) =
-    A_k(u)/(u-1)^k = h_k/D^k from the triangle (``eulerian._frobenius_euler``, q = a/b,
+    A_k(u)/(u-1)^k = h_k/D^k from an Euler-Seidel array (``eulerian._frobenius_euler``, q = a/b,
     D = a^d + b^d), Boole's summation formula (DLMF 24.17(i), E_k replaced by H_k(u)) gives
 
         sum_{i>=0} z^i (w + di)^{-s} = u/(u-1) w^{-s} sum_{k<K} H_k(u) C(-s,k) (d/w)^k + R_K(w).
@@ -216,12 +216,12 @@ def _boole_plan(log2_scale: float, sigma: float, q: Fraction, d: int, classes: l
     and 7, so T = 100 and 300), on integers of at most 2P bits, P the working precision, that
     cost about their dispatch: so an operation on n- and n'-digit integers (30-bit digits)
     counts 1 plus its digit products n n', or n when linear, over (P/30)^2, a P-bit product's.
-    The sum evaluates phi J head terms and, at K > 0, phi tail terms, each with K Horner steps of
-    4 linear operations on P + k log2 w bits; rows 1..K-1 of ``eulerian._frobenius_euler``, k + 1
-    entries of 9 operations each (3 in ``eulerian._rows`` on <k,i> < k!, then c B^j, acc A and
-    acc - c B^j, acc < k! max(A, B)^k); and K coefficients (``_boole_coefficients``) of about 20
-    operations, 4 of them products of P bits by log2 k! + k log2 D bits (h_k, D^k).  The route
-    runs when that is below the partial sum's phi M / d, or where no M certifies.
+    The sum evaluates phi J head terms and, at K > 0, phi tail terms, each with K Horner steps of 4 linear operations on
+    P + k log2 w bits; rows 1..K-1 of h_k, still priced as the Eulerian triangle's Horner passes that formed them before
+    ``eulerian._frobenius_euler`` took its Euler-Seidel array, so that no route moves: k + 1 entries of 9 operations
+    (3 on <k,i> < k!, then c B^j, acc A and acc - c B^j, acc < k! max(A, B)^k); and K coefficients
+    (``_boole_coefficients``) of about 20 operations, 4 of them products of P bits by log2 k! + k log2 D bits (h_k,
+    D^k).  The route runs when that is below the partial sum's phi M / d, or where no M certifies.
     """
     target, phi, best, K0 = 3 - bits, len(classes), None, max(0, floor(-sigma) + 1)
     log2_q = log2(q.numerator) - log2(q.denominator)

@@ -52,6 +52,21 @@ def explicit_eulerian_number(n: int, k: int) -> int:
     return sum((-1) ** j * comb(n + 1, j) * (k + 1 - j) ** n for j in range(k + 1))
 
 
+def carlitz_triangle(A: int, B: int, top: int) -> list[int]:
+    """h_0..h_top by Carlitz's triangle formula h_k = (-1)^k B sum_i <k,i> (-A)^i B^{k-1-i}."""
+    return [1] + [(-1) ** k * B * sum(c * (-A) ** i * B ** (k - 1 - i) for i, c in enumerate(eulerian_poly(k).coeffs))
+                  for k in range(1, top + 1)]
+
+
+def series_division(A: int, B: int, top: int) -> list[Fraction]:
+    """H_0..H_top at u = -A/B: (1-u)/(e^t - u) = sum_k H_k(u) t^k/k! and e^t - u = (1-u) + sum_{j>=1} t^j/j!,
+    so H_0 = 1 and H_k = -sum_{j=1..k} C(k,j) H_{k-j} / (1-u)."""
+    u, H = Fraction(-A, B), [Fraction(1)]
+    for k in range(1, top + 1):
+        H.append(-sum(comb(k, j) * H[k - j] for j in range(1, k + 1)) / (1 - u))
+    return H
+
+
 class TestRecurrenceEngine:
     def test_first_values(self):
         assert eulerian_poly(0).coeffs == (1,)
@@ -124,6 +139,29 @@ class TestFrobeniusEuler:
             H.append(-sum(comb(k, j) * H[k - j] for j in range(1, k + 1)) / (1 - u))
         h = eulerian._frobenius_euler(A, B, 40)
         assert [Fraction(hk, (A + B) ** k) for k, hk in enumerate(h)] == H
+
+    # the sizes the callers reach: q^d = 9^21/4^21 and 5^13/2^13 at n <= 80 (exact-scale's order-6 values), the
+    # q = 1 Boole tail, B = 1 (an integer q), a negative A, and the empty range
+    @pytest.mark.parametrize("A,B,top", [(9**21, 4**21, 80), (5**13, 2**13, 80), (1, 1, 400), (3**5, 1, 200),
+                                         (-8, 27, 40), (2, 1, 0)],
+                             ids=["9^21,4^21", "5^13,2^13", "1,1", "3^5,1", "-8,27", "top-0"])
+    def test_numerators_match_the_triangle_and_the_series(self, A, B, top):
+        h = eulerian._frobenius_euler(A, B, top)
+        assert h == carlitz_triangle(A, B, top)
+        assert [Fraction(hk, (A + B) ** k) for k, hk in enumerate(h)] == series_division(A, B, top)
+
+    def test_no_triangle_row_is_formed(self, monkeypatch):
+        chi, q = character_by_index(7, 1), Fraction(7, 3)
+        expected = chi_eulerian(24, chi, q)
+
+        def no_rows():
+            raise AssertionError("a triangle row was formed")
+
+        monkeypatch.setattr(eulerian, "_rows", no_rows)
+        h = eulerian._frobenius_euler(7**7, 3**7, 24)
+        assert chi_eulerian(24, chi, q) == expected
+        monkeypatch.undo()
+        assert h == carlitz_triangle(7**7, 3**7, 24)
 
 
 class TestWittValue:
