@@ -23,8 +23,9 @@ L_E(0 | chi_1) = q^2 - q(1+q) = -q.
 Two routes sum the series: ``_partial_sum`` to the M that ``choose_truncation`` certifies,
 and ``_boole``, a head to m = dJ plus a Boole tail per residue class with Carlitz's
 Frobenius-Euler numbers H_k(-q^d) from an Euler-Seidel array.  The Boole route runs at Re s > 0
-(q >= 1) and at Re s <= 0 off the negative integers (q > 1) where it costs less than the partial
-sum, which near q = 1 takes about bits / log2 q terms, and alone where none certifies its tail.
+(q >= 1) and at Re s <= 0 off the negative integers (q > 1) where its price in series terms, one
+closed form in J and K, is below the partial sum's terms (about bits / log2 q near q = 1), and
+alone where none certifies its tail.
 At s = -n the partial sum always runs, so the closed form A_n(chi, -q), which the Boole tail
 becomes at J = 0, is checked against an independent sum.  Both read M from the plan that
 ``choose_truncation`` keeps per (growth, q, target, precision).  At real s the Mellin term
@@ -56,6 +57,7 @@ Scalar = Union[int, Fraction]
 
 MAX_IM_AT_ONE = 2**12  # |Im s| summed where no partial sum certifies its tail, as at q = 1
 _R, _R_OUTER = 3, Fraction(31, 10)  # radii r < r' < pi of the Boole remainder bound
+_TAIL_STEPS, _TAIL_BITS = 60, 4000  # c and g of _boole_plan's price
 
 
 @dataclass(frozen=True)
@@ -113,8 +115,9 @@ def _partial_sum(s, chi: DirichletCharacter, q: Fraction, bits: int) -> LValue:
 
 def _boole(s, chi: DirichletCharacter, q: Fraction, bits: int) -> LValue | None:
     """The series as a head to m = dJ and a Frobenius-Euler tail per residue class, for Re s > 0 at
-    q >= 1 and Re s <= 0 off the integers at q > 1; None unless it costs less than ``_partial_sum``.
-    Where no partial sum certifies its tail, |Im s| > ``MAX_IM_AT_ONE`` is a ConvergenceDomain.
+    q >= 1 and Re s <= 0 off the integers at q > 1; None unless ``_boole_plan`` prices it below
+    ``_partial_sum``.  Where no partial sum certifies its tail, |Im s| > ``MAX_IM_AT_ONE`` is a
+    ConvergenceDomain.
 
     With d odd, z = -q^{-d}, u = 1/z and w = a + dJ, class a's terms from j = J on are
     (-1)^w chi(w) q^{-w} sum_{i>=0} z^i (w + di)^{-s}.  Since 1/(1 - z e^t) =
@@ -165,7 +168,7 @@ def _boole(s, chi: DirichletCharacter, q: Fraction, bits: int) -> LValue | None:
         scale = modulus * (1 + 1 / (mp.sin(r_outer) * (1 - _R / r_outer)))  # times G
         lg_s = mp.loggamma(s_val).real
         log2_scale = mp.log(scale * mp.fsum(qv**-a for a in classes), 2) + (mp.loggamma(sigma + K0) - lg_s) / mp.ln2
-        plan = _boole_plan(float(log2_scale), sigma_f, q, d, classes, bits, limit, 300 if s_val.imag else 100)
+        plan = _boole_plan(float(log2_scale), sigma_f, q, d, classes, bits, limit)
     if plan is None:
         return None
     (J, K), phi = plan, len(classes)
@@ -203,41 +206,25 @@ def _boole(s, chi: DirichletCharacter, q: Fraction, bits: int) -> LValue | None:
     return LValue(s_val, chi, q, bits, value, bound, head + phi * K, "boole")
 
 
-def _boole_plan(log2_scale: float, sigma: float, q: Fraction, d: int, classes: list, bits: int, limit,
-                per_term: int) -> tuple[int, int] | None:
-    """(J, K) of the least cost(J, K) below ``limit`` whose bound, every class at the smallest
+def _boole_plan(log2_scale: float, sigma: float, q: Fraction, d: int, classes: list, bits: int,
+                limit) -> tuple[int, int] | None:
+    """(J, K) of the least price below ``limit`` whose bound, every class at the smallest
     w = dJ + a in (d/(rw))^K, and in w^-sigma at the smallest w when sigma > 0 and the largest
     otherwise, is below 2^(3-bits), for sigma + K > 0; log2_scale holds Gamma(sigma + K0) /
     |Gamma(s)|, K0 the smallest K.  For fixed J the bound falls with K while sigma + K < r w/d,
     so the smallest K is found by walking down from the previous J's, or from that turning point.
 
-    The cost is in series terms of T integer operations (arithmetic and comparisons per term,
-    counted with sys.settrace: 92-113 at real s, 224-331 at complex s over characters mod 1, 5
-    and 7, so T = 100 and 300), on integers of at most 2P bits, P the working precision, that
-    cost about their dispatch: so an operation on n- and n'-digit integers (30-bit digits)
-    counts 1 plus its digit products n n', or n when linear, over (P/30)^2, a P-bit product's.
-    The sum evaluates phi J head terms and, at K > 0, phi tail terms, each with K Horner steps of 4 linear operations on
-    P + k log2 w bits; rows 1..K-1 of h_k, still priced as the Eulerian triangle's Horner passes that formed them before
-    ``eulerian._frobenius_euler`` took its Euler-Seidel array, so that no route moves: k + 1 entries of 9 operations
-    (3 on <k,i> < k!, then c B^j, acc A and acc - c B^j, acc < k! max(A, B)^k); and K coefficients
-    (``_boole_coefficients``) of about 20 operations, 4 of them products of P bits by log2 k! + k log2 D bits (h_k,
-    D^k).  The route runs when that is below the partial sum's phi M / d, or where no M certifies.
+    The price is in head-series terms: phi J at K = 0, else phi (J + 1) + K^2 (1 + K log2 D / g) / c,
+    D = a^d + b^d for q = a/b.  The Euler-Seidel array of h_k and the K coefficients take about K^2/2
+    big-integer steps, each dearer as h_k grows by about log2 D bits a row.  c = 60 and g = 4000 were
+    measured by ``tests/boole_price_check.py`` on a shared 2-core Xeon (Python 3.11, mpmath's python
+    backend): at each of its seven points the plan ran within 6 % of the fastest one with the K^2
+    part scaled by 1/4 to 4.  The route runs when the price is below the partial sum's phi M / d
+    terms, or where no M certifies.
     """
     target, phi, best, K0 = 3 - bits, len(classes), None, max(0, floor(-sigma) + 1)
     log2_q = log2(q.numerator) - log2(q.denominator)
-    a, b, D = (x.bit_length() / 30 for x in (q.numerator**d, q.denominator**d, q.numerator**d + q.denominator**d))
-    F, base, prefix = (bits + 64) / 30, lgamma(sigma + K0), [0.0]  # digits of P; prefix[K] for h_k, c_k, k < K
-
-    def cost(J, K):
-        while len(prefix) <= K:
-            k = len(prefix) - 1
-            c = lgamma(k + 1) / log(2) / 30  # digits of <k,i> < k!
-            acc = (k + 1) * c + (a + b) * k * (k + 1) / 2  # digits of row k's Horner accumulators
-            work = 3 * (k + 1) * c + c * (k + 1 + b * k * (k + 1) / 2) + (1 + max(1, a)) * acc
-            prefix.append(prefix[-1] + (9 * (k + 1) if k else 0) + 20 + (work + 4 * F * (c + k * D)) / F**2)
-        horner = 4 * K + 4 * K * (F + (K - 1) * log2(d * J + d) / 60) / F**2
-        return phi * (J + 1) + (prefix[K] + phi * horner) / per_term if K else phi * J
-
+    log2_D, base = log2(q.numerator**d + q.denominator**d), lgamma(sigma + K0)
     for J in count(1):
         if phi * J >= (best[0] if best else limit):
             break
@@ -253,7 +240,7 @@ def _boole_plan(log2_scale: float, sigma: float, q: Fraction, d: int, classes: l
                 continue
         while K > K0 and f(K - 1) < target:
             K -= 1
-        price = cost(J, K)
+        price = phi * (J + 1) + K * K * (1 + K * log2_D / _TAIL_BITS) / _TAIL_STEPS if K else phi * J
         if best is None or price < best[0]:
             best = (price, J, K)
     return best[1:] if best and best[0] < limit else None

@@ -80,8 +80,8 @@ def shifted_monomial(offset: Scalar, degree: int) -> IntegrandSpec:
 
 
 MEASURES = ("-q", "-q^-1", "-q^-d")
-# the longest stretch min(lcm(p^k, d), p^N) of values of f that one truncated
-# sum covers; it bounds the period, not the values walked, which are about 2 sqrt of it
+# the most steps min(L, stop) + stop // L that the two passes of one truncated sum
+# take, L = lcm(p^ceil(k/2), d) and stop = min(lcm(p^k, d), p^N)
 MAX_WALK = 2**22
 
 
@@ -142,15 +142,17 @@ def _weighted_sums(spec: IntegrandSpec, chi_res: list[int], w: int, counts: Sequ
     where B0(m), B1(m) sum w^b chi(b + shift) A^n and w^b chi(b + shift) n A^(n-1)
     over b < m (B0 = B0(L), B1 = B1(L)), and G0(T), G1(T) sum y^s and s y^s over
     s < T.  One pass over b < L and one over s < P/L serve every count, in
-    O(L + P/L) steps with no division.  A period min(P, largest count) of more
-    than ``MAX_WALK`` values raises ``DomainError`` before any step.
+    O(L + P/L) steps with no division.  With stop = min(P, largest count), more
+    than ``MAX_WALK`` steps min(L, stop) + stop // L raise ``DomainError`` before
+    any step.
     """
     pk = p**k
     d = len(chi_res)
     period, block = lcm(pk, d), lcm(p ** ((k + 1) // 2), d)
     stop = min(period, max(counts, default=0))
-    if stop > MAX_WALK:
-        raise DomainError(f"a truncated sum would walk {stop} values, more than the {MAX_WALK} allowed")
+    walk = min(block, stop) + stop // block
+    if walk > MAX_WALK:
+        raise DomainError(f"a truncated sum would walk {walk} values, more than the {MAX_WALK} allowed")
     n, shift, c = spec.degree, spec.shift, _base(spec, p, k)
     heads = {count % period % block for count in counts}
     prefix = {}  # (B0(r'), B1(r')) for r' in heads

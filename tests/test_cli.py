@@ -456,8 +456,8 @@ class TestSuiteStreams:
                    and r["metric"]["error"].endswith(") into residues mod 3^3") for r in errors)
 
     @pytest.mark.parametrize("argv, count, refused, bad_q, message", [
-        # 7^10 values exceed the walk limit; p = 3 still fits
-        ("witt --p 3,7 --precision 10 --max-n 1", 8, 4, None, "would walk 282475249 values"),
+        # p = 7 walks 2 * 7^8 values, past the walk limit; p = 3 still fits
+        ("witt --p 3,7 --precision 16 --max-n 1", 8, 4, None, "would walk 11529602 values"),
         ("eq13-series --q 2,1 --max-n 1 --modulus 3", 8, 4, "1/1", "needs q > 1"),
         ("eq16-distribution --q 2,-1 --max-n 1 --modulus 3", 8, 4, "-1/1", "q = -1 is excluded"),
         ("integral-eq --precision 99", 24, 24, None, "would walk"),
@@ -644,7 +644,9 @@ def _q_grids(name, bad, good, moduli):
 
 
 def _walk_refused(params):
-    return params["p"] ** min(params["k"], params["N"]) > MAX_WALK
+    p, k, N = params["p"], params["k"], params["N"]
+    block, stop = p ** ((k + 1) // 2), p ** min(k, N)
+    return min(block, stop) + stop // block > MAX_WALK
 
 
 _REFUSED_GRIDS = st.one_of(
@@ -653,9 +655,9 @@ _REFUSED_GRIDS = st.one_of(
       for name in ("eq12-series", "eq13-series", "interpolation")],
     # q = -1 is a pole of the distribution identity
     _q_grids("eq16-distribution", ["-1"], ["2", "3", "7/2"], ["1", "3", "5"]),
-    # walks past MAX_WALK values, alone or beside a prime whose walk fits
-    st.tuples(st.sampled_from([("3", "14", "15"), ("7", "8", None), ("3,7", "8", None),
-                               ("3,5", "10", "11"), ("7,3", "9", "9")]), st.sampled_from(["0", "1"]))
+    # walks of more than MAX_WALK steps, alone or beside a prime whose walk fits
+    st.tuples(st.sampled_from([("3", "28", "29"), ("7", "16", None), ("3,7", "16", None),
+                               ("3,5", "20", "21"), ("7,3", "15", "15")]), st.sampled_from(["0", "1"]))
     .map(lambda t: (["--name", "witt", "--p", t[0][0], "--precision", t[0][1], "--max-n", t[1]]
                     + (["--levels", t[0][2]] if t[0][2] else []), _walk_refused)),
 )

@@ -53,9 +53,12 @@ def explicit_eulerian_number(n: int, k: int) -> int:
 
 
 def carlitz_triangle(A: int, B: int, top: int) -> list[int]:
-    """h_0..h_top by Carlitz's triangle formula h_k = (-1)^k B sum_i <k,i> (-A)^i B^{k-1-i}."""
-    return [1] + [(-1) ** k * B * sum(c * (-A) ** i * B ** (k - 1 - i) for i, c in enumerate(eulerian_poly(k).coeffs))
-                  for k in range(1, top + 1)]
+    """h_0..h_top by Carlitz's triangle formula h_k = (-1)^k B sum_i <k,i> (-A)^i B^{k-1-i}, with rows
+    1..top of one pass of the triangle engine."""
+    rows = eulerian._rows()
+    next(rows)  # A_0
+    return [1] + [(-1) ** k * B * sum(c * (-A) ** i * B ** (k - 1 - i) for i, c in enumerate(row))
+                  for k, row in zip(range(1, top + 1), rows)]
 
 
 def series_division(A: int, B: int, top: int) -> list[Fraction]:

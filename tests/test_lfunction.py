@@ -361,9 +361,9 @@ def largest_order_character(d):
     return max(enumerate_characters(d), key=lambda c: c.order)
 
 
-# ORACLE_GRID points where the partial sum costs fewer terms at Re s > 0: q = 2 at moduli 5-15,
-# mostly at s = 1/2+14i, where 1/|Gamma(s)| ~ 2^31 lengthens the Boole tail
-PARTIAL_SUM_CORNERS = 9
+# ORACLE_GRID points where the partial sum's terms are below the Boole price at Re s > 0: q = 2 at
+# moduli 5-15, all but one at s = 1/2+14i, where 1/|Gamma(s)| ~ 2^31 lengthens the Boole tail
+PARTIAL_SUM_CORNERS = 8
 ORACLE_GRID = [pytest.param(d, q, bits, id=f"mod{d}-q{q.numerator}_{q.denominator}-{bits}bits")
                for d in (1, 3, 5, 7, 9, 15)
                for q in (Fraction(2), Fraction(7, 2), Fraction(11, 10), Fraction(21, 20))
@@ -719,25 +719,13 @@ def chebyshev_l_value(s, chi, q, bits):
         return +(prefactor * acc), +bound, len(classes) * n
 
 
-def boole_cost(q, d, phi, prec, per_term, J, K):
-    """The cost in series terms that ``lfunction._boole_plan`` documents: phi J head terms, and
-    at K > 0 phi tail terms, their Horner steps, the triangle's rows 1..K-1 and K coefficients,
-    in integer operations over per_term, an operation on n- and n'-digit integers costing
-    1 + n n' / (P/30)^2 (n / (P/30)^2 when linear)."""
+def boole_cost(q, d, phi, J, K):
+    """The price in series terms that ``lfunction._boole_plan`` documents: phi J head terms at
+    K = 0, else phi (J + 1) + K^2 (1 + K log2 D / g) / c, D = a^d + b^d for q = a/b."""
     if not K:
         return phi * J
-    a, b, D = (x.bit_length() / 30 for x in (q.numerator**d, q.denominator**d, q.numerator**d + q.denominator**d))
-    F = prec / 30
-    ops = 0
-    for k in range(K):
-        c = lgamma(k + 1) / log(2) / 30
-        if k:
-            accumulators = (k + 1) * c + (a + b) * k * (k + 1) / 2
-            ops += 9 * (k + 1) + (3 * (k + 1) * c + c * (k + 1 + b * k * (k + 1) / 2)
-                                  + (1 + max(1, a)) * accumulators) / F**2
-        ops += 20 + 4 * F * (c + k * D) / F**2
-    horner = sum(4 + 4 * (F + k * log2(d * J + d) / 30) / F**2 for k in range(K))
-    return phi * (J + 1) + (ops + phi * horner) / per_term
+    log2_D = log2(q.numerator**d + q.denominator**d)
+    return phi * (J + 1) + K * K * (1 + K * log2_D / lfunction._TAIL_BITS) / lfunction._TAIL_STEPS
 
 
 def boole_route(s, chi, q, bits):
@@ -773,7 +761,7 @@ def boole_route(s, chi, q, bits):
             log2_bound = (log2_scale - d * J * log2_q + lgamma(sigma + K) / log(2) + K * log2(d / (3 * lo))
                           - sigma * log2(lo if sigma > 0 else hi))
             if log2_bound < 3 - bits:
-                cost = boole_cost(q, d, phi, bits + 64, 300 if s_val.imag else 100, J, K)
+                cost = boole_cost(q, d, phi, J, K)
                 if best is None or cost < best[0]:
                     best = (cost, d * J + phi * K)
                 break
@@ -885,6 +873,28 @@ class TestAcceleratedRoute:
             values = [cyc_embed(chi(a), bits + 64) for a in range(d)]
             two = mp.power(2, 1 - s_val)
             reference = two * (two * cyc_embed(chi(2 % d), bits + 64) - 1) * mp.dirichlet(s_val, values)
+            rounding = mp.mpf(2) ** -(bits + 32) * mp.fabs(reference)
+            assert mp.fabs(lv.value - reference) <= lv.tail_bound + rounding
+
+    @pytest.mark.parametrize("d,q,s,longer_head", [(7, Fraction(21, 20), complex(-100.5, 1), 882),
+                                                   (3, Fraction(1), complex(0.5, 1000), 3196)],
+                             ids=["s=-201/2+i-q21_20", "s=1/2+1000i-q1"])
+    def test_long_plans_take_a_short_head(self, d, q, s, longer_head, monkeypatch):
+        # pricing h_k as Eulerian-triangle rows took J = longer_head here; the closed-form price
+        # buys a longer tail and a shorter head, still within the bound of an independent value
+        chi, bits = character_by_index(d, 1), 128
+        plans, plan = [], lfunction._boole_plan
+        monkeypatch.setattr(lfunction, "_boole_plan", lambda *args: plans.append(plan(*args)) or plans[-1])
+        lv = l_eulerian(s, chi, q, bits)
+        assert lv.method == "boole" and plans[-1][0] < longer_head
+        if q > 1:
+            reference = _partial_sum(s, chi, q, bits + 64).value
+        with mp.workprec(bits + 64):
+            if q == 1:  # 2^{1-s} (2^{1-s} chi(2) - 1) L(s, chi), as in test_q_one_is_a_dirichlet_l_value
+                s_val = to_mpc(s)
+                values = [cyc_embed(chi(a), bits + 64) for a in range(d)]
+                two = mp.power(2, 1 - s_val)
+                reference = two * (two * cyc_embed(chi(2 % d), bits + 64) - 1) * mp.dirichlet(s_val, values)
             rounding = mp.mpf(2) ** -(bits + 32) * mp.fabs(reference)
             assert mp.fabs(lv.value - reference) <= lv.tail_bound + rounding
 

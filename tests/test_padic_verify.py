@@ -241,8 +241,8 @@ class TestWitt:
 
     @pytest.mark.parametrize("n", range(9))
     def test_deep_precision(self, n):
-        # the period 3^13 = 1,594,323 is still under MAX_WALK; the sum takes
-        # blocks of 3^7 values
+        # the period 3^13 = 1,594,323 is taken in blocks of 3^7 values: 3^7 + 3^6
+        # steps, far under MAX_WALK
         assert verify_witt(n, 3, 4, 13, 14).passed
 
 
