@@ -4,32 +4,26 @@ For q > 1 the defining series
 
     L_E(s | chi) = q (1+q)^{1-s} sum_{m>=1} (-1)^m chi(m) q^{-m} m^{-s}
 
-converges geometrically for every complex s, so no continuation machinery is
-needed.  For Re s > 0 it also converges at q = 1.  Every modulus d is odd,
-since ``unit_group`` refuses even ones.  Every evaluation carries a rigorous
-bound on its error.
+converges geometrically for every complex s, so no continuation machinery is needed.  For
+Re s > 0 it also converges at q = 1.  Every modulus d is odd, since ``unit_group`` refuses even
+ones.  Every evaluation carries a rigorous bound on its error.
 
-At negative integers it interpolates the character-attached Eulerian values
-up to sign and one boundary term.  The geometric expansion of their
-generating function, q(1+q) sum_{m>=0} (-1)^m chi(m) q^{-m} e^{-m(1+q)t},
-has an m = 0 term without a Mellin transform, so the series starts at m = 1
-and
+At negative integers it interpolates the character-attached Eulerian values up to sign and one
+boundary term.  The geometric expansion of their generating function,
+q(1+q) sum_{m>=0} (-1)^m chi(m) q^{-m} e^{-m(1+q)t}, has an m = 0 term without a Mellin
+transform, so the series starts at m = 1 and
 
     L_E(-n | chi) = (-1)^n A_n(chi, -q) - q (1+q)^{n+1} chi(0) 0^n.
 
-The boundary term is zero except at n = 0 for modulus 1, where
-L_E(0 | chi_1) = q^2 - q(1+q) = -q.
+The boundary term is zero except at n = 0 for modulus 1, where L_E(0 | chi_1) = q^2 - q(1+q) = -q.
 
-Two routes sum the series: ``_partial_sum`` to the M that ``choose_truncation`` certifies,
-and ``_boole``, a head to m = dJ plus a Boole tail per residue class with Carlitz's
-Frobenius-Euler numbers H_k(-q^d) from an Euler-Seidel array.  The Boole route runs at Re s > 0
-(q >= 1) and at Re s <= 0 off the negative integers (q > 1) where its price in series terms, one
-closed form in J and K, is below the partial sum's terms (about bits / log2 q near q = 1), and
-alone where none certifies its tail.
-At s = -n the partial sum always runs, so the closed form A_n(chi, -q), which the Boole tail
-becomes at J = 0, is checked against an independent sum.  Both read M from the plan that
-``choose_truncation`` keeps per (growth, q, target, precision).  At real s the Mellin term
-check's integrand runs on raw libmp values.
+Two routes sum the series: ``_partial_sum`` to the M that ``choose_truncation`` certifies, and
+``_boole``, a head to m = dJ plus a Boole tail per residue class with Carlitz's Frobenius-Euler
+numbers H_k(-q^d) from an Euler-Seidel array, where its price in series terms is below the partial
+sum's (about bits / log2 q terms near q = 1) or no partial sum certifies its tail (``l_eulerian``
+says where).  At s = -n the partial sum always runs, so the closed form A_n(chi, -q), which the
+Boole tail becomes at J = 0, is checked against an independent sum.  One work budget,
+``MAX_TERMS`` series terms, caps both routes: where neither fits it, ConvergenceDomain comes first.
 """
 from __future__ import annotations
 
@@ -37,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import count
-from math import ceil, floor, inf, lgamma, log, log2
+from math import floor, lgamma, log, log2
 from typing import Union
 
 from mpmath import mp
@@ -55,7 +49,7 @@ from .numtheory import smallest_prime_factors
 
 Scalar = Union[int, Fraction]
 
-MAX_IM_AT_ONE = 2**12  # |Im s| summed where no partial sum certifies its tail, as at q = 1
+MAX_TERMS = 2**19  # the work budget of every L-value, in _boole_plan's priced series terms
 _R, _R_OUTER = 3, Fraction(31, 10)  # radii r < r' < pi of the Boole remainder bound
 _TAIL_STEPS, _TAIL_BITS = 60, 4000  # c and g of _boole_plan's price
 
@@ -73,11 +67,10 @@ class LValue:
 
 
 def l_eulerian(s, chi: DirichletCharacter, q: Scalar, bits: int = 128) -> LValue:
-    """L_E(s | chi) within ``tail_bound``: by ``_boole`` at Re s > 0 (q >= 1), or at Re s <= 0
-    off the integers (q > 1), where it costs fewer terms than ``_partial_sum`` or no partial sum
-    certifies its tail (q = 1, or q - 1 = 10^-21); else by the partial sum.  ConvergenceDomain
-    is raised before any sum below Re s = -2^11, where the partial sum takes over 2 |Re s|
-    terms, each the exact m^|Re s|, and above |Im s| = MAX_IM_AT_ONE where no M certifies."""
+    """L_E(s | chi) within ``tail_bound``: by ``_boole`` at Re s > 0 (q >= 1), or at Re s <= 0 off the
+    integers (q > 1), where it costs fewer terms than ``_partial_sum`` or no partial sum certifies its
+    tail (q = 1, or q - 1 = 10^-21); else by the partial sum.  Before any sum, ConvergenceDomain where
+    no route fits ``MAX_TERMS`` terms, and below Re s = -2^11, which bounds each exact m^|Re s|'s size."""
     qf = Fraction(q)
     with mp.workprec(bits + 64):
         s_val = to_mpc(s)
@@ -101,10 +94,13 @@ def _working_prec(s, M: int, q: Fraction, bits: int) -> int:
 
 
 def _partial_sum(s, chi: DirichletCharacter, q: Fraction, bits: int) -> LValue:
-    """The series to M terms, M and the tail bound from ``choose_truncation`` (q > 1)."""
+    """The series to M terms, M and the tail bound from ``choose_truncation`` (q > 1); over
+    budget, ConvergenceDomain before the sum, when its phi(d) M / d nonzero terms pass ``MAX_TERMS``."""
     with mp.workprec(bits + 64):
         growth = max(mp.mpf(0), -to_mpc(s).real)
         M, tail = choose_truncation(growth, q, bits - 4)
+        if M * len(chi.group.dlog) > MAX_TERMS * chi.modulus:  # dlog holds the phi(d) units
+            raise ConvergenceDomain(f"s = {mp.nstr(to_mpc(s), 8)}: no route fits the work budget of {MAX_TERMS} terms")
     with mp.workprec(_working_prec(s, M, q, bits)):
         s_val = to_mpc(s)
         acc = alternating_character_sum(chi, q, bits, M, _inverse_powers(s_val, M), decay=decay_index(growth, q))
@@ -116,8 +112,7 @@ def _partial_sum(s, chi: DirichletCharacter, q: Fraction, bits: int) -> LValue:
 def _boole(s, chi: DirichletCharacter, q: Fraction, bits: int) -> LValue | None:
     """The series as a head to m = dJ and a Frobenius-Euler tail per residue class, for Re s > 0 at
     q >= 1 and Re s <= 0 off the integers at q > 1; None unless ``_boole_plan`` prices it below
-    ``_partial_sum``.  Where no partial sum certifies its tail, |Im s| > ``MAX_IM_AT_ONE`` is a
-    ConvergenceDomain.
+    ``_partial_sum``'s terms and ``MAX_TERMS``, or ConvergenceDomain if no partial sum certifies.
 
     With d odd, z = -q^{-d}, u = 1/z and w = a + dJ, class a's terms from j = J on are
     (-1)^w chi(w) q^{-w} sum_{i>=0} z^i (w + di)^{-s}.  Since 1/(1 - z e^t) =
@@ -151,13 +146,10 @@ def _boole(s, chi: DirichletCharacter, q: Fraction, bits: int) -> LValue | None:
     """
     s_val, d = to_mpc(s), max(chi.modulus, 1)
     classes = [a for a in range(1, d + 1) if chi(a % d)]
-    try:
-        limit = choose_truncation(max(mp.mpf(0), -s_val.real), q, bits - 4)[0] * len(classes) / d if q > 1 else inf
-    except ConvergenceDomain:  # no partial sum certifies its tail this close to q = 1
-        limit = inf
-    if limit == inf and mp.fabs(s_val.imag) > MAX_IM_AT_ONE:
-        raise ConvergenceDomain(f"s = {mp.nstr(s_val, 8)}: where no partial sum certifies its tail (q = 1, "
-                                f"or q this close to 1) the L-series is summed only at |Im s| <= {MAX_IM_AT_ONE}")
+    try:  # None where no partial sum certifies its tail (q = 1, or q this close to 1)
+        partial = choose_truncation(max(mp.mpf(0), -s_val.real), q, bits - 4)[0] * len(classes) / d if q > 1 else None
+    except ConvergenceDomain:
+        partial = None
     bound_prec = 64 + 2 * max(0, mp.mag(s_val))
     with mp.workprec(bound_prec):
         s_val, qv, r_outer = to_mpc(s), to_mpf(q), to_mpf(_R_OUTER)
@@ -168,8 +160,10 @@ def _boole(s, chi: DirichletCharacter, q: Fraction, bits: int) -> LValue | None:
         scale = modulus * (1 + 1 / (mp.sin(r_outer) * (1 - _R / r_outer)))  # times G
         lg_s = mp.loggamma(s_val).real
         log2_scale = mp.log(scale * mp.fsum(qv**-a for a in classes), 2) + (mp.loggamma(sigma + K0) - lg_s) / mp.ln2
-        plan = _boole_plan(float(log2_scale), sigma_f, q, d, classes, bits, limit)
+        plan = _boole_plan(float(log2_scale), sigma_f, q, d, classes, bits, min(partial or MAX_TERMS, MAX_TERMS))
     if plan is None:
+        if partial is None:
+            raise ConvergenceDomain(f"s = {mp.nstr(s_val, 8)}: no route fits the work budget of {MAX_TERMS} terms")
         return None
     (J, K), phi = plan, len(classes)
     head, top = d * J, d * J + (d if K else 0)
@@ -208,42 +202,48 @@ def _boole(s, chi: DirichletCharacter, q: Fraction, bits: int) -> LValue | None:
 
 def _boole_plan(log2_scale: float, sigma: float, q: Fraction, d: int, classes: list, bits: int,
                 limit) -> tuple[int, int] | None:
-    """(J, K) of the least price below ``limit`` whose bound, every class at the smallest
-    w = dJ + a in (d/(rw))^K, and in w^-sigma at the smallest w when sigma > 0 and the largest
-    otherwise, is below 2^(3-bits), for sigma + K > 0; log2_scale holds Gamma(sigma + K0) /
-    |Gamma(s)|, K0 the smallest K.  For fixed J the bound falls with K while sigma + K < r w/d,
-    so the smallest K is found by walking down from the previous J's, or from that turning point.
+    """(J, K) of the least price below ``limit`` whose bound, every class at the smallest w = dJ + a in
+    (d/(rw))^K, and in w^-sigma at the smallest w when sigma > 0 and the largest otherwise, is below
+    2^(3-bits), for sigma + K > 0, or None; log2_scale holds Gamma(sigma + K0) / |Gamma(s)|, K0 the smallest K.
 
     The price is in head-series terms: phi J at K = 0, else phi (J + 1) + K^2 (1 + K log2 D / g) / c,
     D = a^d + b^d for q = a/b.  The Euler-Seidel array of h_k and the K coefficients take about K^2/2
     big-integer steps, each dearer as h_k grows by about log2 D bits a row.  c = 60 and g = 4000 were
     measured by ``tests/boole_price_check.py`` on a shared 2-core Xeon (Python 3.11, mpmath's python
     backend): at each of its seven points the plan ran within 6 % of the fastest one with the K^2
-    part scaled by 1/4 to 4.  The route runs when the price is below the partial sum's phi M / d
-    terms, or where no M certifies.
+    part scaled by 1/4 to 4.
+
+    Each K >= K0 takes the least J that fits and prices below the cap (``limit``, then the best price),
+    by steps doubling out from the previous K's J, then halving.  It is the cheapest at K, as the bound
+    falls with J when sigma + K > 0 and q >= 1: its log2 is -dJ log2 q - sigma log2 w_s - K log2 w_1
+    plus terms free of J, w_1 <= w_s the smallest w and that of w^-sigma, whose J-derivative is at most
+    -d (sigma + K) / (w_s ln 2) < 0.  The price grows with K too, so the loop stops at J = 1, when no J
+    is below the cap, or once sigma + K >= r w_1 / d at the cap's largest J, past which the bound grows
+    with K at every J below the cap.  Of equal prices the smaller J wins.
     """
-    target, phi, best, K0 = 3 - bits, len(classes), None, max(0, floor(-sigma) + 1)
+    target, phi, best, K0, J = 3 - bits, len(classes), None, max(0, floor(-sigma) + 1), None
     log2_q = log2(q.numerator) - log2(q.denominator)
     log2_D, base = log2(q.numerator**d + q.denominator**d), lgamma(sigma + K0)
-    for J in count(1):
-        if phi * J >= (best[0] if best else limit):
+    for K in count(K0):
+        cap, tail = best[0] if best else limit, K * K * (1 + K * log2_D / _TAIL_BITS) / _TAIL_STEPS
+        top, gamma = int((cap - tail) // phi), lgamma(sigma + K) / log(2)  # no J above top prices below cap
+
+        def fits(J):
+            lo, hi = d * J + classes[0], d * J + classes[-1]
+            rest = log2_scale - d * J * log2_q - sigma * log2(lo if sigma > 0 else hi) - base / log(2)
+            return rest + gamma + K * log2(d / (_R * lo)) < target
+
+        if top >= 1 and fits(top):
+            J = min(J or top, top)
+            lo, hi, step = (0, J, -1) if fits(J) else (J, top, 1)  # fits(hi), not fits(lo); lo = 0 a sentinel
+            while hi - lo > 1:
+                mid = J + step if lo < J + step < hi else (lo + hi) // 2
+                lo, hi, step = (lo, mid, 2 * step) if fits(mid) else (mid, hi, 2 * step)
+            J, price = hi, phi * (hi + 1) + tail if K else phi * hi
+            best = (price, J, K) if (price, J) < (best[:2] if best else (limit, 0)) else best
+        if top < 1 or J == 1 or sigma + K >= _R * (d * top + classes[0]) / d:
             break
-        lo, hi = d * J + classes[0], d * J + classes[-1]
-        rest = log2_scale - d * J * log2_q - sigma * log2(lo if sigma > 0 else hi) - base / log(2)
-
-        def f(K):
-            return rest + lgamma(sigma + K) / log(2) + K * log2(d / (_R * lo))
-
-        if best is None or f(K) >= target:
-            K = max(K0, ceil(_R * lo / d - sigma))
-            if f(K) >= target:
-                continue
-        while K > K0 and f(K - 1) < target:
-            K -= 1
-        price = phi * (J + 1) + K * K * (1 + K * log2_D / _TAIL_BITS) / _TAIL_STEPS if K else phi * J
-        if best is None or price < best[0]:
-            best = (price, J, K)
-    return best[1:] if best and best[0] < limit else None
+    return best and best[1:]
 
 
 def _boole_coefficients(s_val, q: Fraction, d: int, K: int, F: int) -> list[tuple[int, int]]:

@@ -96,14 +96,15 @@ class TestBasicCommands:
         assert render_l_value(l_eulerian(nearest_double, chi, Fraction(2), 128)) != want
 
     def test_lfunction_eval_at_q_one(self, capsys):
-        # q = 1 is summed only for Re s > 0 and |Im s| <= 4096, by the Boole route
+        # q = 1 is summed only for Re s > 0, by the Boole route, and within the work budget
         assert main(["lfunction", "eval", "--s", "0", "--q", "1"]) == 3
         assert "Re s > 0" in capsys.readouterr().err
         code, out = run(capsys, "lfunction", "eval", "--s", "1/2,14", "--q", "1")
         assert code == 0
         assert json.loads(out)["method"] == "boole"
-        assert main(["lfunction", "eval", "--s", "1/2,10000", "--q", "1"]) == 3
-        assert "|Im s| <= 4096" in capsys.readouterr().err
+        assert main(["lfunction", "eval", "--s", "1/2,100000", "--q", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "no route fits the work budget of 524288 terms" in err and "Traceback" not in err
 
     def test_lfunction_eval_too_close_to_q_one(self, capsys):
         # no partial sum certifies its tail at q - 1 = 10^-21: the Boole route answers on both

@@ -1,10 +1,12 @@
 """Numeric Eulerian L-values, interpolation at negative integers, Mellin terms."""
+import signal
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, count
-from math import ceil, comb, floor, inf, lgamma, log, log2
+from math import ceil, comb, floor, lgamma, log, log2
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,6 +26,7 @@ from qeuler.numtheory import phi
 
 QUAD3 = enumerate_characters(3)[1]
 MOD1 = principal_character(1)
+OVER_BUDGET = r"^s = .*: no route fits the work budget of \d+ terms$"
 
 
 def assert_close(value, expected, bits=100):
@@ -89,9 +92,10 @@ class TestLEulerian:
             l_eulerian(complex(-0.5, 2), QUAD3, 1, 128)
         with pytest.raises(ConvergenceDomain, match="q > 1"):
             l_eulerian(Fraction(1, 2), QUAD3, Fraction(9, 10), 128)
-        # 1/|Gamma(1/2 + 10^4 i)| ~ e^{5000 pi}: outside the domain where no partial sum certifies
-        with pytest.raises(ConvergenceDomain, match=r"\|Im s\| <= 4096$"):
-            l_eulerian(complex(0.5, 1e4), QUAD3, 1, 128)
+        # 1/|Gamma(1/2 + 10^5 i)| ~ e^{50000 pi}: no plan fits the work budget, and no partial sum
+        # certifies
+        with pytest.raises(ConvergenceDomain, match=OVER_BUDGET):
+            l_eulerian(complex(0.5, 1e5), QUAD3, 1, 128)
 
     @pytest.mark.parametrize("s", [Fraction(-2**22 - 1, 2**11), -10**300])
     def test_real_part_outside_the_summed_range_is_refused(self, s):
@@ -734,8 +738,8 @@ def boole_route(s, chi, q, bits):
     whose bound G Gamma(sigma+K) (d/(3w))^K w^-sigma / |Gamma(s)| times |prefactor| sum_a q^-w,
     every class at the smallest w in (d/(3w))^K and in w^-sigma at the smallest w when sigma > 0
     and the largest otherwise, is below 2^(3-bits); the Boole route when the least
-    ``boole_cost`` is below the partial sum's phi M / d terms, or no partial sum certifies its
-    tail."""
+    ``boole_cost`` is below the cap min(phi M / d, MAX_TERMS), M the partial sum's terms, or
+    MAX_TERMS alone where no partial sum certifies its tail."""
     d = max(chi.modulus, 1)
     classes = [a for a in range(1, d + 1) if chi(a % d)]
     phi = len(classes)
@@ -751,7 +755,7 @@ def boole_route(s, chi, q, bits):
         log2_scale = (mp.log(2 * qv * mp.power(1 + qv, 1 - s_val.real) * G * sum(qv**-a for a in classes), 2)
                       - mp.loggamma(s_val).real / mp.ln2)
         log2_scale, log2_q, sigma = float(log2_scale), float(mp.log(qv, 2)), float(s_val.real)
-    limit = phi * M / d if M else inf
+    limit = min(phi * M / d, lfunction.MAX_TERMS) if M else lfunction.MAX_TERMS
     best = None
     for J in count(1):
         if phi * J >= min(best[0] if best else limit, limit):
@@ -790,6 +794,19 @@ def lerch_l_value(s, chi, q, bits):
     return to_mpf(q) * mp.power(to_mpf(1 + q), 1 - s_val) * acc
 
 
+def assert_within_bound_of_dirichlet(lv, s, chi, bits):
+    """At q = 1, sum (-1)^m chi(m) m^-s = (2^{1-s} chi(2) - 1) L(s, chi), and the prefactor is
+    2^{1-s}: the value lies within ``tail_bound`` of that by ``mp.dirichlet``."""
+    d = max(chi.modulus, 1)
+    with mp.workprec(bits + 64):
+        s_val = to_mpc(s)
+        values = [cyc_embed(chi(a), bits + 64) for a in range(d)]
+        two = mp.power(2, 1 - s_val)
+        reference = two * (two * cyc_embed(chi(2 % d), bits + 64) - 1) * mp.dirichlet(s_val, values)
+        rounding = mp.mpf(2) ** -(bits + 32) * mp.fabs(reference)
+        assert mp.fabs(lv.value - reference) <= lv.tail_bound + rounding
+
+
 def uncertified(*args):
     """``choose_truncation`` where no partial sum certifies its tail."""
     raise ConvergenceDomain("no partial sum here")
@@ -825,7 +842,7 @@ class TestBooleRoute:
         q = Fraction(1001, 1000)
         chi = largest_order_character(d)
         lv = l_eulerian(s, chi, q, bits)
-        assert lv.method == "boole"
+        assert (lv.method, lv.terms) == boole_route(s, chi, q, bits)
         with mp.workprec(bits + 32):
             reference = lerch_l_value(s, chi, q, bits)
             assert lv.tail_bound < mp.mpf(2) ** (4 - bits)
@@ -860,21 +877,24 @@ class TestAcceleratedRoute:
         assert routes.count("partial-sum") == PARTIAL_SUM_CORNERS
 
     @pytest.mark.parametrize("s", [Fraction(1, 2), complex(0.5, 14), complex(2, 3), complex(1.5, -5),
-                                   complex(0.25, 1), 2, complex(3, 40)])
+                                   complex(0.25, 1), 2, complex(3, 40), complex(0.5, 300)])
     @pytest.mark.parametrize("d", [1, 3, 7])
     @pytest.mark.parametrize("bits", [128, 256])
     def test_q_one_is_a_dirichlet_l_value(self, d, s, bits):
-        # sum (-1)^m chi(m) m^-s = (2^{1-s} chi(2) - 1) L(s, chi), and the prefactor is 2^{1-s}
         chi = largest_order_character(d)
         lv = l_eulerian(s, chi, 1, bits)
+        if s in (complex(0.5, 14), complex(0.5, 300)):
+            assert (lv.method, lv.terms) == boole_route(s, chi, Fraction(1), bits)
         assert lv.method == "boole"
-        with mp.workprec(bits + 64):
-            s_val = to_mpc(s)
-            values = [cyc_embed(chi(a), bits + 64) for a in range(d)]
-            two = mp.power(2, 1 - s_val)
-            reference = two * (two * cyc_embed(chi(2 % d), bits + 64) - 1) * mp.dirichlet(s_val, values)
-            rounding = mp.mpf(2) ** -(bits + 32) * mp.fabs(reference)
-            assert mp.fabs(lv.value - reference) <= lv.tail_bound + rounding
+        assert_within_bound_of_dirichlet(lv, s, chi, bits)
+
+    def test_q_one_past_the_old_imaginary_edge_is_summed(self):
+        # |Im s| <= 4096 was a domain edge at q = 1; the work budget takes its place, and here the
+        # plan prices about 27,000 terms
+        s, bits = complex(0.5, 4500), 64
+        lv = l_eulerian(s, MOD1, 1, bits)
+        assert lv.method == "boole" and lv.terms < lfunction.MAX_TERMS
+        assert_within_bound_of_dirichlet(lv, s, MOD1, bits)
 
     @pytest.mark.parametrize("d,q,s,longer_head", [(7, Fraction(21, 20), complex(-100.5, 1), 882),
                                                    (3, Fraction(1), complex(0.5, 1000), 3196)],
@@ -887,14 +907,11 @@ class TestAcceleratedRoute:
         monkeypatch.setattr(lfunction, "_boole_plan", lambda *args: plans.append(plan(*args)) or plans[-1])
         lv = l_eulerian(s, chi, q, bits)
         assert lv.method == "boole" and plans[-1][0] < longer_head
-        if q > 1:
-            reference = _partial_sum(s, chi, q, bits + 64).value
+        if q == 1:
+            assert_within_bound_of_dirichlet(lv, s, chi, bits)
+            return
+        reference = _partial_sum(s, chi, q, bits + 64).value
         with mp.workprec(bits + 64):
-            if q == 1:  # 2^{1-s} (2^{1-s} chi(2) - 1) L(s, chi), as in test_q_one_is_a_dirichlet_l_value
-                s_val = to_mpc(s)
-                values = [cyc_embed(chi(a), bits + 64) for a in range(d)]
-                two = mp.power(2, 1 - s_val)
-                reference = two * (two * cyc_embed(chi(2 % d), bits + 64) - 1) * mp.dirichlet(s_val, values)
             rounding = mp.mpf(2) ** -(bits + 32) * mp.fabs(reference)
             assert mp.fabs(lv.value - reference) <= lv.tail_bound + rounding
 
@@ -942,6 +959,66 @@ class TestAcceleratedRoute:
             rounding = mp.mpf(2) ** -160 * mp.fabs(reference)
             assert mp.fabs(lv.value - reference) <= lv.tail_bound + rounding
             assert mp.fabs(lv.value - chebyshev) <= lv.tail_bound + chebyshev_bound
+
+
+Q_21, Q_6 = 1 + Fraction(1, 10**21), 1 + Fraction(1, 10**6)
+OVER_BUDGET_GRID = [(s, q, d, bits) for d in (1, 7, 15) for bits in (64, 1024)
+                    for s, q in [(complex(-2000, 1), Q_21), (complex(-2000, 1), Q_6), (complex(0.5, 1e5), Fraction(1)),
+                                 (-4, Q_6)] + ([(complex(0.5, 4096), Q_21)] if d > 1 else [])]
+
+
+class TestWorkBudget:
+    """Every route takes at most MAX_TERMS priced series terms, or raises before any sum."""
+
+    def test_over_budget_points_are_refused_before_any_sum(self, monkeypatch):
+        # each call in process under a 2 s alarm, and the grid under 30 s: before the budget, the
+        # plan alone took 36-45 s at s = -2000+i, q - 1 = 10^-21, and s = -4 at q - 1 = 10^-6 summed
+        # 2^28 terms; modulus 1 at s = 1/2+4096i, q - 1 = 10^-21 fits, with a price near 373,000
+        def expire(signum, frame):
+            raise TimeoutError("over 2 s")
+
+        plans, plan = [], lfunction._boole_plan
+
+        def timed(*args):
+            start = time.perf_counter()
+            result = plan(*args)
+            plans.append(time.perf_counter() - start)
+            return result
+
+        monkeypatch.setattr(lfunction, "_boole_plan", timed)
+        handler, start = signal.signal(signal.SIGALRM, expire), time.perf_counter()
+        try:
+            for s, q, d, bits in OVER_BUDGET_GRID:
+                plans.clear()
+                signal.alarm(2)
+                with pytest.raises(ConvergenceDomain, match=OVER_BUDGET):
+                    l_eulerian(s, largest_order_character(d), q, bits)
+                signal.alarm(0)
+                if s == complex(-2000, 1):
+                    assert plans and max(plans) < 1
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, handler)
+        assert time.perf_counter() - start < 30
+
+    def test_a_plan_near_the_budget_is_searched_in_under_a_second(self, monkeypatch):
+        # modulus 1 at s = 1/2+4096i, q - 1 = 10^-21 fits the budget; the spy stops before the sum,
+        # which would take seconds, and the plan is the one the J walk took before the budget
+        class Planned(Exception):
+            pass
+
+        plans, plan = [], lfunction._boole_plan
+
+        def stop(*args):
+            start = time.perf_counter()
+            plans.append((plan(*args), time.perf_counter() - start))
+            raise Planned
+
+        monkeypatch.setattr(lfunction, "_boole_plan", stop)
+        with pytest.raises(Planned):
+            l_eulerian(complex(0.5, 4096), MOD1, Q_21, 64)
+        (J, K), seconds = plans[0]
+        assert (J, K) == (122404, 928) and seconds < 1
 
 
 def bernoulli_numbers(n):
