@@ -120,13 +120,13 @@ class DirichletCharacter:
     def zeta_exponents(self) -> tuple[int | None, ...]:
         """For each a < d, the j < m with chi(a) = zeta_m^j, or None where chi(a) = 0."""
         if self._zeta_exponents is None:
-            m, group = self.order, self.group
-            # integral steps: o divides e*m by choice of m
-            steps = [e * m // o for e, o in zip(self.exponents, group.orders)]
-            table: list[int | None] = [None] * self.modulus
-            for a, exps in group.dlog.items():
-                table[a] = sum(x * s for x, s in zip(exps, steps)) % m
-            self._zeta_exponents = tuple(table)
+            m, d, group = self.order, self.modulus, self.group
+            # (g^x, x * step) over each generator's powers, multiplied out; o divides e*m by choice of m
+            pairs = [(1 % d, 0)]
+            for g, e, o in zip(group.generators, self.exponents, group.orders):
+                powers = [(pow(g, x, d), x * e * m // o % m) for x in range(o)]
+                pairs = [(a * b % d, (j + k) % m) for a, j in pairs for b, k in powers]
+            self._zeta_exponents = tuple(map(dict(pairs).get, range(d)))
         return self._zeta_exponents
 
     def values(self) -> tuple[CycElem, ...]:

@@ -15,8 +15,10 @@ q = a/b, D = a^d + b^d and h_k = H_k(-q^d) D^k the engine works in integers:
     I_l = sum_k C(n,k) h_k d^k (D l)^{n-k},
     A_n(chi, -q) = (-1)^n (a+b)^{n+1} / (b^{n+2} D^{n+1}) sum_l (-1)^l a^{d-l+1} b^l chi(l) I_l,
 
-summing by the zeta_m exponent of chi(l), with one reduction modulo Phi_m and
-no memo.  h_k comes from an Euler-Seidel array (``eulerian._frobenius_euler``,
+and c_l = (-1)^l a^{d-l+1} b^l I_l is free of chi: one class pass per (d, q)
+forms it at each unit l; each chi buckets those integers by the zeta_m exponent
+of chi(l), reduces once modulo Phi_m and applies the Fraction in front; no memo.
+h_k comes from an Euler-Seidel array (``eulerian._frobenius_euler``,
 shared with the L-function's Boole route), checked against Carlitz's triangle
 formula; the closed form is checked against the linear recurrence from clearing
 the denominator (tests/test_chi_eulerian.py, to n = 80 at modulus 43) and the
@@ -27,6 +29,9 @@ q/(1+q) = B/C and x = u/v, e_n = E~_n (vC)^n and g_n = G~_n (vC)^{n-1} obey
 
     e_n = (uC)^n - B sum_{k<n} C(n,k) e_k v^{n-k} C^{n-k-1},
     g_n = n (uC)^{n-1} - B sum_{1<=k<n} C(n,k) g_k v^{n-k} C^{n-k-1}.
+
+The distribution check reads them at units x = a/d only (v = d), so per family
+its residues share one weight table and its buckets by chi(a) stay integers.
 
 Expanding geometrically yields q (1+q) sum_{m>=0} (-1)^m chi(m) q^{-m} e^{-m(1+q)t},
 the oracle ``kernel_series_check`` verifies numerically.  Dropping the m = 0
@@ -50,7 +55,7 @@ from typing import Sequence, Union
 
 from mpmath import mp
 
-from .characters import DirichletCharacter
+from .characters import DirichletCharacter, unit_group
 from .cyclotomic import CycElem, cyc_embed
 from .errors import ConvergenceDomain, DegenerateSample, PoleAtMinusOne, PoleQ
 from .eulerian import _frobenius_euler
@@ -67,11 +72,17 @@ def chi_eulerian(n: int, chi: DirichletCharacter, q: Scalar) -> CycElem:
 
 
 def chi_eulerian_values(ns: Sequence[int], chi: DirichletCharacter, q: Scalar) -> list[CycElem]:
-    """A_n(chi, -q) for each n >= 0 in ``ns``, in order, from one Frobenius-Euler pass to k = max(ns)."""
+    """A_n(chi, -q) for each n >= 0 in ``ns``, in order: the one-character view of ``chi_eulerian_columns``."""
+    return chi_eulerian_columns(ns, [chi], q)[0]
+
+
+def chi_eulerian_columns(ns: Sequence[int], chars: Sequence[DirichletCharacter], q: Scalar) -> list[list[CycElem]]:
+    """A_n(chi, -q) for each chi of one modulus d and each n >= 0 in ``ns``, in order, from one class pass: one
+    Frobenius-Euler pass to k = max(ns), the chi-free c_l(n) = (-1)^l a^{d-l+1} b^l I_l at each unit l, then per chi
+    one bucketing of them by the zeta_m exponent of chi(l), times s_n (see the module docstring)."""
     if any(n < 0 for n in ns):
         raise ValueError("n must be >= 0")
-    qf = Fraction(q)
-    d, m = chi.modulus, chi.order
+    qf, d = Fraction(q), chars[0].modulus
     if qf == 0 or qf == -1 or qf**d == -1:
         raise PoleQ(f"q = {qf} is an excluded value for modulus {d}")
     a, b = qf.numerator, qf.denominator
@@ -79,18 +90,26 @@ def chi_eulerian_values(ns: Sequence[int], chi: DirichletCharacter, q: Scalar) -
     D = ad + bd
     # f_k = h_k d^k depends on q and d only; with g_k = C(n,k) f_k, I_l is sum_k g_k x^{n-k} at x = D l
     f = [h * d**k for k, h in enumerate(_frobenius_euler(ad, bd, max(ns, default=0)))]
-    residues = [(l, j) for l, j in enumerate(chi.zeta_exponents()) if j is not None]
-    values = []
+    kernel = {l: (-1) ** l * a ** (d - l + 1) * b**l for l in unit_group(d).dlog}  # the units l < d
+    classes = []
     for n in ns:
         g = [comb(n, k) * fk for k, fk in enumerate(f[: n + 1])]
-        buckets = [0] * m
-        for l, j in residues:
+        c = {}
+        for l, w in kernel.items():
             x, acc = D * l, 0
             for gk in g:
                 acc = acc * x + gk
-            buckets[j] += (-1) ** l * a ** (d - l + 1) * b**l * acc
-        values.append(CycElem(m, buckets) * Fraction((-1) ** n * (a + b) ** (n + 1), b ** (n + 2) * D ** (n + 1)))
-    return values
+            c[l] = w * acc
+        classes.append((c, Fraction((-1) ** n * (a + b) ** (n + 1), b ** (n + 2) * D ** (n + 1))))
+    return [[CycElem(chi.order, _buckets(chi, c)) * s for c, s in classes] for chi in chars]
+
+
+def _buckets(chi: DirichletCharacter, terms: dict[int, int]) -> list[int]:
+    """sum_l chi(l) terms[l] over the units l as integer coordinates at the powers of zeta_m, before reduction."""
+    out, exps = [0] * chi.order, chi.zeta_exponents()
+    for l, t in terms.items():
+        out[exps[l]] += t
+    return out
 
 
 def series_reference(n: int, chi: DirichletCharacter, q: Scalar) -> CycElem:
@@ -143,51 +162,54 @@ def kernel_series_check(n: int, chi: DirichletCharacter, q: Scalar, bits: int = 
         return numeric_check(lhs, acc, bound, M)
 
 
-def _scaled_euler(max_n: int, q: Scalar, x: Scalar) -> tuple[list[int], int]:
-    """e_0..e_max_n = E~_n (vC)^n and vC, from q sum_k C(n,k) E~_k + E~_n = (1+q) x^n
-    (see the module docstring)."""
+def _weights(q: Scalar, x: Scalar, top: int) -> tuple[int, int, int, list[list[int]]]:
+    """B, uC, vC and the weights t[n][k] = C(n,k) v^{n-k} C^{n-k-1} (k < n <= top) of a weight-zero recurrence at
+    (q, x = u/v); they depend on x through v alone, so every residue a/d with gcd(a, d) = 1 shares them."""
     qf, xf = Fraction(q), Fraction(x)
     if qf == -1:
         raise PoleAtMinusOne("weight-zero polynomials have a pole at q = -1")
     B, C, u, v = qf.numerator, qf.numerator + qf.denominator, xf.numerator, xf.denominator
-    w, e = [v * (v * C) ** j for j in range(max_n)], []  # w_j = v^{j+1} C^j
-    for n in range(max_n + 1):
-        e.append((u * C) ** n - B * sum(comb(n, k) * ek * w[n - k - 1] for k, ek in enumerate(e)))
-    return e, v * C
+    w = [v * (v * C) ** j for j in range(top)]  # w_j = v^{j+1} C^j
+    return B, u * C, v * C, [[comb(n, k) * w[n - k - 1] for k in range(n)] for n in range(top + 1)]
+
+
+def _scaled_euler(B: int, uC: int, t: list[list[int]]) -> list[int]:
+    """e_0..e_top = E~_n (vC)^n from q sum_k C(n,k) E~_k + E~_n = (1+q) x^n (see the module docstring)."""
+    e: list[int] = []
+    for tn in t:
+        e.append(uC ** len(e) - B * sum(tk * ek for tk, ek in zip(tn, e)))
+    return e
+
+
+def _scaled_genocchi(B: int, uC: int, t: list[list[int]]) -> list[int]:
+    """g_0..g_top = G~_n (vC)^{n-1} from (1+q) G~_n = (1+q) n x^{n-1} - q sum_{k<n} C(n,k) G~_k, G~_0 = 0."""
+    g = [0]
+    for n, tn in enumerate(t[1:], 1):
+        g.append(n * uC ** (n - 1) - B * sum(tk * gk for tk, gk in zip(tn, g)))
+    return g
 
 
 def weight_zero_euler_values(max_n: int, q: Scalar, x: Scalar) -> list[Fraction]:
     """E~_0..E~_max_n at (q, x), one reduced Fraction each."""
-    e, vC = _scaled_euler(max_n, q, x)
-    return [Fraction(en, vC**n) for n, en in enumerate(e)]
+    B, uC, vC, t = _weights(q, x, max_n)
+    return [Fraction(en, vC**n) for n, en in enumerate(_scaled_euler(B, uC, t))]
 
 
 def weight_zero_euler(n: int, q: Scalar, x: Scalar) -> Fraction:
     """E~_n at (q, x): one integer recurrence to n and one reduced Fraction."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    e, vC = _scaled_euler(n, q, x)
-    return Fraction(e[n], vC**n)
+    B, uC, vC, t = _weights(q, x, n)
+    return Fraction(_scaled_euler(B, uC, t)[n], vC**n)
 
 
 def weight_zero_genocchi(n_plus_1: int, q: Scalar, x: Scalar) -> Fraction:
-    """G~_{n+1} at (q, x) from its own generating function (1+q) t e^{xt} / (q e^t + 1):
-
-        (1+q) G~_n = (1+q) n x^{n-1} - q sum_{k<n} C(n,k) G~_k,   G~_0 = 0.
-
-    Never computed from E~; G~_{n+1} = (n+1) E~_n is what the distribution
-    check's Genocchi route tests.  Runs on the integers g_n = G~_n (vC)^{n-1}.
-    """
+    """G~_{n+1} at (q, x) from its own generating function (1+q) t e^{xt} / (q e^t + 1) (``_scaled_genocchi``),
+    never from E~: G~_{n+1} = (n+1) E~_n is what the distribution check's Genocchi route tests."""
     if n_plus_1 < 1:
         raise ValueError("index must be >= 1")
-    qf, xf = Fraction(q), Fraction(x)
-    if qf == -1:
-        raise PoleAtMinusOne("weight-zero polynomials have a pole at q = -1")
-    B, C, u, v = qf.numerator, qf.numerator + qf.denominator, xf.numerator, xf.denominator
-    w, g = [v * (v * C) ** j for j in range(n_plus_1)], [0]  # w_j = v^{j+1} C^j
-    for n in range(1, n_plus_1 + 1):
-        g.append(n * (u * C) ** (n - 1) - B * sum(comb(n, k) * gk * w[n - k - 1] for k, gk in enumerate(g)))
-    return Fraction(g[n_plus_1], (v * C) ** (n_plus_1 - 1))
+    B, uC, vC, t = _weights(q, x, n_plus_1)
+    return Fraction(_scaled_genocchi(B, uC, t)[n_plus_1], vC ** (n_plus_1 - 1))
 
 
 @dataclass(frozen=True)
@@ -232,16 +254,18 @@ def verify_distribution(n: int, chi: DirichletCharacter, q_samples: Sequence[Sca
             raise DegenerateSample(f"q = {qf} is excluded for modulus {d}")
         lhs_printed = (Fraction((-1) ** n) / (1 + qf) ** n) * chi_eulerian(n, chi, qf)
         lhs_corrected = lhs_printed / qf**2
-        qd = qf ** (-d)
-        coeff = Fraction(d) ** n / q_number(d, -1 / qf)
-        euler, genocchi = [0] * m, [0] * m  # sums over a by the zeta_m exponent of chi(a)
-        for a, j in enumerate(chi.zeta_exponents()):
-            if j is not None:
-                w, x = Fraction((-1) ** a) / qf**a, Fraction(a, d)
-                euler[j] += w * weight_zero_euler(n, qd, x)
-                genocchi[j] += w * weight_zero_genocchi(n + 1, qd, x)
-        rhs_euler = coeff * CycElem(m, euler)
-        rhs_genocchi = coeff / (n + 1) * CycElem(m, genocchi)
+        # chi(a) != 0 only at units a, so x = a/d has v = d (x = 1/d gives C and dC), and with q = al/be the weight
+        # (-1)^a q^{-a} is (-1)^a be^a al^{d-1-a} / al^{d-1}: one denominator al^{d-1} (dC)^n serves every a
+        (B, C, dC, te), tg = _weights(qf**-d, Fraction(1, d), n), _weights(qf**-d, Fraction(1, d), n + 1)[3]
+        al, be = qf.numerator, qf.denominator
+        euler, genocchi = {}, {}
+        for a in unit_group(d).dlog:
+            w = (-1) ** a * be**a * al ** (d - 1 - a)
+            euler[a] = w * _scaled_euler(B, a * C, te)[n]
+            genocchi[a] = w * _scaled_genocchi(B, a * C, tg)[n + 1]
+        scale = Fraction(d) ** n / q_number(d, -1 / qf) / (al ** (d - 1) * dC**n)
+        rhs_euler = CycElem(m, _buckets(chi, euler)) * scale
+        rhs_genocchi = CycElem(m, _buckets(chi, genocchi)) * (scale / (n + 1))
         lhs = lhs_corrected if variant == "corrected" else lhs_printed
         ok = lhs == rhs_euler
         genocchi_ok = rhs_euler == rhs_genocchi

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .characters import enumerate_characters
-from .chi_eulerian import chi_eulerian_values, weight_zero_euler_values
+from .chi_eulerian import chi_eulerian_columns, weight_zero_euler_values
 from .eulerian import _rows
 from .lfunction import l_eulerian
 from .serialize import render_l_value, render_rational, render_value
@@ -45,9 +45,10 @@ def build_table(opts: TableOptions) -> tuple[list[str], list[dict]]:
         return header, rows
     if opts.kind == "chi-eulerian":
         header = ["n", "modulus", "char", "q", "value"]
-        # one A_n column per (chi, q), built only for a non-empty n range, so a pole q there stays no error
-        columns = [(chi, q, chi_eulerian_values(n_range, chi, q))
-                   for chi in _chars(opts) for q in opts.q_list] if n_range else []
+        # one class pass per q serves every chi; built only for a non-empty n range, so a pole q there stays no error
+        chars = _chars(opts)
+        passes = [chi_eulerian_columns(n_range, chars, q) for q in opts.q_list] if n_range else []
+        columns = [(chi, q, values[c]) for c, chi in enumerate(chars) for q, values in zip(opts.q_list, passes)]
         for n in n_range:
             for chi, q, values in columns:
                 rows.append({"n": n, "modulus": opts.modulus, "char": chi.index,

@@ -101,6 +101,22 @@ class TestValues:
                     assert chi(a * b) == ca * chi(b)
 
 
+def dlog_exponents(chi):
+    """The zeta_m exponent table by its definition: chi(a) = zeta_m^j with j = sum_i x_i e_i m / o_i
+    at a = prod_i g_i^{x_i}, read from the unit group's discrete-log table."""
+    group, m = chi.group, chi.order
+    table = [None] * chi.modulus
+    for a, xs in group.dlog.items():
+        table[a] = sum(x * e * m // o for x, e, o in zip(xs, chi.exponents, group.orders)) % m
+    return tuple(table)
+
+
+@pytest.mark.parametrize("d", range(1, 256, 2))
+def test_zeta_exponents_match_the_discrete_log(d):
+    for chi in enumerate_characters(d):
+        assert chi.zeta_exponents() == dlog_exponents(chi), chi.label
+
+
 class TestConductor:
     def test_principal(self):
         assert principal_character(9).conductor() == 1

@@ -1,4 +1,5 @@
 """Character-attached Eulerian values, weight-zero families, distribution identity."""
+import importlib
 from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Sequence
@@ -8,7 +9,9 @@ from mpmath import mp
 
 from qeuler.characters import enumerate_characters, principal_character
 from qeuler.chi_eulerian import (
+    DistributionSample,
     chi_eulerian,
+    chi_eulerian_columns,
     chi_eulerian_series_check,
     chi_eulerian_values,
     kernel_series_check,
@@ -21,7 +24,11 @@ from qeuler.chi_eulerian import (
 from qeuler.cyclotomic import CycElem
 from qeuler.errors import ConvergenceDomain, DegenerateSample, PoleAtMinusOne, PoleQ
 from qeuler.eulerian import witt_value
-from qeuler.qnumbers import q_samples
+from qeuler.qnumbers import q_number, q_samples
+from qeuler.serialize import render_rational, render_value
+from qeuler.tables import TableOptions, build_table
+
+chi_eulerian_module = importlib.import_module("qeuler.chi_eulerian")  # the package re-exports a function of that name
 
 QUAD3 = enumerate_characters(3)[1]
 MOD1 = principal_character(1)
@@ -173,6 +180,47 @@ class TestClosedFormAgainstRecurrence:
         self.assert_matches_recurrence(max(enumerate_characters(d), key=lambda c: c.order), q, 80)
 
 
+class TestClassEngine:
+    """One class pass per (d, q) serves every character of modulus d."""
+
+    @pytest.mark.parametrize("q", [Fraction(2), Fraction(11, 10), Fraction(-3, 2), Fraction(1, 3)], ids=str)
+    @pytest.mark.parametrize("d", [1, 3, 5, 7, 9, 15, 21])
+    def test_every_character_matches_the_recurrence(self, d, q):
+        chars = enumerate_characters(d)
+        for chi, column in zip(chars, chi_eulerian_columns(range(31), chars, q), strict=True):
+            table = kernel_recurrence(character_kernel(chi, q), q, 30, chi.order)
+            assert [(v.order, v.coeffs) for v in column] == [(v.order, v.coeffs) for v in table], chi.label
+
+    @pytest.mark.parametrize("d", [1, 7, 15])
+    def test_unsorted_and_repeated_n(self, d):
+        chars, q, ns = enumerate_characters(d), Fraction(-3, 2), [9, 0, 4, 9, 2, 0, 11]
+        columns = chi_eulerian_columns(ns, chars, q)
+        for chi, column in zip(chars, columns, strict=True):
+            table = kernel_recurrence(character_kernel(chi, q), q, max(ns), chi.order)
+            expected = [(table[n].order, table[n].coeffs) for n in ns]
+            assert [(v.order, v.coeffs) for v in column] == expected, chi.label
+            assert [(v.order, v.coeffs) for v in chi_eulerian_values(ns, chi, q)] == expected, chi.label
+
+    @pytest.mark.parametrize("d", [1, 5, 7, 15])
+    def test_one_frobenius_euler_pass_per_q_in_a_table(self, d, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return frobenius_euler(*args)
+
+        frobenius_euler = chi_eulerian_module._frobenius_euler
+        monkeypatch.setattr(chi_eulerian_module, "_frobenius_euler", counted)
+        qs, max_n = [Fraction(2), Fraction(-1, 3), Fraction(11, 10)], 9
+        _, rows = build_table(TableOptions("chi-eulerian", max_n=max_n, modulus=d, q_list=qs))
+        assert len(calls) == len(qs)
+        columns = [(chi, q, chi_eulerian_values(range(max_n + 1), chi, q))
+                   for chi in enumerate_characters(d) for q in qs]
+        assert rows == [{"n": n, "modulus": d, "char": chi.index, "q": render_rational(q),
+                         "value": render_value(values[n])}
+                        for n in range(max_n + 1) for chi, q, values in columns]
+
+
 class TestSeriesChecks:
     def test_spot_reference_values(self):
         assert series_reference(0, QUAD3, 2) == Fraction(-2, 3)
@@ -280,7 +328,54 @@ class TestWeightZeroFamilies:
             weight_zero_euler(-1, 2, 0)
 
 
+def distribution_by_fractions(n: int, chi, q_samples, variant: str) -> list[DistributionSample]:
+    """The distribution samples with the right-hand side summed residue by residue in reduced Fractions,
+    one weight-zero value per residue: the oracle for the integer buckets of ``verify_distribution``."""
+    d, m = chi.modulus, chi.order
+    samples = []
+    for qf in map(Fraction, q_samples):
+        lhs_printed = (Fraction((-1) ** n) / (1 + qf) ** n) * chi_eulerian(n, chi, qf)
+        lhs_corrected = lhs_printed / qf**2
+        qd, coeff = qf ** (-d), Fraction(d) ** n / q_number(d, -1 / qf)
+        euler, genocchi = [0] * m, [0] * m
+        for a, j in enumerate(chi.zeta_exponents()):
+            if j is not None:
+                w, x = Fraction((-1) ** a) / qf**a, Fraction(a, d)
+                euler[j] += w * weight_zero_euler(n, qd, x)
+                genocchi[j] += w * weight_zero_genocchi(n + 1, qd, x)
+        rhs_euler = coeff * CycElem(m, euler)
+        rhs_genocchi = coeff / (n + 1) * CycElem(m, genocchi)
+        ratio = lhs_printed.rational_ratio(rhs_euler) if rhs_euler else None
+        lhs = lhs_corrected if variant == "corrected" else lhs_printed
+        samples.append(DistributionSample(qf, lhs_printed, lhs_corrected, rhs_euler, rhs_genocchi, ratio,
+                                          lhs == rhs_euler, rhs_euler == rhs_genocchi))
+    return samples
+
+
+def sample_fields(sample: DistributionSample) -> tuple:
+    """Every field of a sample, with each CycElem as its order and its typed coordinates."""
+    return tuple((v.order, tuple((type(c), c) for c in v.coeffs)) if isinstance(v, CycElem) else (type(v), v)
+                 for v in vars(sample).values())
+
+
 class TestDistribution:
+    @pytest.mark.parametrize("variant", ["corrected", "printed"])
+    @pytest.mark.parametrize("d", [1, 3, 5, 7, 9, 15])
+    def test_integer_buckets_match_the_fraction_oracle(self, d, variant):
+        qs = [Fraction(-2), Fraction(-1, 2), Fraction(1, 3), Fraction(5, 2)]
+        for chi in enumerate_characters(d):
+            for n in range(9):
+                result = verify_distribution(n, chi, qs, variant)
+                expected = distribution_by_fractions(n, chi, qs, variant)
+                assert [sample_fields(s) for s in result.samples] == [sample_fields(s) for s in expected]
+                assert result.passed == all(s.ok and s.genocchi_ok for s in expected)
+                assert result.ratio_is_q_squared == all(s.ratio == s.q**2 for s in expected if s.rhs_euler)
+
+    @pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1)])
+    def test_degenerate_sample_after_a_good_one(self, bad):
+        with pytest.raises(DegenerateSample, match=f"q = {bad} is excluded for modulus 5"):
+            verify_distribution(2, enumerate_characters(5)[1], [Fraction(2), bad], "corrected")
+
     def test_spot_case(self):
         result = verify_distribution(0, QUAD3, [2], "corrected")
         sample = result.samples[0]
