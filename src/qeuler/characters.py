@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 
-from .cyclotomic import CycElem, cyc_embed
+from .cyclotomic import CycElem, cyc_embed, cyclotomic_polynomial
 from .errors import EvenModulus
 from .numtheory import crt_pair, factorize, phi, primitive_root
 
@@ -62,8 +62,13 @@ def unit_group(d: int) -> UnitGroupStructure:
 
 @lru_cache(maxsize=64)
 def _zeta_powers(m: int) -> tuple[CycElem, ...]:
-    """zeta_m^j for j < m, each one reduction of x^j modulo Phi_m."""
-    return tuple(CycElem(m, (0,) * j + (1,)) for j in range(m))
+    """zeta_m^j for j < m: x^j below deg Phi_m, then each x times the one before, one shift and one reduction step."""
+    mod = cyclotomic_polynomial(m)
+    powers = [CycElem(m, (0,) * j + (1,)) for j in range(len(mod) - 1)]
+    for _ in range(len(mod) - 1, m):
+        *low, top = powers[-1].coeffs
+        powers.append(CycElem(m, [-top * mod[0], *(c - top * e for c, e in zip(low, mod[1:]))]))
+    return tuple(powers)
 
 
 @lru_cache(maxsize=64)
@@ -132,7 +137,7 @@ class DirichletCharacter:
     def values(self) -> tuple[CycElem, ...]:
         if self._values is None:
             powers, zero = _zeta_powers(self.order), CycElem.zero(self.order)
-            self._values = tuple(zero if j is None else powers[j] for j in self.zeta_exponents())
+            self._values = tuple([zero if j is None else powers[j] for j in self.zeta_exponents()])
         return self._values
 
     def __call__(self, a: int) -> CycElem:

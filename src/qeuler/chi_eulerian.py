@@ -16,8 +16,9 @@ q = a/b, D = a^d + b^d and h_k = H_k(-q^d) D^k the engine works in integers:
     A_n(chi, -q) = (-1)^n (a+b)^{n+1} / (b^{n+2} D^{n+1}) sum_l (-1)^l a^{d-l+1} b^l chi(l) I_l,
 
 and c_l = (-1)^l a^{d-l+1} b^l I_l is free of chi: one class pass per (d, q)
-forms it at each unit l; each chi buckets those integers by the zeta_m exponent
-of chi(l), reduces once modulo Phi_m and applies the Fraction in front; no memo.
+(``ClassEngine``) forms it at each unit l; each chi buckets those integers by the
+zeta_m exponent of chi(l), reduces once modulo Phi_m and applies the Fraction in
+front; no memo across calls.
 h_k comes from an Euler-Seidel array (``eulerian._frobenius_euler``,
 shared with the L-function's Boole route), checked against Carlitz's triangle
 formula; the closed form is checked against the linear recurrence from clearing
@@ -31,7 +32,8 @@ q/(1+q) = B/C and x = u/v, e_n = E~_n (vC)^n and g_n = G~_n (vC)^{n-1} obey
     g_n = n (uC)^{n-1} - B sum_{1<=k<n} C(n,k) g_k v^{n-k} C^{n-k-1}.
 
 The distribution check reads them at units x = a/d only (v = d), so per family
-its residues share one weight table and its buckets by chi(a) stay integers.
+its residues share one weight table and one row per q, and its buckets by chi(a)
+stay integers.
 
 Expanding geometrically yields q (1+q) sum_{m>=0} (-1)^m chi(m) q^{-m} e^{-m(1+q)t},
 the oracle ``kernel_series_check`` verifies numerically.  Dropping the m = 0
@@ -77,31 +79,64 @@ def chi_eulerian_values(ns: Sequence[int], chi: DirichletCharacter, q: Scalar) -
 
 
 def chi_eulerian_columns(ns: Sequence[int], chars: Sequence[DirichletCharacter], q: Scalar) -> list[list[CycElem]]:
-    """A_n(chi, -q) for each chi of one modulus d and each n >= 0 in ``ns``, in order, from one class pass: one
-    Frobenius-Euler pass to k = max(ns), the chi-free c_l(n) = (-1)^l a^{d-l+1} b^l I_l at each unit l, then per chi
-    one bucketing of them by the zeta_m exponent of chi(l), times s_n (see the module docstring)."""
-    if any(n < 0 for n in ns):
-        raise ValueError("n must be >= 0")
-    qf, d = Fraction(q), chars[0].modulus
-    if qf == 0 or qf == -1 or qf**d == -1:
-        raise PoleQ(f"q = {qf} is an excluded value for modulus {d}")
-    a, b = qf.numerator, qf.denominator
-    ad, bd = a**d, b**d
-    D = ad + bd
-    # f_k = h_k d^k depends on q and d only; with g_k = C(n,k) f_k, I_l is sum_k g_k x^{n-k} at x = D l
-    f = [h * d**k for k, h in enumerate(_frobenius_euler(ad, bd, max(ns, default=0)))]
-    kernel = {l: (-1) ** l * a ** (d - l + 1) * b**l for l in unit_group(d).dlog}  # the units l < d
-    classes = []
-    for n in ns:
-        g = [comb(n, k) * fk for k, fk in enumerate(f[: n + 1])]
-        c = {}
-        for l, w in kernel.items():
-            x, acc = D * l, 0
-            for gk in g:
-                acc = acc * x + gk
-            c[l] = w * acc
-        classes.append((c, Fraction((-1) ** n * (a + b) ** (n + 1), b ** (n + 2) * D ** (n + 1))))
-    return [[CycElem(chi.order, _buckets(chi, c)) * s for c, s in classes] for chi in chars]
+    """A_n(chi, -q) for each chi of one modulus d and each n >= 0 in ``ns``, in order, from one class pass
+    (``ClassEngine.closed_form``)."""
+    engine = ClassEngine(chars[0].modulus, q, ns)
+    engine.classes()  # the pass, and its errors, even for an empty ns
+    return [[engine.closed_form(n, chi) for n in ns] for chi in chars]
+
+
+class ClassEngine:
+    """The chi-free work of the checks at one modulus d and one q, for every character mod d and n in ``ns``.
+
+    ``part(key, make)`` forms each part when a case first reads it and keeps it for the others: the class pass
+    behind ``closed_form``, and each check's set-up per n (and bits), split from its per-chi sum.  A part whose
+    ``make`` raises is not kept, so every case that reads it raises the same error.  A verify suite holds one
+    engine per (d, q) for one call, and each per-case check is the view of a one-case engine: one implementation,
+    no memo across calls.
+    """
+
+    def __init__(self, d: int, q: Scalar, ns: Sequence[int]):
+        self.d, self.q, self.ns, self._parts = d, Fraction(q), ns, {}
+
+    def part(self, key, make):
+        if key not in self._parts:
+            self._parts[key] = make()
+        return self._parts[key]
+
+    def closed_form(self, n: int, chi: DirichletCharacter) -> CycElem:
+        """A_n(chi, -q) for n in ``ns``: the class pass's c_l(n) bucketed by chi(l)'s zeta_m exponent, times s_n."""
+        c, s = self.classes()[n]
+        return CycElem(chi.order, _buckets(chi, c)) * s
+
+    def classes(self) -> dict[int, tuple[dict[int, int], Fraction]]:
+        """n -> (c_l(n) = (-1)^l a^{d-l+1} b^l I_l at each unit l, s_n) for n in ``ns``, from one Frobenius-Euler
+        pass to k = max(ns) (see the module docstring)."""
+        return self.part("classes", self._class_pass)
+
+    def _class_pass(self) -> dict[int, tuple[dict[int, int], Fraction]]:
+        if any(n < 0 for n in self.ns):
+            raise ValueError("n must be >= 0")
+        qf, d = self.q, self.d
+        if qf == 0 or qf == -1 or qf**d == -1:
+            raise PoleQ(f"q = {qf} is an excluded value for modulus {d}")
+        a, b = qf.numerator, qf.denominator
+        ad, bd = a**d, b**d
+        D = ad + bd
+        # f_k = h_k d^k depends on q and d only; with g_k = C(n,k) f_k, I_l is sum_k g_k x^{n-k} at x = D l
+        f = [h * d**k for k, h in enumerate(_frobenius_euler(ad, bd, max(self.ns, default=0)))]
+        kernel = {l: (-1) ** l * a ** (d - l + 1) * b**l for l in unit_group(d).dlog}  # the units l < d
+        classes = {}
+        for n in dict.fromkeys(self.ns):
+            g = [comb(n, k) * fk for k, fk in enumerate(f[: n + 1])]
+            c = {}
+            for l, w in kernel.items():
+                x, acc = D * l, 0
+                for gk in g:
+                    acc = acc * x + gk
+                c[l] = w * acc
+            classes[n] = c, Fraction((-1) ** n * (a + b) ** (n + 1), b ** (n + 2) * D ** (n + 1))
+        return classes
 
 
 def _buckets(chi: DirichletCharacter, terms: dict[int, int]) -> list[int]:
@@ -114,8 +149,12 @@ def _buckets(chi: DirichletCharacter, terms: dict[int, int]) -> list[int]:
 
 def series_reference(n: int, chi: DirichletCharacter, q: Scalar) -> CycElem:
     """(-1)^n A_n(chi, -q) / (q (1+q)^{n+1}), the exact series-side value."""
-    qf = Fraction(q)
-    return (Fraction((-1) ** n) / (qf * (1 + qf) ** (n + 1))) * chi_eulerian(n, chi, qf)
+    return _series_reference(ClassEngine(chi.modulus, q, [n]), n, chi)
+
+
+def _series_reference(engine: ClassEngine, n: int, chi: DirichletCharacter) -> CycElem:
+    qf = engine.q
+    return (Fraction((-1) ** n) / (qf * (1 + qf) ** (n + 1))) * engine.closed_form(n, chi)
 
 
 def chi_eulerian_series_check(n: int, chi: DirichletCharacter, q: Scalar, bits: int = 128) -> NumericCheck:
@@ -126,40 +165,57 @@ def chi_eulerian_series_check(n: int, chi: DirichletCharacter, q: Scalar, bits: 
     chi(0) * 0^n: zero except at n = 0 for modulus 1, where it is 1 and the
     check fails.
     """
+    return _series_case(ClassEngine(chi.modulus, q, [n]), n, chi, bits)
+
+
+def _series_case(engine: ClassEngine, n: int, chi: DirichletCharacter, bits: int) -> NumericCheck:
+    """``chi_eulerian_series_check`` at one case of ``engine``; the truncation, the powers m^n and the decay index
+    are shared per (n, bits)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    qf = Fraction(q)
+    qf = engine.q
     if qf <= 1:
         raise ConvergenceDomain("the alternating character series needs q > 1")
     with mp.workprec(bits + 64):
-        M, tail = choose_truncation(n, qf, bits - 4)
-        acc = alternating_character_sum(chi, qf, bits, M, integer_powers(n, M), decay=decay_index(n, qf))
-        return numeric_check(cyc_embed(series_reference(n, chi, qf), bits + 32), acc,
-                             tail + mp.mpf(2) ** (8 - bits), M)
+        def setup():
+            M, tail = choose_truncation(n, qf, bits - 4)
+            return M, tail + mp.mpf(2) ** (8 - bits), integer_powers(n, M), decay_index(n, qf)
+
+        M, bound, powers, decay = engine.part(("eq13", n, bits), setup)
+        acc = alternating_character_sum(chi, qf, bits, M, powers, decay=decay)
+        return numeric_check(cyc_embed(_series_reference(engine, n, chi), bits + 32), acc, bound, M)
 
 
 def kernel_series_check(n: int, chi: DirichletCharacter, q: Scalar, bits: int = 128) -> NumericCheck:
     """Compare A_n (closed form) with the partial sum of the full geometric
     expansion q(1+q) sum_{m>=0} (-1)^m chi(m) q^{-m} (-m(1+q))^n."""
+    return _kernel_case(ClassEngine(chi.modulus, q, [n]), n, chi, bits)
+
+
+def _kernel_case(engine: ClassEngine, n: int, chi: DirichletCharacter, bits: int) -> NumericCheck:
+    """``kernel_series_check`` at one case of ``engine``; the truncation, the term closure, the decay index, the
+    factor q(1+q) and the bound are shared per (n, bits)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    qf = Fraction(q)
+    qf = engine.q
     if qf <= 1:
         raise ConvergenceDomain("the geometric kernel expansion needs q > 1")
     with mp.workprec(bits + 64):
-        M, tail_raw = choose_truncation(n, qf, bits - 4)
-        prec = mp.prec
-        om, oe = _pair(to_mpf(1 + qf)._mpf_, prec)
+        def setup():
+            M, tail_raw = choose_truncation(n, qf, bits - 4)
+            prec = mp.prec
+            om, oe = _pair(to_mpf(1 + qf)._mpf_, prec)
 
-        def term(m):  # (-m (1+q))^n
-            man, exp = _round(-m * om, oe, prec)
-            return _round(man**n, exp * n, prec)
+            def term(m):  # (-m (1+q))^n
+                man, exp = _round(-m * om, oe, prec)
+                return _round(man**n, exp * n, prec)
 
-        acc = alternating_character_sum(chi, qf, bits, M, term, start=0, decay=decay_index(n, qf))
-        acc *= to_mpf(qf * (1 + qf))
-        lhs = cyc_embed(chi_eulerian(n, chi, qf), bits + 32)
-        bound = to_mpf(qf * (1 + qf) ** (n + 1)) * tail_raw + mp.mpf(2) ** (8 - bits)
-        return numeric_check(lhs, acc, bound, M)
+            bound = to_mpf(qf * (1 + qf) ** (n + 1)) * tail_raw + mp.mpf(2) ** (8 - bits)
+            return M, term, decay_index(n, qf), to_mpf(qf * (1 + qf)), bound
+
+        M, term, decay, factor, bound = engine.part(("eq12", n, bits), setup)
+        acc = alternating_character_sum(chi, qf, bits, M, term, start=0, decay=decay) * factor
+        return numeric_check(cyc_embed(engine.closed_form(n, chi), bits + 32), acc, bound, M)
 
 
 def _weights(q: Scalar, x: Scalar, top: int) -> tuple[int, int, int, list[list[int]]]:
@@ -243,40 +299,52 @@ def verify_distribution(n: int, chi: DirichletCharacter, q_samples: Sequence[Sca
     Agreement at more samples than the degree bound of both sides (as rational
     functions of q) proves the identity; sampling counts are the caller's job.
     """
-    if variant not in ("printed", "corrected"):
-        raise ValueError("variant must be 'printed' or 'corrected'")
-    d, m = chi.modulus, chi.order
-    samples: list[DistributionSample] = []
-    all_ok = ratio_ok = True
-    for q in q_samples:
-        qf = Fraction(q)
-        if qf == 0 or qf == -1 or qf**d == -1:
-            raise DegenerateSample(f"q = {qf} is excluded for modulus {d}")
-        lhs_printed = (Fraction((-1) ** n) / (1 + qf) ** n) * chi_eulerian(n, chi, qf)
-        lhs_corrected = lhs_printed / qf**2
-        # chi(a) != 0 only at units a, so x = a/d has v = d (x = 1/d gives C and dC), and with q = al/be the weight
-        # (-1)^a q^{-a} is (-1)^a be^a al^{d-1-a} / al^{d-1}: one denominator al^{d-1} (dC)^n serves every a
-        (B, C, dC, te), tg = _weights(qf**-d, Fraction(1, d), n), _weights(qf**-d, Fraction(1, d), n + 1)[3]
-        al, be = qf.numerator, qf.denominator
-        euler, genocchi = {}, {}
-        for a in unit_group(d).dlog:
-            w = (-1) ** a * be**a * al ** (d - 1 - a)
-            euler[a] = w * _scaled_euler(B, a * C, te)[n]
-            genocchi[a] = w * _scaled_genocchi(B, a * C, tg)[n + 1]
-        scale = Fraction(d) ** n / q_number(d, -1 / qf) / (al ** (d - 1) * dC**n)
-        rhs_euler = CycElem(m, _buckets(chi, euler)) * scale
-        rhs_genocchi = CycElem(m, _buckets(chi, genocchi)) * (scale / (n + 1))
-        lhs = lhs_corrected if variant == "corrected" else lhs_printed
-        ok = lhs == rhs_euler
-        genocchi_ok = rhs_euler == rhs_genocchi
-        ratio: Fraction | None = None
-        if rhs_euler:
-            ratio = lhs_printed.rational_ratio(rhs_euler)
-            if ratio != qf**2:
-                ratio_ok = False
-        samples.append(DistributionSample(qf, lhs_printed, lhs_corrected, rhs_euler,
-                                          rhs_genocchi, ratio, ok, genocchi_ok))
-        all_ok = all_ok and ok and genocchi_ok
+    _check_variant(variant)
+    samples = tuple(_distribution_case(ClassEngine(chi.modulus, q, [n]), n, chi, variant) for q in q_samples)
     if not samples:
         raise ValueError("verify_distribution needs at least one q sample")
-    return DistributionResult(tuple(samples), all_ok, ratio_ok)
+    return DistributionResult(samples, all(s.ok and s.genocchi_ok for s in samples),
+                              all(s.ratio == s.q**2 for s in samples if s.rhs_euler))
+
+
+def _check_variant(variant: str) -> None:
+    if variant not in ("printed", "corrected"):
+        raise ValueError("variant must be 'printed' or 'corrected'")
+
+
+def _distribution_case(engine: ClassEngine, n: int, chi: DirichletCharacter, variant: str) -> DistributionSample:
+    """The distribution identity at one case of ``engine``, whose q is the sample; per q, each family's row to
+    max(ns) at every unit, and per n, the unit terms and their scale, are shared."""
+    _check_variant(variant)
+    qf, d, m = engine.q, chi.modulus, chi.order
+    if qf == 0 or qf == -1 or qf**d == -1:
+        raise DegenerateSample(f"q = {qf} is excluded for modulus {d}")
+    lhs_printed = (Fraction((-1) ** n) / (1 + qf) ** n) * engine.closed_form(n, chi)
+    lhs_corrected = lhs_printed / qf**2
+    euler, genocchi, scale = engine.part(("eq16", n), lambda: _distribution_terms(engine, n))
+    rhs_euler = CycElem(m, _buckets(chi, euler)) * scale
+    rhs_genocchi = CycElem(m, _buckets(chi, genocchi)) * (scale / (n + 1))
+    lhs = lhs_corrected if variant == "corrected" else lhs_printed
+    ratio = lhs_printed.rational_ratio(rhs_euler) if rhs_euler else None
+    return DistributionSample(qf, lhs_printed, lhs_corrected, rhs_euler, rhs_genocchi, ratio,
+                              lhs == rhs_euler, rhs_euler == rhs_genocchi)
+
+
+def _distribution_terms(engine: ClassEngine, n: int) -> tuple[dict[int, int], dict[int, int], Fraction]:
+    """The chi-free terms of the right-hand sides at n: w_a e_n(a) and w_a g_{n+1}(a) at each unit a, and scale.
+
+    chi(a) != 0 only at units a, so x = a/d has v = d (x = 1/d gives C and dC), and with q = al/be the weight
+    (-1)^a q^{-a} is w_a / al^{d-1}, w_a = (-1)^a be^a al^{d-1-a}: one denominator al^{d-1} (dC)^n serves every a.
+    """
+    qf, d = engine.q, engine.d
+    al = qf.numerator
+
+    def rows():  # per unit a: w_a, e_0..e_top and g_0..g_{top+1}, top = max(ns)
+        top, x = max(engine.ns), Fraction(1, d)
+        (B, C, dC, te), tg = _weights(qf**-d, x, top), _weights(qf**-d, x, top + 1)[3]
+        return dC, {a: ((-1) ** a * qf.denominator**a * al ** (d - 1 - a), _scaled_euler(B, a * C, te),
+                        _scaled_genocchi(B, a * C, tg)) for a in unit_group(d).dlog}
+
+    dC, units = engine.part("eq16", rows)
+    return ({a: w * e[n] for a, (w, e, g) in units.items()}, {a: w * g[n + 1] for a, (w, e, g) in units.items()},
+            Fraction(d) ** n / q_number(d, -1 / qf) / (al ** (d - 1) * dC**n))

@@ -38,8 +38,8 @@ from mpmath import mp
 from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_neg, mpc_pow, mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_pow,
                           round_nearest)
 
-from .characters import DirichletCharacter
-from .chi_eulerian import chi_eulerian
+from .characters import DirichletCharacter, UnitGroupStructure
+from .chi_eulerian import ClassEngine
 from .cyclotomic import cyc_embed
 from .errors import ConvergenceDomain, DomainError
 from .eulerian import _frobenius_euler
@@ -73,12 +73,18 @@ def l_eulerian(s, chi: DirichletCharacter, q: Scalar, bits: int = 128) -> LValue
     no route fits ``MAX_TERMS`` terms, and below Re s = -2^11, which bounds each exact m^|Re s|'s size."""
     qf = Fraction(q)
     with mp.workprec(bits + 64):
-        s_val = to_mpc(s)
-        if s_val.real < -2**11:
-            raise ConvergenceDomain(f"s = {mp.nstr(s_val, 8)}: the L-series is summed only at Re s >= -2^11")
-        if qf < 1 or qf == 1 and s_val.real <= 0:
-            raise ConvergenceDomain("the L-series needs q > 1, or q = 1 with Re s > 0")
-        return ((s_val.real > 0 or not mp.isint(s_val)) and _boole(s, chi, qf, bits)) or _partial_sum(s, chi, qf, bits)
+        return (_boole_domain(s, qf) and _boole(s, chi, qf, bits)) or _partial_sum(s, qf, chi.group, bits)(chi)
+
+
+def _boole_domain(s, q: Fraction) -> bool:
+    """Whether ``l_eulerian`` may sum at s by ``_boole`` (Re s > 0, or s off the integers), at bits + 64;
+    ConvergenceDomain where it sums at no route."""
+    s_val = to_mpc(s)
+    if s_val.real < -2**11:
+        raise ConvergenceDomain(f"s = {mp.nstr(s_val, 8)}: the L-series is summed only at Re s >= -2^11")
+    if q < 1 or q == 1 and s_val.real <= 0:
+        raise ConvergenceDomain("the L-series needs q > 1, or q = 1 with Re s > 0")
+    return s_val.real > 0 or not mp.isint(s_val)
 
 
 def _working_prec(s, M: int, q: Fraction, bits: int) -> int:
@@ -93,20 +99,29 @@ def _working_prec(s, M: int, q: Fraction, bits: int) -> int:
     return bits + 64 + (max(0, exp + bc - 32) if man else 0)
 
 
-def _partial_sum(s, chi: DirichletCharacter, q: Fraction, bits: int) -> LValue:
-    """The series to M terms, M and the tail bound from ``choose_truncation`` (q > 1); over
-    budget, ConvergenceDomain before the sum, when its phi(d) M / d nonzero terms pass ``MAX_TERMS``."""
+def _partial_sum(s, q: Fraction, group: UnitGroupStructure, bits: int):
+    """chi -> the series to M terms for each character of ``group``, whose set-up runs once: M and the
+    tail bound from ``choose_truncation`` (q > 1), the powers, the decay index, the working precision
+    and the prefactor; over budget, ConvergenceDomain before the sum, when its phi(d) M / d nonzero
+    terms pass ``MAX_TERMS``."""
     with mp.workprec(bits + 64):
         growth = max(mp.mpf(0), -to_mpc(s).real)
         M, tail = choose_truncation(growth, q, bits - 4)
-        if M * len(chi.group.dlog) > MAX_TERMS * chi.modulus:  # dlog holds the phi(d) units
+        if M * len(group.dlog) > MAX_TERMS * group.modulus:  # dlog holds the phi(d) units
             raise ConvergenceDomain(f"s = {mp.nstr(to_mpc(s), 8)}: no route fits the work budget of {MAX_TERMS} terms")
-    with mp.workprec(_working_prec(s, M, q, bits)):
+    prec = _working_prec(s, M, q, bits)
+    with mp.workprec(prec):
         s_val = to_mpc(s)
-        acc = alternating_character_sum(chi, q, bits, M, _inverse_powers(s_val, M), decay=decay_index(growth, q))
+        power, decay = _inverse_powers(s_val, M), decay_index(growth, q)
         prefactor = to_mpf(q) * mp.power(to_mpf(1 + q), 1 - s_val)
-        return LValue(+s_val, chi, q, bits, +(prefactor * acc), +(mp.fabs(prefactor) * tail), M,
-                      "partial-sum")
+        s_val, bound = +s_val, +(mp.fabs(prefactor) * tail)
+
+    def value(chi: DirichletCharacter) -> LValue:
+        with mp.workprec(prec):
+            acc = alternating_character_sum(chi, q, bits, M, power, decay=decay)
+            return LValue(s_val, chi, q, bits, +(prefactor * acc), bound, M, "partial-sum")
+
+    return value
 
 
 def _boole(s, chi: DirichletCharacter, q: Fraction, bits: int) -> LValue | None:
@@ -313,12 +328,23 @@ def verify_interpolation(n: int, chi: DirichletCharacter, q: Scalar, bits: int =
     (see the module docstring), so it fails at n = 0 for modulus 1, where
     L_E(0 | chi_1) = -q while A_0(chi_1, -q) = q^2.
     """
+    return _interpolation_case(ClassEngine(chi.modulus, q, [n]), n, chi, bits)
+
+
+def _interpolation_case(engine: ClassEngine, n: int, chi: DirichletCharacter, bits: int) -> NumericCheck:
+    """``verify_interpolation`` at one case of ``engine``; ``l_eulerian``'s partial sum at s = -n, its one
+    route there, has its set-up shared per (n, bits)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    qf = Fraction(q)
-    lv = l_eulerian(-n, chi, qf, bits)
+
+    def setup():
+        with mp.workprec(bits + 64):
+            _boole_domain(-n, engine.q)  # ConvergenceDomain outside the series' domain, else False
+        return _partial_sum(-n, engine.q, chi.group, bits)
+
+    lv = engine.part(("interpolation", n, bits), setup)(chi)
     with mp.workprec(bits + 64):
-        reference = (-1) ** n * cyc_embed(chi_eulerian(n, chi, qf), bits + 32)
+        reference = (-1) ** n * cyc_embed(engine.closed_form(n, chi), bits + 32)
         return numeric_check(lv.value, reference, lv.tail_bound + mp.mpf(2) ** (8 - bits), lv.terms)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from qeuler.characters import (
     DirichletCharacter,
+    _zeta_powers,
     character_by_index,
     enumerate_characters,
     principal_character,
@@ -115,6 +116,13 @@ def dlog_exponents(chi):
 def test_zeta_exponents_match_the_discrete_log(d):
     for chi in enumerate_characters(d):
         assert chi.zeta_exponents() == dlog_exponents(chi), chi.label
+
+
+@pytest.mark.parametrize("m", range(1, 151))
+def test_zeta_powers_are_each_power_reduced_from_scratch(m):
+    expected = [CycElem(m, (0,) * j + (1,)) for j in range(m)]
+    assert [(z.order, [(type(c), c) for c in z.coeffs]) for z in _zeta_powers(m)] == \
+        [(z.order, [(type(c), c) for c in z.coeffs]) for z in expected]
 
 
 class TestConductor:

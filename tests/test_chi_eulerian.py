@@ -1,6 +1,7 @@
 """Character-attached Eulerian values, weight-zero families, distribution identity."""
 import importlib
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial, lcm
 from typing import Sequence
 
@@ -9,7 +10,11 @@ from mpmath import mp
 
 from qeuler.characters import enumerate_characters, principal_character
 from qeuler.chi_eulerian import (
+    ClassEngine,
     DistributionSample,
+    _distribution_case,
+    _kernel_case,
+    _series_case,
     chi_eulerian,
     chi_eulerian_columns,
     chi_eulerian_series_check,
@@ -24,8 +29,10 @@ from qeuler.chi_eulerian import (
 from qeuler.cyclotomic import CycElem
 from qeuler.errors import ConvergenceDomain, DegenerateSample, PoleAtMinusOne, PoleQ
 from qeuler.eulerian import witt_value
+from qeuler.lfunction import _interpolation_case, verify_interpolation
 from qeuler.qnumbers import q_number, q_samples
 from qeuler.serialize import render_rational, render_value
+from qeuler.suites import SuiteOptions, run_suite
 from qeuler.tables import TableOptions, build_table
 
 chi_eulerian_module = importlib.import_module("qeuler.chi_eulerian")  # the package re-exports a function of that name
@@ -219,6 +226,61 @@ class TestClassEngine:
         assert rows == [{"n": n, "modulus": d, "char": chi.index, "q": render_rational(q),
                          "value": render_value(values[n])}
                         for n in range(max_n + 1) for chi, q, values in columns]
+
+
+def one_sample(n: int, chi, q, variant: str) -> DistributionSample:
+    return verify_distribution(n, chi, [q], variant).samples[0]
+
+
+def outcome(check) -> tuple:
+    """What ``check()`` returns, field for field (each mp number by its raw libmp value), or raises, by type and
+    message."""
+    try:
+        result = check()
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(result, DistributionSample):
+        return sample_fields(result)
+    return tuple(v._mpc_ if isinstance(v, mp.mpc) else v._mpf_ if isinstance(v, mp.mpf) else (type(v), v)
+                 for v in vars(result).values())
+
+
+ENGINE_Q = (Fraction(2), Fraction(7, 2), Fraction(11, 10), Fraction(1), Fraction(1, 2), Fraction(-1), Fraction(0),
+            Fraction(-2))
+# (case on a shared engine, per-case view, bits or variant)
+ENGINE_CHECKS = [(_kernel_case, kernel_series_check, 128), (_series_case, chi_eulerian_series_check, 128),
+                 (_interpolation_case, verify_interpolation, 128), (_distribution_case, one_sample, "corrected"),
+                 (_distribution_case, one_sample, "printed")]
+
+
+class TestSharedEngine:
+    """A verify suite's one ClassEngine per (modulus, q) gives every case what its per-case check gives."""
+
+    @pytest.mark.parametrize("d", range(1, 16, 2))
+    @pytest.mark.parametrize("case,view,arg", ENGINE_CHECKS, ids=[f"{v.__name__}-{a}" for _, v, a in ENGINE_CHECKS])
+    def test_every_case_matches_its_per_case_check(self, case, view, arg, d):
+        chars = enumerate_characters(d)
+        for q in ENGINE_Q:
+            engine = ClassEngine(d, q, range(7))
+            for chi in chars:
+                for n in range(7):
+                    shared = outcome(partial(case, engine, n, chi, arg))
+                    assert shared == outcome(partial(view, n, chi, q, arg)), (chi.label, n, q)
+
+    @pytest.mark.parametrize("suite", ["eq12-series", "eq13-series", "eq16-distribution", "interpolation"])
+    def test_one_frobenius_euler_pass_per_modulus_and_q_in_a_suite(self, suite, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return frobenius_euler(*args)
+
+        frobenius_euler = chi_eulerian_module._frobenius_euler
+        monkeypatch.setattr(chi_eulerian_module, "_frobenius_euler", counted)
+        moduli, qs = [1, 5, 7], [Fraction(2), Fraction(7, 2)]
+        reports = run_suite(suite, SuiteOptions(max_n=4, moduli=moduli, q_list=qs))
+        assert len(reports) == (1 + 4 + 6) * 5 * len(qs)
+        assert sorted(calls) == sorted((q.numerator**d, q.denominator**d, 4) for d in moduli for q in qs)
 
 
 class TestSeriesChecks:

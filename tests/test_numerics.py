@@ -257,14 +257,14 @@ class TestTruncationPlanCache:
         assert _truncation_plan.cache_info()[:2] == (0, 3) and _truncation_plan.cache_info().currsize == 0
 
     def test_a_series_grid_searches_once_per_n_q_and_bits(self, capsys):
-        # six characters mod 7, n = 0..3, q = 2 and 7/2, at 96 and 128 bits
+        # six characters mod 7, n = 0..3, q = 2 and 7/2, at 96 and 128 bits: the suite's engine per (modulus, q)
+        # reads each plan once for all six characters
         _truncation_plan.cache_clear()
         for bits in ("96", "128"):
             assert main(["verify", "suite", "--name", "eq13-series", "--modulus", "7", "--max-n", "3",
                          "--q", "2,7/2", "--bits", bits]) == 0
         capsys.readouterr()
-        hits, misses = _truncation_plan.cache_info()[:2]
-        assert misses == 4 * 2 * 2 and hits + misses == 6 * misses
+        assert _truncation_plan.cache_info()[:2] == (0, 4 * 2 * 2)
 
 
 class TestSharedZetaTable:

@@ -58,7 +58,9 @@ def test_default_stream_is_unchanged(capsys, args, fmt, code, digest):
 
 
 # The numeric suites away from 128 bits, where each printed lhs, rhs, error and
-# bound is rounded at the case's bits: (argv after "verify suite --name", exit code, sha256).
+# bound is rounded at the case's bits, and the four suites with a shared pass per
+# (modulus, q) at edge q lists, whose error rows pin each message and which error
+# comes first: (argv after "verify suite --name", exit code, sha256).
 NUMERIC_STREAMS = [
     ("interpolation --bits 192 --q 11/10,3", 1,
      "94acdd9bc93626107c3e80a84afcf13610aec94d5e073e782a3c42b75d85fb1e"),
@@ -67,6 +69,24 @@ NUMERIC_STREAMS = [
     ("eq12-series --bits 256", 0, "92043636d1d6006bd4aabaf0c693fd3b7fb03b1d4234d86984cc5be52953fb51"),
     ("eq13-series --bits 256 --modulus 7", 0,
      "a8897beec4c2a4be3133a392cc1015d6c1f2432b971817aae8158d9dbeb444b6"),
+    ("interpolation --q 1,1/2 --modulus 5", 3, "1ef7f5e0ca127241d68692d92270e34f1a2f7fda315d6c6ed0f1af0527112d26"),
+    ("interpolation --q -1,0 --modulus 3", 3, "c1c7dc43f139a128486a1c4e041b4e91e50f7c898d1ed9fc895e9f883dec1ed1"),
+    ("interpolation --q 2,-2 --modulus 7 --char 3", 3,
+     "4d071e8fb606c3ff8fc90d7d23bb97421e5e8e723383e28ff7b24e848d3e88e2"),
+    ("eq12-series --q 1,1/2 --modulus 5", 3, "9ab6dec32bc74a8a87978ed90b057a6a82bd0a71619d047ebf2dce3ad7432486"),
+    ("eq12-series --q -1,0 --modulus 3", 3, "03bd02b29d9c5070c11cf2be90c6cd6afcbcaa27fa70d6154f9186b13a0ee224"),
+    ("eq12-series --q 2,-2 --modulus 7 --char 3", 3,
+     "b474f0ac12bcb5e7efaf9d47f640d9c1d083ca91d92f00b9d3509424f9d49226"),
+    ("eq13-series --q 1,1/2 --modulus 5", 3, "93b2d591556287749d90d4277c1002e9fdf22f8e79fda927715c8fdda0418a59"),
+    ("eq13-series --q -1,0 --modulus 3", 3, "fa3ea434b0a55ff769061d27f9e4f6c651612957704d01d7af7af5abf8ef1b55"),
+    ("eq13-series --q 2,-2 --modulus 7 --char 3", 3,
+     "01cfc14f9eca28ff5aff7f5aff5418923f278d246d228d22a03fec15d6d32c4a"),
+    ("eq16-distribution --q 1,1/2 --modulus 5", 0,
+     "b8102892abb28c7dcc40c473ac4e18613c677609b8f1e14a6159c47d01393ede"),
+    ("eq16-distribution --q -1,0 --modulus 3", 3,
+     "a3c96649756e661dcc1fc52c2e728feaadcc968b2fd93441db80e82c271fa290"),
+    ("eq16-distribution --q 2,-2 --modulus 7 --char 3", 0,
+     "0bc3247b43bb18cca5a407e4f53d75eee474977a6bb86c93192b080e2d431d83"),
 ]
 
 
