@@ -20,16 +20,14 @@ from .numtheory import crt_pair, factorize, phi, primitive_root
 
 
 class UnitGroupStructure:
-    """Cyclic decomposition of (Z/d)^* for odd d, with a full discrete-log table."""
+    """Cyclic decomposition of (Z/d)^* for odd d: one generator and its order per prime-power component."""
 
-    __slots__ = ("modulus", "generators", "orders", "dlog")
+    __slots__ = ("modulus", "generators", "orders")
 
-    def __init__(self, modulus: int, generators: tuple[int, ...], orders: tuple[int, ...],
-                 dlog: dict[int, tuple[int, ...]]):
+    def __init__(self, modulus: int, generators: tuple[int, ...], orders: tuple[int, ...]):
         self.modulus = modulus
         self.generators = generators
         self.orders = orders
-        self.dlog = dlog
 
 
 @lru_cache(maxsize=64)
@@ -50,14 +48,7 @@ def unit_group(d: int) -> UnitGroupStructure:
         lifted = g if rest == 1 else crt_pair(g, pk, 1, rest)
         generators.append(lifted)
         orders.append(phi(pk))
-
-    dlog: dict[int, tuple[int, ...]] = {}
-    for exps in product(*(range(o) for o in orders)):
-        u = 1
-        for g, a in zip(generators, exps):
-            u = u * pow(g, a, d) % d
-        dlog[u % d] = exps  # d = 1: the empty product maps 0 to ()
-    return UnitGroupStructure(d, tuple(generators), tuple(orders), dlog)
+    return UnitGroupStructure(d, tuple(generators), tuple(orders))
 
 
 @lru_cache(maxsize=64)

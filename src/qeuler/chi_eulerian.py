@@ -52,12 +52,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import Sequence, Union
 
 from mpmath import mp
 
-from .characters import DirichletCharacter, unit_group
+from .characters import DirichletCharacter
 from .cyclotomic import CycElem, cyc_embed
 from .errors import ConvergenceDomain, DegenerateSample, PoleAtMinusOne, PoleQ
 from .eulerian import _frobenius_euler
@@ -70,20 +70,7 @@ Scalar = Union[int, Fraction]
 
 def chi_eulerian(n: int, chi: DirichletCharacter, q: Scalar) -> CycElem:
     """A_n(chi, -q) in closed form (see the module docstring)."""
-    return chi_eulerian_values([n], chi, q)[0]
-
-
-def chi_eulerian_values(ns: Sequence[int], chi: DirichletCharacter, q: Scalar) -> list[CycElem]:
-    """A_n(chi, -q) for each n >= 0 in ``ns``, in order: the one-character view of ``chi_eulerian_columns``."""
-    return chi_eulerian_columns(ns, [chi], q)[0]
-
-
-def chi_eulerian_columns(ns: Sequence[int], chars: Sequence[DirichletCharacter], q: Scalar) -> list[list[CycElem]]:
-    """A_n(chi, -q) for each chi of one modulus d and each n >= 0 in ``ns``, in order, from one class pass
-    (``ClassEngine.closed_form``)."""
-    engine = ClassEngine(chars[0].modulus, q, ns)
-    engine.classes()  # the pass, and its errors, even for an empty ns
-    return [[engine.closed_form(n, chi) for n in ns] for chi in chars]
+    return ClassEngine(chi.modulus, q, [n]).closed_form(n, chi)
 
 
 class ClassEngine:
@@ -106,15 +93,16 @@ class ClassEngine:
 
     def closed_form(self, n: int, chi: DirichletCharacter) -> CycElem:
         """A_n(chi, -q) for n in ``ns``: the class pass's c_l(n) bucketed by chi(l)'s zeta_m exponent, times s_n."""
-        c, s = self.classes()[n]
+        c, s = self.part("classes", self._class_pass)[n]
         return CycElem(chi.order, _buckets(chi, c)) * s
 
-    def classes(self) -> dict[int, tuple[dict[int, int], Fraction]]:
-        """n -> (c_l(n) = (-1)^l a^{d-l+1} b^l I_l at each unit l, s_n) for n in ``ns``, from one Frobenius-Euler
-        pass to k = max(ns) (see the module docstring)."""
-        return self.part("classes", self._class_pass)
+    def series_reference(self, n: int, chi: DirichletCharacter) -> CycElem:
+        """(-1)^n A_n(chi, -q) / (q (1+q)^{n+1}), the exact series-side value."""
+        return (Fraction((-1) ** n) / (self.q * (1 + self.q) ** (n + 1))) * self.closed_form(n, chi)
 
     def _class_pass(self) -> dict[int, tuple[dict[int, int], Fraction]]:
+        """n -> (c_l(n) = (-1)^l a^{d-l+1} b^l I_l at each unit l, s_n) for n in ``ns``, from one Frobenius-Euler
+        pass to k = max(ns) (see the module docstring)."""
         if any(n < 0 for n in self.ns):
             raise ValueError("n must be >= 0")
         qf, d = self.q, self.d
@@ -125,7 +113,7 @@ class ClassEngine:
         D = ad + bd
         # f_k = h_k d^k depends on q and d only; with g_k = C(n,k) f_k, I_l is sum_k g_k x^{n-k} at x = D l
         f = [h * d**k for k, h in enumerate(_frobenius_euler(ad, bd, max(self.ns, default=0)))]
-        kernel = {l: (-1) ** l * a ** (d - l + 1) * b**l for l in unit_group(d).dlog}  # the units l < d
+        kernel = {l: (-1) ** l * a ** (d - l + 1) * b**l for l in range(d) if gcd(l, d) == 1}
         classes = {}
         for n in dict.fromkeys(self.ns):
             g = [comb(n, k) * fk for k, fk in enumerate(f[: n + 1])]
@@ -149,12 +137,7 @@ def _buckets(chi: DirichletCharacter, terms: dict[int, int]) -> list[int]:
 
 def series_reference(n: int, chi: DirichletCharacter, q: Scalar) -> CycElem:
     """(-1)^n A_n(chi, -q) / (q (1+q)^{n+1}), the exact series-side value."""
-    return _series_reference(ClassEngine(chi.modulus, q, [n]), n, chi)
-
-
-def _series_reference(engine: ClassEngine, n: int, chi: DirichletCharacter) -> CycElem:
-    qf = engine.q
-    return (Fraction((-1) ** n) / (qf * (1 + qf) ** (n + 1))) * engine.closed_form(n, chi)
+    return ClassEngine(chi.modulus, q, [n]).series_reference(n, chi)
 
 
 def chi_eulerian_series_check(n: int, chi: DirichletCharacter, q: Scalar, bits: int = 128) -> NumericCheck:
@@ -183,7 +166,7 @@ def _series_case(engine: ClassEngine, n: int, chi: DirichletCharacter, bits: int
 
         M, bound, powers, decay = engine.part(("eq13", n, bits), setup)
         acc = alternating_character_sum(chi, qf, bits, M, powers, decay=decay)
-        return numeric_check(cyc_embed(_series_reference(engine, n, chi), bits + 32), acc, bound, M)
+        return numeric_check(cyc_embed(engine.series_reference(n, chi), bits + 32), acc, bound, M)
 
 
 def kernel_series_check(n: int, chi: DirichletCharacter, q: Scalar, bits: int = 128) -> NumericCheck:
@@ -343,7 +326,7 @@ def _distribution_terms(engine: ClassEngine, n: int) -> tuple[dict[int, int], di
         top, x = max(engine.ns), Fraction(1, d)
         (B, C, dC, te), tg = _weights(qf**-d, x, top), _weights(qf**-d, x, top + 1)[3]
         return dC, {a: ((-1) ** a * qf.denominator**a * al ** (d - 1 - a), _scaled_euler(B, a * C, te),
-                        _scaled_genocchi(B, a * C, tg)) for a in unit_group(d).dlog}
+                        _scaled_genocchi(B, a * C, tg)) for a in range(d) if gcd(a, d) == 1}
 
     dC, units = engine.part("eq16", rows)
     return ({a: w * e[n] for a, (w, e, g) in units.items()}, {a: w * g[n + 1] for a, (w, e, g) in units.items()},

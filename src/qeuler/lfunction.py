@@ -38,14 +38,14 @@ from mpmath import mp
 from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_neg, mpc_pow, mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_pow,
                           round_nearest)
 
-from .characters import DirichletCharacter, UnitGroupStructure
+from .characters import DirichletCharacter
 from .chi_eulerian import ClassEngine
 from .cyclotomic import cyc_embed
 from .errors import ConvergenceDomain, DomainError
 from .eulerian import _frobenius_euler
 from .numerics import (NumericCheck, _cmul, _pair, _round, alternating_character_sum, choose_truncation,
                        decay_index, integer_powers, numeric_check, to_mpc, to_mpf)
-from .numtheory import smallest_prime_factors
+from .numtheory import phi, smallest_prime_factors
 
 Scalar = Union[int, Fraction]
 
@@ -73,7 +73,7 @@ def l_eulerian(s, chi: DirichletCharacter, q: Scalar, bits: int = 128) -> LValue
     no route fits ``MAX_TERMS`` terms, and below Re s = -2^11, which bounds each exact m^|Re s|'s size."""
     qf = Fraction(q)
     with mp.workprec(bits + 64):
-        return (_boole_domain(s, qf) and _boole(s, chi, qf, bits)) or _partial_sum(s, qf, chi.group, bits)(chi)
+        return (_boole_domain(s, qf) and _boole(s, chi, qf, bits)) or _partial_sum(s, qf, chi.modulus, bits)(chi)
 
 
 def _boole_domain(s, q: Fraction) -> bool:
@@ -99,15 +99,15 @@ def _working_prec(s, M: int, q: Fraction, bits: int) -> int:
     return bits + 64 + (max(0, exp + bc - 32) if man else 0)
 
 
-def _partial_sum(s, q: Fraction, group: UnitGroupStructure, bits: int):
-    """chi -> the series to M terms for each character of ``group``, whose set-up runs once: M and the
+def _partial_sum(s, q: Fraction, d: int, bits: int):
+    """chi -> the series to M terms for each character mod d, whose set-up runs once: M and the
     tail bound from ``choose_truncation`` (q > 1), the powers, the decay index, the working precision
     and the prefactor; over budget, ConvergenceDomain before the sum, when its phi(d) M / d nonzero
     terms pass ``MAX_TERMS``."""
     with mp.workprec(bits + 64):
         growth = max(mp.mpf(0), -to_mpc(s).real)
         M, tail = choose_truncation(growth, q, bits - 4)
-        if M * len(group.dlog) > MAX_TERMS * group.modulus:  # dlog holds the phi(d) units
+        if M * phi(d) > MAX_TERMS * d:
             raise ConvergenceDomain(f"s = {mp.nstr(to_mpc(s), 8)}: no route fits the work budget of {MAX_TERMS} terms")
     prec = _working_prec(s, M, q, bits)
     with mp.workprec(prec):
@@ -340,7 +340,7 @@ def _interpolation_case(engine: ClassEngine, n: int, chi: DirichletCharacter, bi
     def setup():
         with mp.workprec(bits + 64):
             _boole_domain(-n, engine.q)  # ConvergenceDomain outside the series' domain, else False
-        return _partial_sum(-n, engine.q, chi.group, bits)
+        return _partial_sum(-n, engine.q, chi.modulus, bits)
 
     lv = engine.part(("interpolation", n, bits), setup)(chi)
     with mp.workprec(bits + 64):

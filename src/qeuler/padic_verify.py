@@ -24,7 +24,7 @@ from math import lcm
 from typing import Sequence
 
 from .characters import DirichletCharacter
-from .chi_eulerian import chi_eulerian, series_reference
+from .chi_eulerian import _check_variant, chi_eulerian, series_reference
 from .errors import (
     BadCongruence,
     DomainError,
@@ -332,8 +332,7 @@ def verify_witt_chi(n: int, chi: DirichletCharacter, p: int, q: Scalar, k: int, 
     The character's modulus must be 1 or a power of p; values embed when
     their order divides p-1 (orders 1 and 2 always do).
     """
-    if variant not in ("printed", "corrected"):
-        raise ValueError("variant must be 'printed' or 'corrected'")
+    _check_variant(variant)
     if not admissible_modulus(chi.modulus, p):
         raise ValueError(f"modulus {chi.modulus} must be 1 or a power of p = {p}")
     qf = Fraction(q)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import product
 
-from .characters import enumerate_characters
+from .characters import character_by_index, enumerate_characters
 from .chi_eulerian import ClassEngine, _distribution_case, _kernel_case, _series_case
 from .errors import QEulerError
 from .eulerian import eulerian_poly, eulerian_series_coeff
@@ -60,8 +60,7 @@ class SuiteOptions:
 def _char_grid(opts: SuiteOptions, *axes):
     """(d, chi, *rest) over the moduli, their characters and the product of ``axes``."""
     for d in opts.moduli:
-        chars = enumerate_characters(d)
-        for chi in chars if opts.char_index is None else [chars[opts.char_index]]:
+        for chi in enumerate_characters(d) if opts.char_index is None else [character_by_index(d, opts.char_index)]:
             for rest in product(*axes):
                 yield (d, chi, *rest)
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .characters import enumerate_characters
-from .chi_eulerian import chi_eulerian_columns, weight_zero_euler_values
+from .characters import character_by_index, enumerate_characters
+from .chi_eulerian import ClassEngine, weight_zero_euler_values
 from .eulerian import _rows
 from .lfunction import l_eulerian
 from .serialize import render_l_value, render_rational, render_value
@@ -26,10 +26,9 @@ class TableOptions:
 
 
 def _chars(opts: TableOptions):
-    chars = enumerate_characters(opts.modulus)
     if opts.char_index is not None:
-        return [chars[opts.char_index]]
-    return chars
+        return [character_by_index(opts.modulus, opts.char_index)]
+    return enumerate_characters(opts.modulus)
 
 
 def build_table(opts: TableOptions) -> tuple[list[str], list[dict]]:
@@ -45,14 +44,13 @@ def build_table(opts: TableOptions) -> tuple[list[str], list[dict]]:
         return header, rows
     if opts.kind == "chi-eulerian":
         header = ["n", "modulus", "char", "q", "value"]
-        # one class pass per q serves every chi; built only for a non-empty n range, so a pole q there stays no error
-        chars = _chars(opts)
-        passes = [chi_eulerian_columns(n_range, chars, q) for q in opts.q_list] if n_range else []
-        columns = [(chi, q, values[c]) for c, chi in enumerate(chars) for q, values in zip(opts.q_list, passes)]
+        # one class pass per q serves every chi; it runs at the first row, so an empty n range builds none
+        chars, engines = _chars(opts), [(q, ClassEngine(opts.modulus, q, n_range)) for q in opts.q_list]
         for n in n_range:
-            for chi, q, values in columns:
-                rows.append({"n": n, "modulus": opts.modulus, "char": chi.index,
-                             "q": render_rational(q), "value": render_value(values[n])})
+            for chi in chars:
+                for q, engine in engines:
+                    rows.append({"n": n, "modulus": opts.modulus, "char": chi.index,
+                                 "q": render_rational(q), "value": render_value(engine.closed_form(n, chi))})
         return header, rows
     if opts.kind == "weight-zero-euler":
         header = ["n", "q", "x", "value"]

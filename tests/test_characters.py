@@ -1,5 +1,6 @@
 """Unit groups, character enumeration, values, conductors, orthogonality."""
-from math import gcd, lcm
+from itertools import product
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -14,6 +15,14 @@ from qeuler.characters import (
 from qeuler.cyclotomic import CycElem
 from qeuler.errors import EvenModulus
 from qeuler.numtheory import divisors, multiplicative_order, phi
+
+
+def discrete_logs(group) -> list[tuple[int, tuple[int, ...]]]:
+    """(prod_i g_i^{x_i} mod d, x) for every exponent tuple x with 0 <= x_i < o_i, from the generators and orders
+    alone (d = 1: the empty product, 1 mod 1 = 0, with x = ())."""
+    d = group.modulus
+    return [(prod(pow(g, x, d) for g, x in zip(group.generators, xs)) % d, xs)
+            for xs in product(*(range(o) for o in group.orders))]
 
 
 class TestUnitGroup:
@@ -42,8 +51,8 @@ class TestUnitGroup:
     def test_dlog_is_bijection(self, d):
         g = unit_group(d)
         units = [a for a in range(d) if gcd(a, d) == 1]
-        assert sorted(g.dlog) == sorted(units)
-        assert len(set(g.dlog.values())) == phi(d)
+        assert sorted(a for a, _ in discrete_logs(g)) == units
+        assert prod(g.orders) == phi(d)
         for o, order in zip(g.generators, g.orders):
             assert multiplicative_order(o, d) == order
 
@@ -104,10 +113,10 @@ class TestValues:
 
 def dlog_exponents(chi):
     """The zeta_m exponent table by its definition: chi(a) = zeta_m^j with j = sum_i x_i e_i m / o_i
-    at a = prod_i g_i^{x_i}, read from the unit group's discrete-log table."""
+    at a = prod_i g_i^{x_i}, over every exponent tuple x of the unit group."""
     group, m = chi.group, chi.order
     table = [None] * chi.modulus
-    for a, xs in group.dlog.items():
+    for a, xs in discrete_logs(group):
         table[a] = sum(x * e * m // o for x, e, o in zip(xs, chi.exponents, group.orders)) % m
     return tuple(table)
 

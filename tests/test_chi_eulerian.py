@@ -16,9 +16,7 @@ from qeuler.chi_eulerian import (
     _kernel_case,
     _series_case,
     chi_eulerian,
-    chi_eulerian_columns,
     chi_eulerian_series_check,
-    chi_eulerian_values,
     kernel_series_check,
     series_reference,
     verify_distribution,
@@ -131,7 +129,7 @@ class TestChiEulerian:
     @pytest.mark.parametrize("ns", [[-1, 2], [3, -2], [-5]])
     def test_values_refuse_a_negative_index(self, ns):
         with pytest.raises(ValueError, match="n must be >= 0"):
-            chi_eulerian_values(ns, QUAD3, 2)
+            ClassEngine(3, 2, ns).closed_form(ns[0], QUAD3)
 
     def test_character_linearity(self):
         # summing the recurrence over all chi mod 5 equals running it once
@@ -161,7 +159,8 @@ class TestClosedFormAgainstRecurrence:
     @staticmethod
     def assert_matches_recurrence(chi, q, max_n):
         table = kernel_recurrence(character_kernel(chi, q), q, max_n, chi.order)
-        column = chi_eulerian_values(range(max_n + 1), chi, q)
+        engine = ClassEngine(chi.modulus, q, range(max_n + 1))
+        column = [engine.closed_form(n, chi) for n in range(max_n + 1)]
         assert len(column) == len(table)
         for n, (expected, from_column) in enumerate(zip(table, column)):
             for value in (chi_eulerian(n, chi, q), from_column):
@@ -172,7 +171,8 @@ class TestClosedFormAgainstRecurrence:
         # one triangle pass serves unsorted and repeated n, each value in the place it was asked for
         chi, q, ns = max(enumerate_characters(d), key=lambda c: c.order), Fraction(9, 4), [17, 0, 5, 17, 3, 0]
         table = kernel_recurrence(character_kernel(chi, q), q, max(ns), chi.order)
-        values = chi_eulerian_values(ns, chi, q)
+        engine = ClassEngine(d, q, ns)
+        values = [engine.closed_form(n, chi) for n in ns]
         assert [(v.order, v.coeffs) for v in values] == [(table[n].order, table[n].coeffs) for n in ns]
 
     @pytest.mark.parametrize("q", ORACLE_Q, ids=str)
@@ -193,20 +193,22 @@ class TestClassEngine:
     @pytest.mark.parametrize("q", [Fraction(2), Fraction(11, 10), Fraction(-3, 2), Fraction(1, 3)], ids=str)
     @pytest.mark.parametrize("d", [1, 3, 5, 7, 9, 15, 21])
     def test_every_character_matches_the_recurrence(self, d, q):
-        chars = enumerate_characters(d)
-        for chi, column in zip(chars, chi_eulerian_columns(range(31), chars, q), strict=True):
+        engine = ClassEngine(d, q, range(31))
+        for chi in enumerate_characters(d):
+            column = [engine.closed_form(n, chi) for n in range(31)]
             table = kernel_recurrence(character_kernel(chi, q), q, 30, chi.order)
             assert [(v.order, v.coeffs) for v in column] == [(v.order, v.coeffs) for v in table], chi.label
 
     @pytest.mark.parametrize("d", [1, 7, 15])
     def test_unsorted_and_repeated_n(self, d):
-        chars, q, ns = enumerate_characters(d), Fraction(-3, 2), [9, 0, 4, 9, 2, 0, 11]
-        columns = chi_eulerian_columns(ns, chars, q)
-        for chi, column in zip(chars, columns, strict=True):
+        q, ns = Fraction(-3, 2), [9, 0, 4, 9, 2, 0, 11]
+        shared = ClassEngine(d, q, ns)
+        for chi in enumerate_characters(d):
             table = kernel_recurrence(character_kernel(chi, q), q, max(ns), chi.order)
             expected = [(table[n].order, table[n].coeffs) for n in ns]
-            assert [(v.order, v.coeffs) for v in column] == expected, chi.label
-            assert [(v.order, v.coeffs) for v in chi_eulerian_values(ns, chi, q)] == expected, chi.label
+            for engine in (shared, ClassEngine(d, q, ns)):  # every character's engine, and this one's own
+                values = [engine.closed_form(n, chi) for n in ns]
+                assert [(v.order, v.coeffs) for v in values] == expected, chi.label
 
     @pytest.mark.parametrize("d", [1, 5, 7, 15])
     def test_one_frobenius_euler_pass_per_q_in_a_table(self, d, monkeypatch):
@@ -221,12 +223,26 @@ class TestClassEngine:
         qs, max_n = [Fraction(2), Fraction(-1, 3), Fraction(11, 10)], 9
         _, rows = build_table(TableOptions("chi-eulerian", max_n=max_n, modulus=d, q_list=qs))
         assert len(calls) == len(qs)
-        columns = [(chi, q, chi_eulerian_values(range(max_n + 1), chi, q))
-                   for chi in enumerate_characters(d) for q in qs]
         assert rows == [{"n": n, "modulus": d, "char": chi.index, "q": render_rational(q),
-                         "value": render_value(values[n])}
-                        for n in range(max_n + 1) for chi, q, values in columns]
+                         "value": render_value(chi_eulerian(n, chi, q))}
+                        for n in range(max_n + 1) for chi in enumerate_characters(d) for q in qs]
 
+
+class TestCharacterSelection:
+    """A table or suite picks its one character by ``character_by_index``, which refuses an index outside
+    0 <= index < phi(d) instead of counting from the end or failing inside the grid."""
+
+    def test_table_refuses_a_negative_index(self):
+        with pytest.raises(ValueError, match="character index -1 out of range for modulus 5"):
+            build_table(TableOptions("chi-eulerian", modulus=5, char_index=-1))
+
+    def test_suite_refuses_a_negative_index(self):
+        with pytest.raises(ValueError, match="character index -2 out of range for modulus 5"):
+            run_suite("eq13-series", SuiteOptions(moduli=[5], char_index=-2))
+
+    def test_suite_refuses_an_index_past_a_small_modulus(self):
+        with pytest.raises(ValueError, match="character index 3 out of range for modulus 1"):
+            run_suite("eq13-series", SuiteOptions(moduli=[1, 5], char_index=3))
 
 def one_sample(n: int, chi, q, variant: str) -> DistributionSample:
     return verify_distribution(n, chi, [q], variant).samples[0]

@@ -427,7 +427,7 @@ class TestTermByTermOracle:
         s = complex(-0.5, 3) if (d + bits) % 2 else complex(-2, 5)
         lv = l_eulerian(s, chi, q, bits)
         assert (lv.method, lv.terms) == boole_route(s, chi, q, bits)
-        value = _partial_sum(s, q, chi.group, bits)(chi).value
+        value = _partial_sum(s, q, chi.modulus, bits)(chi).value
         reference = oracle_l_value(s, chi, q, bits)
         with mp.workprec(bits + 96):
             assert mp.fabs(value - reference) <= mp.mpf(2) ** -(bits + 32) * mp.fabs(reference)
@@ -440,7 +440,7 @@ class TestTermByTermOracle:
         chi = largest_order_character(d)
         s = complex(-0.5, 3) if (d + bits) % 2 else complex(-2, 5)
         reference = oracle_l_value(s, chi, q, bits, multiplicative_powers)
-        assert _partial_sum(s, q, chi.group, bits)(chi).value._mpc_ == reference._mpc_
+        assert _partial_sum(s, q, chi.modulus, bits)(chi).value._mpc_ == reference._mpc_
         s = complex(2, -3) if (d + bits) % 2 else complex(0.5, 14)
         plans, plan = [], lfunction._boole_plan
         monkeypatch.setattr(lfunction, "_boole_plan", lambda *args: plans.append(plan(*args)) or plans[-1])
@@ -824,7 +824,7 @@ class TestBooleRoute:
         # the route runs at every point, also where the partial sum takes fewer terms: with no
         # partial sum certified, the route has no cost to beat
         for s in BOOLE_S:
-            reference = _partial_sum(s, q, chi.group, bits + 64)(chi).value
+            reference = _partial_sum(s, q, chi.modulus, bits + 64)(chi).value
             with monkeypatch.context() as patch:
                 patch.setattr(lfunction, "choose_truncation", uncertified)
                 lv = l_eulerian(s, chi, q, bits)
@@ -860,7 +860,7 @@ class TestAcceleratedRoute:
         chi = largest_order_character(d)
         lv = l_eulerian(s, chi, q, bits)
         assert (lv.method, lv.terms) == boole_route(s, chi, q, bits)
-        reference = _partial_sum(s, q, chi.group, bits + 64)(chi).value
+        reference = _partial_sum(s, q, chi.modulus, bits + 64)(chi).value
         chebyshev, chebyshev_bound, _ = chebyshev_l_value(s, chi, q, bits)
         with mp.workprec(bits + 128):
             assert lv.tail_bound < mp.mpf(2) ** (4 - bits)
@@ -910,7 +910,7 @@ class TestAcceleratedRoute:
         if q == 1:
             assert_within_bound_of_dirichlet(lv, s, chi, bits)
             return
-        reference = _partial_sum(s, q, chi.group, bits + 64)(chi).value
+        reference = _partial_sum(s, q, chi.modulus, bits + 64)(chi).value
         with mp.workprec(bits + 64):
             rounding = mp.mpf(2) ** -(bits + 32) * mp.fabs(reference)
             assert mp.fabs(lv.value - reference) <= lv.tail_bound + rounding
@@ -950,7 +950,7 @@ class TestAcceleratedRoute:
         # with no partial sum to beat and the triangle left unpriced, the head alone certified
         # here, K = 0, and h_k for k < 0 was asked for
         chi = largest_order_character(15)
-        reference = _partial_sum(2, Fraction(2), chi.group, 192)(chi).value
+        reference = _partial_sum(2, Fraction(2), chi.modulus, 192)(chi).value
         chebyshev, chebyshev_bound, _ = chebyshev_l_value(2, chi, Fraction(2), 128)
         monkeypatch.setattr(lfunction, "choose_truncation", uncertified)
         lv = l_eulerian(2, chi, 2, 128)
